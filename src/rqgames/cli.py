@@ -32,9 +32,8 @@ from .errors import GameError, ParseError, TooLargeError, ValidationError
 from .games import PayoffTable, UltimatumParams, ultimatum_2x2, ultimatum_general
 from .hilbert import QuantumState, bell_like, probability_table, state_from_amplitudes
 from .induce import InducedGame, MoveSet, classify_state, default_move_set, induce_game
-from .nash import EquilibriumProfile, grid_oracle, support_enumeration, verify_equilibrium
+from .nash import EPS_DEFAULT, EquilibriumProfile, grid_oracle, support_enumeration, verify_equilibrium
 
-EPS_FLAG_DEFAULT = 1e-9
 RESOLUTION_FLAG_DEFAULT = 64
 SWEEP_OUTPUTS = ("probs", "label", "equilibria")
 
@@ -73,9 +72,13 @@ class SweepSpec:
     source: dict
 
 
+def _reject_constant(name: str):
+    raise ParseError(f"{name} is not a finite number")
+
+
 def _load_json(text: str) -> dict:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, (exc.lineno, exc.colno)) from exc
     if not isinstance(data, dict):
@@ -614,7 +617,7 @@ def main(argv=None) -> int:
     except GameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    eps = args.eps if args.eps is not None else (spec.eps if spec.eps is not None else EPS_FLAG_DEFAULT)
+    eps = args.eps if args.eps is not None else (spec.eps if spec.eps is not None else EPS_DEFAULT)
     resolution = (
         args.resolution
         if args.resolution is not None

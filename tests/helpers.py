@@ -1,8 +1,11 @@
 """Shared test utilities: random generators and slow independent oracles."""
 
+import itertools
+
 import numpy as np
 
-from rqgames import state_from_amplitudes
+from rqgames import EPS_DEFAULT, solve_pivoting, state_from_amplitudes, verify_equilibrium
+from rqgames.nash import WEIGHT_CLAMP_TOL, game_matrices
 
 
 def random_state(rng, dims=(2, 2)):
@@ -63,3 +66,79 @@ def ultimatum_entries_2x2(probs, a, b, c):
         ]
     )
     return proposer, responder
+
+
+def pairwise_support_enumeration(game, eps=EPS_DEFAULT):
+    """Reference: support enumeration one support pair at a time.
+
+    Plain loops over the pairs in the order ``support_enumeration``
+    promises, each solved with ``solve_pivoting``; tests require the same
+    profiles in the same order from both.
+    """
+    a, b = game_matrices(game)
+    m, n = a.shape
+    found = []
+    for k in range(1, min(m, n) + 1):
+        for rows in itertools.combinations(range(m), k):
+            for cols in itertools.combinations(range(n), k):
+                pair = _pairwise_support(a, b, rows, cols, eps)
+                if pair is None:
+                    continue
+                x, y = pair
+                if any(
+                    float(np.max(np.abs(p.proposer_strategy - x))) <= 1e-9
+                    and float(np.max(np.abs(p.responder_strategy - y))) <= 1e-9
+                    for p in found
+                ):
+                    continue
+                profile = verify_equilibrium(game, (x, y), eps)
+                if profile.certified:
+                    found.append(profile)
+    return found
+
+
+def _pairwise_mix(values, axis_size, support):
+    k = values.shape[0]
+    system = np.zeros((k + 1, k + 1))
+    system[:k, :k] = values
+    system[:k, k] = -1.0
+    system[k, :k] = 1.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    solution = solve_pivoting(system, rhs)
+    if solution is None:
+        return None
+    weights = solution[:k]
+    if np.any(weights < -WEIGHT_CLAMP_TOL):
+        return None
+    weights = np.where(weights < 0.0, 0.0, weights)
+    full = np.zeros(axis_size)
+    full[list(support)] = weights
+    return full, float(solution[k])
+
+
+def _pairwise_support(a, b, rows, cols, eps):
+    m, n = a.shape
+    if len(rows) == 1:
+        i, j = rows[0], cols[0]
+        if a[:, j].max() > a[i, j] + eps or b[i, :].max() > b[i, j] + eps:
+            return None
+        unit_x, unit_y = np.zeros(m), np.zeros(n)
+        unit_x[i] = unit_y[j] = 1.0
+        return unit_x, unit_y
+    block = np.ix_(list(rows), list(cols))
+    mix_y = _pairwise_mix(a[block], n, cols)
+    if mix_y is None:
+        return None
+    y, value_p = mix_y
+    mix_x = _pairwise_mix(b[block].T, m, rows)
+    if mix_x is None:
+        return None
+    x, value_r = mix_x
+    off_rows = [i for i in range(m) if i not in rows]
+    if off_rows and float((a[off_rows] @ y).max()) > value_p + eps:
+        return None
+    off_cols = [j for j in range(n) if j not in cols]
+    if off_cols and float((x @ b[:, off_cols]).max()) > value_r + eps:
+        return None
+    return x, y

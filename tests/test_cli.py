@@ -399,3 +399,25 @@ def test_solver_block_supplies_defaults(tmp_path, capsys):
     )
     _, loose, _ = run(["nash", "--spec", write(tmp_path, doc), "--format", "csv"], capsys)
     assert len(loose.splitlines()) > 2
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"state": {"amplitudes": {"matrix": [[NaN, 1], [0, 1]]}},'
+        ' "payoffs": {"ultimatum": {"a": 99, "b": 50, "c": 1}}}',
+        '{"payoffs": {"ultimatum": {"a": 99, "b": 50, "c": 1}},'
+        ' "state": {"bell": {"theta": "pi/4", "basis_a": [1, 1], "basis_b": [0, 0]}},'
+        ' "solver": {"eps": NaN}}',
+        '{"payoffs": {"ultimatum": {"a": 99, "b": 50, "c": 1}},'
+        ' "state": {"bell": {"theta": Infinity, "basis_a": [1, 1], "basis_b": [0, 0]}}}',
+        '{"payoffs": {"ultimatum": {"a": 99, "b": 50, "c": -Infinity}},'
+        ' "state": {"bell": {"theta": 0, "basis_a": [1, 1], "basis_b": [0, 0]}}}',
+    ],
+)
+def test_non_finite_json_constants_exit_2(tmp_path, capsys, doc):
+    with pytest.raises(ParseError, match="not a finite number"):
+        parse_spec(doc)
+    code, out, err = run(["nash", "--spec", write(tmp_path, doc)], capsys)
+    assert code == 2
+    assert out == "" and "not a finite number" in err

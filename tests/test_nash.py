@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqgames import (
     DimensionMismatchError,
@@ -21,7 +23,9 @@ from rqgames import (
     verify_equilibrium,
 )
 
-from helpers import random_bimatrix
+from rqgames.nash import STACK_PAIRS, _solve_stacked
+
+from helpers import pairwise_support_enumeration, random_bimatrix
 
 MOVES2 = default_move_set(2)
 
@@ -51,6 +55,9 @@ def test_mixed_strategy_validation():
         mixed_strategy([0.5, 0.4])
     with pytest.raises(DimensionMismatchError):
         mixed_strategy([0.5, 0.5], size=3)
+    for weights in ([np.nan, np.nan], [np.inf, 0.0], [1.0, np.nan]):
+        with pytest.raises(InvalidProbabilityError):
+            mixed_strategy(weights)
 
 
 def test_best_response_examples():
@@ -87,6 +94,23 @@ def test_verify_flags_the_greedy_profile():
     assert profile.payoffs == pytest.approx((49.5, 0.5), abs=1e-12)
     assert profile.regret[0] <= 1e-12
     assert abs(profile.regret[1] - 24.5) <= 1e-12
+
+
+def test_verify_rejects_non_finite_strategies():
+    with pytest.raises(InvalidProbabilityError):
+        verify_equilibrium((np.eye(2), np.eye(2)), ([np.nan, np.nan], [0.5, 0.5]))
+
+
+def test_verify_never_certifies_non_finite_payoffs_or_regrets():
+    nan_game = (np.array([[np.nan, 1.0], [0.0, 1.0]]), np.eye(2))
+    profile = verify_equilibrium(nan_game, ((0.5, 0.5), (0.5, 0.5)), eps=float("inf"))
+    assert np.isnan(profile.payoffs[0]) and np.isnan(profile.regret[0])
+    assert not profile.certified
+    inf_game = (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.eye(2))
+    with np.errstate(invalid="ignore"):
+        profile = verify_equilibrium(inf_game, ((1.0, 0.0), (1.0, 0.0)), eps=float("inf"))
+    assert profile.payoffs[0] == np.inf and np.isnan(profile.regret[0])
+    assert not profile.certified
 
 
 def test_verify_with_infinite_tolerance():
@@ -281,3 +305,92 @@ def test_solve_pivoting_reports_singular_systems():
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
     assert solve_pivoting(singular, np.array([1.0, 2.0])) is None
     assert solve_pivoting(np.zeros((2, 2)), np.zeros(2)) is None
+
+
+def test_support_enumeration_certifies_nothing_in_a_nan_game():
+    # 0 * nan is nan, so every profile of a game with a NaN entry has a NaN payoff
+    rng = np.random.default_rng(23)
+    for shape in ((2, 2), (4, 4), (3, 6)):
+        a, b = rng.uniform(0, 100, shape), rng.uniform(0, 100, shape)
+        a[1, 1] = np.nan
+        assert support_enumeration((a, b)) == []
+        assert support_enumeration((b, a)) == []
+
+
+def _indifference_like(rng, count, n):
+    """Systems shaped like support enumeration's, with 0..3 integer blocks."""
+    systems = rng.integers(0, 4, (count, n, n)).astype(float)
+    systems[:, :-1, -1] = -1.0
+    systems[:, -1, :-1] = 1.0
+    systems[:, -1, -1] = 0.0
+    return systems
+
+
+def test_stacked_elimination_matches_solve_pivoting_bit_for_bit():
+    rng = np.random.default_rng(24)
+    singular_seen = 0
+    for trial in range(120):
+        n = 3 + trial % 11
+        if trial % 2:
+            systems = _indifference_like(rng, 40, n)
+        else:
+            systems = rng.normal(size=(40, n, n))
+        rhs = rng.normal(size=(40, n)) if trial % 3 else np.eye(n)[np.full(40, n - 1)]
+        augmented = np.concatenate([systems, rhs[:, :, None]], axis=2)
+        solutions, singular = _solve_stacked(np.moveaxis(augmented, 0, -1).copy())
+        for i in range(40):
+            expected = solve_pivoting(systems[i], rhs[i])
+            assert singular[i] == (expected is None)
+            if expected is None:
+                singular_seen += 1
+            else:
+                assert np.array_equal(solutions[:, i], expected)
+    assert singular_seen > 100
+
+
+def _assert_same_profiles(found, expected):
+    assert len(found) == len(expected)
+    for p, q in zip(found, expected):
+        assert np.array_equal(p.proposer_strategy, q.proposer_strategy)
+        assert np.array_equal(p.responder_strategy, q.responder_strategy)
+        assert p.payoffs == q.payoffs and p.regret == q.regret
+        assert (p.kind, p.certified, p.degenerate) == (q.kind, q.certified, q.degenerate)
+
+
+SHAPES = [(m, n) for m in range(2, 7) for n in range(2, 7)] + [(3, 7), (7, 3), (2, 7)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from(SHAPES),
+    integer=st.booleans(),
+    eps=st.sampled_from([1e-9, 0.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_support_enumeration_matches_the_pairwise_loop(shape, integer, eps, seed):
+    rng = np.random.default_rng(seed)
+    if integer:  # degenerate: exact ties, singular blocks, duplicate profiles
+        a, b = rng.integers(0, 4, shape).astype(float), rng.integers(0, 4, shape).astype(float)
+    else:
+        a, b = rng.uniform(0, 100, shape), rng.uniform(0, 100, shape)
+    expected = pairwise_support_enumeration((a, b), eps)
+    _assert_same_profiles(support_enumeration((a, b), eps), expected)
+
+
+def test_support_enumeration_splits_large_levels_into_stacks():
+    rng = np.random.default_rng(25)
+    assert 70 * 70 > STACK_PAIRS  # the k = 4 level of an 8x8 game
+    game = (rng.integers(0, 4, (8, 8)).astype(float), rng.integers(0, 4, (8, 8)).astype(float))
+    expected = pairwise_support_enumeration(game)
+    assert len(expected) > 1
+    _assert_same_profiles(support_enumeration(game), expected)
+
+
+def test_nondegenerate_games_have_an_odd_number_of_equilibria():
+    # Shapley (1974): a nondegenerate bimatrix game has an odd number of equilibria
+    rng = np.random.default_rng(26)
+    for _ in range(150):
+        m, n = rng.integers(2, 6, size=2)
+        profiles = support_enumeration((rng.uniform(0, 100, (m, n)), rng.uniform(0, 100, (m, n))))
+        assert len(profiles) % 2 == 1
+        assert not any(p.degenerate for p in profiles)
