@@ -30,12 +30,30 @@ import numpy as np
 
 from .errors import GameError, ParseError, TooLargeError, ValidationError
 from .games import PayoffTable, UltimatumParams, ultimatum_2x2, ultimatum_general
-from .hilbert import QuantumState, bell_like, probability_table, state_from_amplitudes
-from .induce import InducedGame, MoveSet, classify_state, default_move_set, induce_game
-from .nash import EPS_DEFAULT, EquilibriumProfile, grid_oracle, support_enumeration, verify_equilibrium
+from .hilbert import QuantumState, bell_like, bell_like_probs, probability_table, state_from_amplitudes
+from .induce import (
+    InducedGame,
+    MoveSet,
+    class_labels,
+    classify_state,
+    default_move_set,
+    induce_game,
+    induce_stack,
+)
+from .nash import (
+    EPS_DEFAULT,
+    EquilibriumProfile,
+    equilibria_2x2,
+    grid_oracle,
+    support_enumeration,
+    verify_equilibrium,
+)
 
 RESOLUTION_FLAG_DEFAULT = 64
 SWEEP_OUTPUTS = ("probs", "label", "equilibria")
+# Thetas per pass of ``run_sweep`` through the layers; it bounds the memory
+# one pass takes.
+SWEEP_CHUNK = 2048
 
 _PI_PATTERN = re.compile(
     r"^\s*([+-]?)\s*(?:(\d+(?:\.\d+)?)\s*\*\s*)?pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$",
@@ -278,15 +296,22 @@ def _build_solver(block) -> tuple[float | None, int | None]:
     eps = None
     resolution = None
     if "eps" in block:
-        eps = _number(block, "solver", "eps")
-        if eps <= 0:
-            raise ValidationError("solver.eps", "must be positive")
-        eps = float(eps)
+        eps = _check_eps(_number(block, "solver", "eps"), "solver.eps")
     if "resolution" in block:
-        resolution = block["resolution"]
-        if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
-            raise ValidationError("solver.resolution", "must be a positive integer")
+        resolution = _check_resolution(block["resolution"], "solver.resolution")
     return eps, resolution
+
+
+def _check_eps(eps, field: str) -> float:
+    if not 0 < eps < math.inf:  # NaN fails too
+        raise ValidationError(field, "must be a finite positive number")
+    return float(eps)
+
+
+def _check_resolution(resolution, field: str) -> int:
+    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
+        raise ValidationError(field, "must be a positive integer")
+    return resolution
 
 
 def parse_spec(text: str) -> GameSpecDocument:
@@ -427,12 +452,16 @@ def _profile_lines(index: int, profile: EquilibriumProfile) -> list[str]:
 def _solve_game(game: InducedGame, eps: float, resolution: int) -> list[EquilibriumProfile]:
     profiles = support_enumeration(game, eps)
     if not profiles and game.dims == (2, 2):
-        # Continuum-only corner: fall back to grid representatives.
-        profiles = [
-            verify_equilibrium(game, ((mu, 1.0 - mu), (nu, 1.0 - nu)), eps)
-            for mu, nu in grid_oracle(game, resolution, eps)
-        ]
+        profiles = _grid_profiles(game, eps, resolution)
     return profiles
+
+
+def _grid_profiles(game: InducedGame, eps: float, resolution: int) -> list[EquilibriumProfile]:
+    """Continuum-only corner of a 2x2 game: grid representatives, verified."""
+    return [
+        verify_equilibrium(game, ((mu, 1.0 - mu), (nu, 1.0 - nu)), eps)
+        for mu, nu in grid_oracle(game, resolution, eps)
+    ]
 
 
 def run_induce(doc: GameSpecDocument, out_format: str) -> list[str]:
@@ -524,18 +553,17 @@ def run_verify(doc: GameSpecDocument, profile_text: str, eps: float, out_format:
     ]
 
 
+def _equilibrium_group(mu: float, nu: float, pay_p: float, pay_r: float) -> str:
+    return f"mu={fmt(mu)} nu={fmt(nu)} pp={fmt(pay_p)} pr={fmt(pay_r)}"
+
+
 def _equilibria_cell(profiles: list[EquilibriumProfile]) -> str:
-    groups = []
-    for p in profiles:
-        groups.append(
-            f"mu={fmt(p.proposer_strategy[0])} nu={fmt(p.responder_strategy[0])} "
-            f"pp={fmt(p.payoffs[0])} pr={fmt(p.payoffs[1])}"
-        )
-    return ";".join(groups)
+    return ";".join(
+        _equilibrium_group(p.proposer_strategy[0], p.responder_strategy[0], *p.payoffs) for p in profiles
+    )
 
 
 def run_sweep(sweep: SweepSpec, eps: float, resolution: int, out_format: str) -> list[str]:
-    moves = default_move_set(2)
     step = (sweep.stop - sweep.start) / (sweep.count - 1)
     columns = ["theta"]
     if "probs" in sweep.outputs:
@@ -544,26 +572,68 @@ def run_sweep(sweep: SweepSpec, eps: float, resolution: int, out_format: str) ->
         columns.append("label")
     if "equilibria" in sweep.outputs:
         columns.append("equilibria")
-    rows = []
-    for i in range(sweep.count):
-        theta = sweep.start + i * step if i < sweep.count - 1 else sweep.stop
-        state = bell_like(theta, sweep.basis_a, sweep.basis_b, sweep.payoffs.dims)
-        row = [fmt(theta)]
-        if "probs" in sweep.outputs:
-            probs = probability_table(state).probs
-            row += [fmt(probs[0, 0]), fmt(probs[0, 1]), fmt(probs[1, 0]), fmt(probs[1, 1])]
-        if "label" in sweep.outputs:
-            row.append(classify_state(state).label)
-        if "equilibria" in sweep.outputs:
-            game = induce_game(state, sweep.payoffs, moves, moves)
-            row.append(_equilibria_cell(_solve_game(game, eps, resolution)))
-        rows.append(row)
-    if out_format == "csv":
-        return [",".join(columns)] + [",".join(row) for row in rows]
-    lines = []
-    for row in rows:
-        lines.append("; ".join(f"{name}={value}" for name, value in zip(columns, row)))
+    lines = [",".join(columns)] if out_format == "csv" else []
+    for first in range(0, sweep.count, SWEEP_CHUNK):
+        index = np.arange(first, min(first + SWEEP_CHUNK, sweep.count))
+        with np.errstate(all="ignore"):  # an infinite end warns no more than float arithmetic does
+            thetas = sweep.start + index * step
+        if index[-1] == sweep.count - 1:
+            thetas[-1] = sweep.stop
+        for row in _sweep_rows(sweep, thetas, eps, resolution):
+            if out_format == "csv":
+                lines.append(",".join(row))
+            else:
+                lines.append("; ".join(f"{name}={value}" for name, value in zip(columns, row)))
     return lines
+
+
+def _sweep_rows(sweep: SweepSpec, thetas: np.ndarray, eps: float, resolution: int) -> list[list[str]]:
+    """Rows for a chunk of thetas, each layer run once on the whole chunk.
+
+    Every row gets the checks a single state gets, as array tests.  Rows a
+    check flags, and rows with no certified equilibrium, are finished in
+    row order with the single-state functions, so they raise the same
+    error or print the same grid-fallback cell as a row-by-row loop.
+    """
+    probs, failed = bell_like_probs(thetas, sweep.basis_a, sweep.basis_b, sweep.payoffs.dims)
+    rows = [[fmt(theta)] for theta in thetas.tolist()]
+    if "probs" in sweep.outputs:
+        for row, cells in zip(rows, probs.reshape(len(rows), 4).tolist()):
+            row += [fmt(v) for v in cells]
+    if "label" in sweep.outputs:
+        labels = class_labels(probs[:, 1, 1] - probs[:, 0, 1], probs[:, 1, 0] - probs[:, 0, 0])
+        for row, label in zip(rows, labels.tolist()):
+            row.append(label)
+    unsettled = np.zeros(len(rows), dtype=bool)
+    if "equilibria" in sweep.outputs:
+        moves = default_move_set(2)
+        a, b = induce_stack(probs, sweep.payoffs, moves, moves)
+        x, y, pay_p, pay_r, found, off_simplex = equilibria_2x2(a, b, eps)
+        groups = [[] for _ in rows]
+        for r, *values in zip(
+            np.nonzero(found)[0].tolist(),
+            x[found, 0].tolist(),
+            y[found, 0].tolist(),
+            pay_p[found].tolist(),
+            pay_r[found].tolist(),
+        ):
+            groups[r].append(_equilibrium_group(*values))
+        unsettled = off_simplex | ~found.any(axis=1)
+    for r in np.flatnonzero(failed | unsettled):
+        if failed[r]:
+            # raises the error of this row's state or table
+            probability_table(bell_like(float(thetas[r]), sweep.basis_a, sweep.basis_b, sweep.payoffs.dims))
+        if unsettled[r]:
+            game = InducedGame(a[r], b[r])
+            if off_simplex[r]:
+                # raises mixed_strategy's error, as support_enumeration does
+                verify_equilibrium(game, (x[r, 4], y[r, 4]), eps)
+            if not found[r].any():
+                groups[r] = [_equilibria_cell(_grid_profiles(game, eps, resolution))]
+    if "equilibria" in sweep.outputs:
+        for row, group in zip(rows, groups):
+            row.append(";".join(group))
+    return rows
 
 
 def _read_spec_text(path: str) -> str:
@@ -602,8 +672,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    try:
+        if args.eps is not None:
+            _check_eps(args.eps, "--eps")
+        if args.resolution is not None:
+            _check_resolution(args.resolution, "--resolution")
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         text = _read_spec_text(args.spec)
     except OSError as exc:

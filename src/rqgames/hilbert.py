@@ -31,6 +31,16 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _unit_sum(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over the last two axes, and where each misses 1 by more than NORM_TOL.
+
+    The one normalization rule of ``QuantumState``, ``ProbabilityTable``
+    and ``bell_like_probs``.
+    """
+    total = weights.sum(axis=(-2, -1))
+    return total, np.abs(total - 1.0) > NORM_TOL
+
+
 @dataclass(frozen=True, eq=False)
 class QuantumState:
     """Normalized pure state over a dP x dR joint outcome basis."""
@@ -43,10 +53,10 @@ class QuantumState:
             raise DimensionMismatchError(
                 f"amplitude matrix must be at least 2x2, got shape {amps.shape}"
             )
-        total = float(np.sum(np.abs(amps) ** 2))
-        if abs(total - 1.0) > NORM_TOL:
+        total, off = _unit_sum(np.abs(amps) ** 2)
+        if off:
             raise NotNormalizedError(
-                f"squared amplitudes sum to {total}, expected 1 within {NORM_TOL}"
+                f"squared amplitudes sum to {float(total)}, expected 1 within {NORM_TOL}"
             )
         object.__setattr__(self, "amps", _freeze(amps))
 
@@ -67,10 +77,10 @@ class ProbabilityTable:
             raise DimensionMismatchError("probability table must be a matrix")
         if np.any(probs < 0.0):
             raise InvalidProbabilityError("negative probability entry")
-        total = float(probs.sum())
-        if abs(total - 1.0) > NORM_TOL:
+        total, off = _unit_sum(probs)
+        if off:
             raise InvalidProbabilityError(
-                f"probabilities sum to {total}, expected 1 within {NORM_TOL}"
+                f"probabilities sum to {float(total)}, expected 1 within {NORM_TOL}"
             )
         object.__setattr__(self, "probs", _freeze(probs))
 
@@ -121,6 +131,28 @@ def bell_like(
     amps[ka, la] = np.cos(theta)
     amps[kb, lb] = np.sin(theta)
     return QuantumState(amps)
+
+
+def bell_like_probs(
+    thetas: np.ndarray,
+    basis_a: tuple[int, int],
+    basis_b: tuple[int, int],
+    dims: tuple[int, int] = (2, 2),
+) -> tuple[np.ndarray, np.ndarray]:
+    """``probability_table(bell_like(theta, ...)).probs`` for every theta at once.
+
+    Returns the (B, dP, dR) probabilities and the (B,) mask of thetas whose
+    state or table fails the ``QuantumState`` or ``ProbabilityTable`` check;
+    ``probability_table(bell_like(...))`` on such a theta raises the error.
+    Both checks are the ``_unit_sum`` rule on these same probabilities, and
+    squared moduli are never negative.  The basis pairs must be valid for
+    ``bell_like``.
+    """
+    amps = np.zeros((len(thetas),) + tuple(dims), dtype=complex)
+    amps[:, basis_a[0], basis_a[1]] = np.cos(thetas)
+    amps[:, basis_b[0], basis_b[1]] = np.sin(thetas)
+    probs = np.abs(amps) ** 2
+    return probs, _unit_sum(probs)[1]
 
 
 def probability_table(state: QuantumState) -> ProbabilityTable:

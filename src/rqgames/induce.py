@@ -87,13 +87,6 @@ def default_move_set(d: int) -> MoveSet:
     )
 
 
-def _inverse(perm: tuple[int, ...]) -> list[int]:
-    inv = [0] * len(perm)
-    for k, image in enumerate(perm):
-        inv[image] = k
-    return inv
-
-
 @dataclass(frozen=True, eq=False)
 class InducedGame:
     """The classical bimatrix game generated by (state, payoffs, moves)."""
@@ -135,23 +128,36 @@ def induce_game(
             f"({moves_p.d}, {moves_r.d}) must agree"
         )
     probs = probability_table(state).probs
-    m, n = len(moves_p), len(moves_r)
-    proposer = np.empty((m, n))
-    responder = np.empty((m, n))
-    inv_p = [_inverse(p) for p in moves_p.perms]
-    inv_r = [_inverse(q) for q in moves_r.perms]
-    for i in range(m):
-        for j in range(n):
-            moved = probs[np.ix_(inv_p[i], inv_r[j])]
-            proposer[i, j] = float(np.sum(moved * payoffs.proposer))
-            responder[i, j] = float(np.sum(moved * payoffs.responder))
-    return InducedGame(proposer, responder)
+    proposer, responder = induce_stack(probs[None], payoffs, moves_p, moves_r)
+    return InducedGame(proposer[0], responder[0])
+
+
+def induce_stack(
+    probs: np.ndarray, payoffs: PayoffTable, moves_p: MoveSet, moves_r: MoveSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """``induce_game`` on a (B, dP, dR) stack of outcome probabilities.
+
+    Returns the (B, m, n) proposer and responder matrices.  Each cell sums
+    a contiguous dP x dR block of products in a fixed outcome order, so a
+    stacked entry equals the single-game one bit for bit, and relabeling
+    moves permutes the matrices bit-exactly.
+    """
+    inv_p = np.argsort(moves_p.perms, axis=1)
+    inv_r = np.argsort(moves_r.perms, axis=1)
+    # moved[s, i, j] is table s with move i undone on its rows and move j on
+    # its columns.  Indexing every axis lays it out C-contiguous, which keeps
+    # each block's summation order.
+    stack = np.arange(len(probs))[:, None, None, None, None]
+    moved = probs[stack, inv_p[:, None, :, None], inv_r[:, None, :]]
+    proposer = (moved * payoffs.proposer).sum(axis=(-2, -1))
+    responder = (moved * payoffs.responder).sum(axis=(-2, -1))
+    return proposer, responder
 
 
 def _probs_2x2(state: QuantumState) -> np.ndarray:
     if state.dims != (2, 2):
         raise DimensionMismatchError(f"operation requires a 2x2 state, got {state.dims}")
-    return np.abs(state.amps) ** 2
+    return probability_table(state).probs
 
 
 def _check_probability(name: str, value: float) -> float:
@@ -224,8 +230,12 @@ def classify_state(state: QuantumState) -> StateClass:
     t = _probs_2x2(state)
     d1 = float(t[1, 1] - t[0, 1])
     d2 = float(t[1, 0] - t[0, 0])
-    label = OPPOSED if d1 * d2 < -SIGN_TOL else ALIGNED
-    return StateClass(label=label, diffs=(d1, d2))
+    return StateClass(label=str(class_labels(d1, d2)), diffs=(d1, d2))
+
+
+def class_labels(diff1, diff2) -> np.ndarray:
+    """The label of each state from its differences p11 - p01 and p10 - p00."""
+    return np.where(diff1 * diff2 < -SIGN_TOL, OPPOSED, ALIGNED)
 
 
 def aligned_equilibrium(

@@ -15,7 +15,6 @@ below ``eps`` certifies an eps-equilibrium.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,23 +126,38 @@ def verify_equilibrium(game, profile, eps: float = EPS_DEFAULT) -> EquilibriumPr
     a, b = game_matrices(game)
     x = mixed_strategy(profile[0], a.shape[0])
     y = mixed_strategy(profile[1], a.shape[1])
-    pay_p = float(x @ a @ y)
-    pay_r = float(x @ b @ y)
-    gap_p = float((a @ y).max()) - pay_p
-    gap_r = float((x @ b).max()) - pay_r
-    # max(0.0, nan) is 0.0, so a NaN gap is passed on as it is
-    regret_p = gap_p if math.isnan(gap_p) else max(0.0, gap_p)
-    regret_r = gap_r if math.isnan(gap_r) else max(0.0, gap_r)
+    pay_p, pay_r, regret_p, regret_r, certified = _certify(a, b, x, y, eps)
     kind = "pure" if x.max() >= 1.0 - PURE_KIND_TOL and y.max() >= 1.0 - PURE_KIND_TOL else "mixed"
     return EquilibriumProfile(
         proposer_strategy=_freeze(x),
         responder_strategy=_freeze(y),
-        payoffs=(pay_p, pay_r),
-        regret=(regret_p, regret_r),
+        payoffs=(float(pay_p), float(pay_r)),
+        regret=(float(regret_p), float(regret_r)),
         kind=kind,
-        certified=regret_p <= eps and regret_r <= eps and math.isfinite(pay_p) and math.isfinite(pay_r),
+        certified=bool(certified),
         degenerate=_degenerate(a, b, x, y, eps),
     )
+
+
+def _certify(a, b, x, y, eps):
+    """Payoffs, regrets and the certified flag of profiles (x, y) in games (a, b).
+
+    Games and strategies may be stacked on broadcastable leading axes.  Every
+    product is one ``np.matmul`` kernel call per profile, the same call a
+    single profile makes, so stacked values equal single ones bit for bit.
+    A NaN gap stays NaN, and a NaN or infinite payoff or regret never
+    certifies.
+    """
+    x_row, y_col = x[..., None, :], y[..., :, None]
+    xb = np.matmul(x_row, b)
+    pay_p = np.matmul(np.matmul(x_row, a), y_col)[..., 0, 0]
+    pay_r = np.matmul(xb, y_col)[..., 0, 0]
+    gap_p = np.matmul(a, y_col)[..., 0].max(axis=-1) - pay_p
+    gap_r = xb[..., 0, :].max(axis=-1) - pay_r
+    regret_p = np.where(gap_p <= 0.0, 0.0, gap_p)
+    regret_r = np.where(gap_r <= 0.0, 0.0, gap_r)
+    certified = (regret_p <= eps) & (regret_r <= eps) & np.isfinite(pay_p) & np.isfinite(pay_r)
+    return pay_p, pay_r, regret_p, regret_r, certified
 
 
 def pure_equilibria(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfile]:
@@ -259,11 +273,17 @@ def _solve_stacked(ab: np.ndarray, pivot_tol: float = PIVOT_TOL) -> tuple[np.nda
     return x.T, singular
 
 
-def _same_profile(p: EquilibriumProfile, x: np.ndarray, y: np.ndarray, tol: float = 1e-9) -> bool:
-    return (
-        float(np.max(np.abs(p.proposer_strategy - x))) <= tol
-        and float(np.max(np.abs(p.responder_strategy - y))) <= tol
-    )
+def _same_profile(found_x, found_y, x, y, tol: float = 1e-9) -> np.ndarray:
+    """Which found profiles (strategies stacked on axis -2) lie within tol of (x, y)."""
+    return (np.abs(found_x - x).max(axis=-1) <= tol) & (np.abs(found_y - y).max(axis=-1) <= tol)
+
+
+def _pure_cells(a, b, eps) -> np.ndarray:
+    """Mask of the cells where neither player gains more than eps by a pure deviation.
+
+    Games may be stacked on leading axes.
+    """
+    return ~((a.max(axis=-2, keepdims=True) > a + eps) | (b.max(axis=-1, keepdims=True) > b + eps))
 
 
 def support_enumeration(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfile]:
@@ -288,22 +308,59 @@ def support_enumeration(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfi
     if max(m, n) > 12:
         raise TooLargeError(f"support enumeration limited to 12 moves per side, got {m}x{n}")
     found: list[EquilibriumProfile] = []
+    found_x, found_y = np.empty((0, m)), np.empty((0, n))
     for k in range(1, min(m, n) + 1):
         for x, y in _support_candidates(a, b, k, eps):
-            if any(_same_profile(p, x, y) for p in found):
+            if _same_profile(found_x, found_y, x, y).any():
                 continue
             profile = verify_equilibrium(game, (x, y), eps)
             if profile.certified:
                 found.append(profile)
+                found_x = np.vstack([found_x, profile.proposer_strategy])
+                found_y = np.vstack([found_y, profile.responder_strategy])
     return found
+
+
+def equilibria_2x2(a: np.ndarray, b: np.ndarray, eps: float = EPS_DEFAULT):
+    """``support_enumeration`` on a stack of 2x2 games, (B, 2, 2) per player.
+
+    A 2x2 game has five candidates in enumeration order: the four pure
+    cells, row by row, then the full-support mix.  Returns their (B, 5, 2)
+    strategies ``x`` and ``y``, their (B, 5) payoffs, the (B, 5) mask of
+    the profiles ``support_enumeration`` returns, and the (B,) mask of
+    games whose mix fails ``mixed_strategy``.  On those games
+    ``support_enumeration`` raises where ``verify_equilibrium`` of the mix
+    does, and their row of the first mask means nothing.  Games with no
+    certified candidate are left to the caller.  Each step runs the
+    single-game code on the whole stack, so every value and decision
+    equals the single-game one.
+    """
+    count = len(a)
+    with np.errstate(all="ignore"):  # the mix of a singular game is garbage until masked
+        x = np.empty((count, 5, 2))
+        y = np.empty((count, 5, 2))
+        x[:, :4] = np.eye(2)[[0, 0, 1, 1]]
+        y[:, :4] = np.eye(2)[[0, 1, 0, 1]]
+        # the block the proposer is made indifferent on is a, the responder's is b transposed
+        weights_y, weights_x, _, _, mixed = _indifference_stack(a.transpose(1, 2, 0), b.transpose(2, 1, 0))
+        x[:, 4] = weights_x.T
+        y[:, 4] = weights_y.T
+        pay_p, pay_r, _, _, certified = _certify(a[:, None], b[:, None], x, y, eps)
+        found = np.empty((count, 5), dtype=bool)
+        found[:, :4] = _pure_cells(a, b, eps).reshape(count, 4) & certified[:, :4]
+        mixed &= ~(_same_profile(x[:, :4], y[:, :4], x[:, 4:], y[:, 4:]) & found[:, :4]).any(axis=1)
+        # mixed_strategy's sum test; the weights are clamped to nonnegative already
+        sums_ok = np.abs(np.stack([x[:, 4], y[:, 4]]).sum(axis=-1) - 1.0) <= SIMPLEX_SUM_TOL
+        off_simplex = mixed & ~sums_ok.all(axis=0)
+        found[:, 4] = mixed & certified[:, 4]
+    return x, y, pay_p, pay_r, found, off_simplex
 
 
 def _support_candidates(a, b, k, eps):
     """Yield the (x, y) candidates with supports of size k, in enumeration order."""
     m, n = a.shape
     if k == 1:
-        beaten = (a.max(axis=0) > a + eps) | (b.max(axis=1)[:, None] > b + eps)
-        for i, j in np.argwhere(~beaten):
+        for i, j in np.argwhere(_pure_cells(a, b, eps)):
             yield _unit(m, i), _unit(n, j)
         return
     row_sets = list(itertools.combinations(range(m), k))
@@ -328,27 +385,19 @@ def _support_candidates(a, b, k, eps):
 def _solve_stack(a, b, rows, cols, eps):
     """``_solve_support`` on a stack of support pairs: rows and cols are (N, k)."""
     m, n = a.shape
-    count, k = rows.shape
-    # Systems [[block, -1], [1, 0]] with right-hand side (0, ..., 0, 1), as in
-    # _indifference_mix: the proposer's block of a, then the transposed block of b.
-    ab = np.zeros((k + 1, k + 2, 2 * count))
-    ab[:k, :k, :count] = np.take(a, rows.T[:, None] * n + cols.T[None])
-    ab[:k, :k, count:] = np.take(b, rows.T[None] * n + cols.T[:, None])
-    ab[:k, k] = -1.0
-    ab[k, :k] = 1.0
-    ab[k, k + 1] = 1.0
-    solution, singular = _solve_stacked(ab)
-    ok = ~singular & _valid_weights(solution, k)
-    keep = np.flatnonzero(ok[:count] & ok[count:])
+    k = rows.shape[1]
+    # the proposer's k x k block of a, then the transposed block of b
+    weights_y, weights_x, value_p, value_r, ok = _indifference_stack(
+        np.take(a, rows.T[:, None] * n + cols.T[None]), np.take(b, rows.T[None] * n + cols.T[:, None])
+    )
+    keep = np.flatnonzero(ok)
     rows, cols = rows[keep], cols[keep]
-    weights = np.where(solution[:k] < 0.0, 0.0, solution[:k])
     stack = np.arange(len(keep))[:, None]
     y = np.zeros((len(keep), n))
-    y[stack, cols] = weights[:, keep].T
+    y[stack, cols] = weights_y[:, keep].T
     x = np.zeros((len(keep), m))
-    x[stack, rows] = weights[:, count + keep].T
-    value_p = solution[k, keep]
-    value_r = solution[k, count + keep]
+    x[stack, rows] = weights_x[:, keep].T
+    value_p, value_r = value_p[keep], value_r[keep]
     # These products round differently from the per-pair ones, so this test
     # only drops pairs beaten by more than any rounding could account for;
     # _off_support_ok then decides the rest exactly as the per-pair path.
@@ -362,6 +411,30 @@ def _solve_stack(a, b, rows, cols, eps):
     for i in np.flatnonzero(~beaten):
         if _off_support_ok(a, b, rows[i].tolist(), cols[i].tolist(), x[i], y[i], value_p[i], value_r[i], eps):
             yield x[i], y[i]
+
+
+def _indifference_stack(blocks_p: np.ndarray, blocks_r: np.ndarray):
+    """``_indifference_mix`` on stacks of k x k blocks, (k, k, N) each.
+
+    ``blocks_p`` are the blocks the proposer is made indifferent on and
+    ``blocks_r`` the transposed responder blocks.  Returns the clamped
+    (k, N) weights of the responder's and of the proposer's mix, the
+    (N,) values of both, and the (N,) mask of the pairs where both systems
+    are non-singular with valid weights.
+    """
+    k, _, count = blocks_p.shape
+    # Systems [[block, -1], [1, 0]] with right-hand side (0, ..., 0, 1), as in
+    # _indifference_mix, all solved together by _solve_stacked.
+    ab = np.zeros((k + 1, k + 2, 2 * count))
+    ab[:k, :k, :count] = blocks_p
+    ab[:k, :k, count:] = blocks_r
+    ab[:k, k] = -1.0
+    ab[k, :k] = 1.0
+    ab[k, k + 1] = 1.0
+    solution, singular = _solve_stacked(ab)
+    ok = ~singular & _valid_weights(solution, k)
+    weights = np.where(solution[:k] < 0.0, 0.0, solution[:k])
+    return weights[:, :count], weights[:, count:], solution[k, :count], solution[k, count:], ok[:count] & ok[count:]
 
 
 def _solve_support(a, b, rows, cols, eps):

@@ -4,7 +4,21 @@ import itertools
 
 import numpy as np
 
-from rqgames import EPS_DEFAULT, solve_pivoting, state_from_amplitudes, verify_equilibrium
+from rqgames import (
+    EPS_DEFAULT,
+    DimensionMismatchError,
+    InducedGame,
+    bell_like,
+    classify_state,
+    default_move_set,
+    grid_oracle,
+    probability_table,
+    solve_pivoting,
+    state_from_amplitudes,
+    support_enumeration,
+    verify_equilibrium,
+)
+from rqgames.cli import fmt
 from rqgames.nash import WEIGHT_CLAMP_TOL, game_matrices
 
 
@@ -142,3 +156,85 @@ def _pairwise_support(a, b, rows, cols, eps):
     if off_cols and float((x @ b[:, off_cols]).max()) > value_r + eps:
         return None
     return x, y
+
+
+def loop_induce_game(state, payoffs, moves_p, moves_r):
+    """Reference: the induced game built one cell at a time.
+
+    Each cell sums the dP x dR block of products in outcome order; the
+    stacked ``induce_game`` must match it bit for bit.
+    """
+    if state.dims != payoffs.dims or state.dims != (moves_p.d, moves_r.d):
+        raise DimensionMismatchError(
+            f"state {state.dims}, payoffs {payoffs.dims} and moves "
+            f"({moves_p.d}, {moves_r.d}) must agree"
+        )
+    probs = probability_table(state).probs
+    m, n = len(moves_p), len(moves_r)
+    proposer = np.empty((m, n))
+    responder = np.empty((m, n))
+    inv_p = [_inverse(p) for p in moves_p.perms]
+    inv_r = [_inverse(q) for q in moves_r.perms]
+    for i in range(m):
+        for j in range(n):
+            moved = probs[np.ix_(inv_p[i], inv_r[j])]
+            proposer[i, j] = float(np.sum(moved * payoffs.proposer))
+            responder[i, j] = float(np.sum(moved * payoffs.responder))
+    return InducedGame(proposer, responder)
+
+
+def _inverse(perm):
+    inv = [0] * len(perm)
+    for k, image in enumerate(perm):
+        inv[image] = k
+    return inv
+
+
+def rowwise_run_sweep(sweep, eps, resolution, out_format):
+    """Reference: ``rqgames sweep`` output computed one theta at a time.
+
+    Every row builds its own state, probability table, induced game and
+    support enumeration, with the grid fallback when nothing certifies;
+    the chunked ``run_sweep`` must print the same lines.
+    """
+    moves = default_move_set(2)
+    step = (sweep.stop - sweep.start) / (sweep.count - 1)
+    columns = ["theta"]
+    if "probs" in sweep.outputs:
+        columns += ["p00", "p01", "p10", "p11"]
+    if "label" in sweep.outputs:
+        columns.append("label")
+    if "equilibria" in sweep.outputs:
+        columns.append("equilibria")
+    rows = []
+    for i in range(sweep.count):
+        theta = sweep.start + i * step if i < sweep.count - 1 else sweep.stop
+        state = bell_like(theta, sweep.basis_a, sweep.basis_b, sweep.payoffs.dims)
+        row = [fmt(theta)]
+        if "probs" in sweep.outputs:
+            probs = probability_table(state).probs
+            row += [fmt(probs[0, 0]), fmt(probs[0, 1]), fmt(probs[1, 0]), fmt(probs[1, 1])]
+        if "label" in sweep.outputs:
+            row.append(classify_state(state).label)
+        if "equilibria" in sweep.outputs:
+            game = loop_induce_game(state, sweep.payoffs, moves, moves)
+            profiles = support_enumeration(game, eps)
+            if not profiles:
+                profiles = [
+                    verify_equilibrium(game, ((mu, 1.0 - mu), (nu, 1.0 - nu)), eps)
+                    for mu, nu in grid_oracle(game, resolution, eps)
+                ]
+            row.append(
+                ";".join(
+                    f"mu={fmt(p.proposer_strategy[0])} nu={fmt(p.responder_strategy[0])} "
+                    f"pp={fmt(p.payoffs[0])} pr={fmt(p.payoffs[1])}"
+                    for p in profiles
+                )
+            )
+        rows.append(row)
+    if out_format == "csv":
+        return [",".join(columns)] + [",".join(row) for row in rows]
+    lines = []
+    for row in rows:
+        lines.append("; ".join(f"{name}={value}" for name, value in zip(columns, row)))
+    return lines

@@ -421,3 +421,43 @@ def test_non_finite_json_constants_exit_2(tmp_path, capsys, doc):
     code, out, err = run(["nash", "--spec", write(tmp_path, doc)], capsys)
     assert code == 2
     assert out == "" and "not a finite number" in err
+
+
+def test_main_runs_many_documents_in_one_process(tmp_path, capsys):
+    # the parser is built once and reused; outputs and exit codes must not change
+    good = write(tmp_path, ENTANGLED_DOC, "good.json")
+    bad = write(tmp_path, json.dumps({"payoffs": {"ultimatum": {"a": 99, "b": 50, "c": 1}}}), "bad.json")
+    first = [run(["nash", "--spec", good, "--format", "csv"], capsys), run(["nash", "--spec", bad], capsys)]
+    second = [run(["nash", "--spec", good, "--format", "csv"], capsys), run(["nash", "--spec", bad], capsys)]
+    assert first == second
+    assert [code for code, _, _ in first] == [0, 2]
+    assert "37.25" in first[0][1] and "state" in first[1][2]
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--eps", "nan"], "--eps"),
+        (["--eps", "-1"], "--eps"),
+        (["--eps", "0"], "--eps"),
+        (["--eps", "inf"], "--eps"),
+        (["--resolution", "0"], "--resolution"),
+        (["--resolution", "-3"], "--resolution"),
+    ],
+)
+def test_bad_eps_and_resolution_flags_exit_2(tmp_path, capsys, flags, field):
+    for command, doc in (("nash", ENTANGLED_DOC), ("sweep", SWEEP_DOC)):
+        code, out, err = run([command, "--spec", write(tmp_path, doc)] + flags, capsys)
+        assert code == 2
+        assert out == "" and err.startswith(f"error: {field}: ")
+
+
+def test_bad_flags_are_rejected_before_the_document_is_read(capsys):
+    code, _, err = run(["nash", "--spec", "/nonexistent/spec.json", "--eps", "nan"], capsys)
+    assert code == 2 and err.startswith("error: --eps: ")
+
+
+def test_solver_eps_must_be_finite():
+    doc = ENTANGLED_DOC[:-1] + ', "solver": {"eps": 1e400}}'
+    with pytest.raises(ValidationError, match="solver.eps"):
+        parse_spec(doc)

@@ -14,6 +14,8 @@ from rqgames import (
     schmidt_rank,
     state_from_amplitudes,
 )
+from rqgames import hilbert
+from rqgames.hilbert import bell_like_probs
 
 from helpers import random_product_state, random_state
 
@@ -144,3 +146,26 @@ def test_states_and_tables_are_immutable():
     table = probability_table(state)
     with pytest.raises(ValueError):
         table.probs[0, 0] = 1.0
+
+
+def test_stacked_bell_probabilities_match_single_states_bit_for_bit():
+    rng = np.random.default_rng(31)
+    thetas = np.concatenate([rng.uniform(-10.0, 10.0, 500), np.linspace(0.0, 2.0 * np.pi, 201)])
+    for basis_a, basis_b, dims in (((1, 1), (0, 0), (2, 2)), ((0, 1), (1, 0), (2, 2)), ((2, 0), (0, 1), (3, 2))):
+        probs, failed = bell_like_probs(thetas, basis_a, basis_b, dims)
+        assert not failed.any()
+        for theta, table in zip(thetas.tolist(), probs):
+            assert np.array_equal(table, probability_table(bell_like(theta, basis_a, basis_b, dims)).probs)
+
+
+def test_stacked_bell_probabilities_flag_the_rows_a_state_rejects(monkeypatch):
+    monkeypatch.setattr(hilbert, "NORM_TOL", 0.0)
+    thetas = np.linspace(0.0, 1.0, 101)
+    _, failed = bell_like_probs(thetas, (1, 1), (0, 0))
+    for theta, flag in zip(thetas.tolist(), failed):
+        if flag:
+            with pytest.raises(NotNormalizedError):
+                bell_like(theta, (1, 1), (0, 0))
+        else:
+            bell_like(theta, (1, 1), (0, 0))
+    assert 0 < failed.sum() < len(thetas)

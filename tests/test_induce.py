@@ -29,10 +29,12 @@ from rqgames import (
     ultimatum_2x2,
     ultimatum_general,
 )
+from rqgames.induce import class_labels, induce_stack
 
 from helpers import (
     balanced_triple,
     enumerate_induced,
+    loop_induce_game,
     random_product_state,
     random_state,
     ultimatum_entries_2x2,
@@ -357,3 +359,33 @@ def test_proposer_move_zero_dominates_on_oriented_aligned_states():
             for mu in grid:
                 assert top >= proposer_payoff(state, *STANDARD, mu, nu) - 1e-12
         checked += 1
+
+
+def test_stacked_induce_matches_the_cell_loop_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        dp, dr = (int(d) for d in rng.integers(2, 13, 2))
+        moves = []
+        for d in (dp, dr):
+            perms = {tuple(int(v) for v in rng.permutation(d)) for _ in range(int(rng.integers(1, 9)))}
+            moves.append(MoveSet(tuple(perms)))
+        payoffs = PayoffTable(rng.uniform(-50.0, 100.0, (dp, dr)), rng.normal(size=(dp, dr)) * 1e3)
+        states = [random_state(rng, (dp, dr)) for _ in range(int(rng.integers(1, 7)))]
+        proposer, responder = induce_stack(
+            np.stack([probability_table(s).probs for s in states]), payoffs, *moves
+        )
+        for k, state in enumerate(states):
+            expected = loop_induce_game(state, payoffs, *moves)
+            assert np.array_equal(proposer[k], expected.proposer)
+            assert np.array_equal(responder[k], expected.responder)
+            game = induce_game(state, payoffs, *moves)
+            assert np.array_equal(game.proposer, expected.proposer)
+            assert np.array_equal(game.responder, expected.responder)
+
+
+def test_class_labels_follow_classify_state():
+    rng = np.random.default_rng(8)
+    states = [random_state(rng) for _ in range(200)] + [bell_like(np.pi / 4, (0, 1), (1, 1))]
+    probs = np.stack([probability_table(s).probs for s in states])
+    labels = class_labels(probs[:, 1, 1] - probs[:, 0, 1], probs[:, 1, 0] - probs[:, 0, 0])
+    assert labels.tolist() == [classify_state(s).label for s in states]

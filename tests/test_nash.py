@@ -23,7 +23,7 @@ from rqgames import (
     verify_equilibrium,
 )
 
-from rqgames.nash import STACK_PAIRS, _solve_stacked
+from rqgames.nash import STACK_PAIRS, _solve_stacked, equilibria_2x2
 
 from helpers import pairwise_support_enumeration, random_bimatrix
 
@@ -394,3 +394,47 @@ def test_nondegenerate_games_have_an_odd_number_of_equilibria():
         profiles = support_enumeration((rng.uniform(0, 100, (m, n)), rng.uniform(0, 100, (m, n))))
         assert len(profiles) % 2 == 1
         assert not any(p.degenerate for p in profiles)
+
+
+def test_verify_keeps_the_single_profile_arithmetic_bit_for_bit():
+    # the products verify_equilibrium took before it shared the stacked kernel
+    rng = np.random.default_rng(13)
+    for trial in range(600):
+        m, n = (2, 2) if trial % 3 == 0 else tuple(int(v) for v in rng.integers(1, 13, 2))
+        a = rng.uniform(-100.0, 100.0, (m, n))
+        b = rng.normal(size=(m, n)) * 10.0 ** int(rng.integers(-3, 4))
+        if trial % 5 == 0:
+            a = np.round(a)
+        x, y = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+        eps = (1e-9, 1e-300, 5.0)[trial % 3]
+        profile = verify_equilibrium((a, b), (x, y), eps)
+        pay_p, pay_r = float(x @ a @ y), float(x @ b @ y)
+        regret_p = max(0.0, float((a @ y).max()) - pay_p)
+        regret_r = max(0.0, float((x @ b).max()) - pay_r)
+        assert profile.payoffs == (pay_p, pay_r)
+        assert profile.regret == (regret_p, regret_r)
+        assert profile.certified == (regret_p <= eps and regret_r <= eps)
+
+
+def _random_2x2_games(rng, count):
+    uniform = rng.uniform(-10.0, 10.0, (count, 2, 2, 2))
+    integer = rng.integers(0, 3, (count, 2, 2, 2)).astype(float)
+    states = [bell_like(float(t), (1, 1), (0, 0)) for t in rng.uniform(0.0, 2.0 * np.pi, count)]
+    induced = [induce_game(s, ultimatum_2x2(99, 50, 1), MOVES2, MOVES2) for s in states]
+    ultimatum = np.array([[g.proposer, g.responder] for g in induced])
+    nan = np.where(rng.random((count, 2, 2, 2)) < 0.3, np.nan, uniform)
+    return np.concatenate([uniform, integer, ultimatum, nan])
+
+
+@pytest.mark.parametrize("eps", (1e-9, 0.0, 1e-300, 5.0))
+def test_stacked_2x2_solve_matches_support_enumeration(eps):
+    games = _random_2x2_games(np.random.default_rng(17), 300)
+    x, y, pay_p, pay_r, found, off_simplex = equilibria_2x2(games[:, 0], games[:, 1], eps)
+    assert not off_simplex.any()
+    for g, (a, b) in enumerate(games):
+        expected = support_enumeration((a, b), eps)
+        assert len(expected) == found[g].sum()
+        for profile, c in zip(expected, np.flatnonzero(found[g])):
+            assert np.array_equal(profile.proposer_strategy, x[g, c])
+            assert np.array_equal(profile.responder_strategy, y[g, c])
+            assert profile.payoffs == (pay_p[g, c], pay_r[g, c])

@@ -1,0 +1,115 @@
+"""The chunked ``rqgames sweep`` against a row-by-row reference and golden files."""
+
+import itertools
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from helpers import rowwise_run_sweep
+from rqgames import GameError, cli, hilbert, nash
+from rqgames.cli import SWEEP_CHUNK, SWEEP_OUTPUTS, main, parse_sweep_spec, run_sweep
+
+DATA = Path(__file__).parent / "data"
+OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
+BASIS_PAIRS = [(a, b) for a in OUTCOMES for b in OUTCOMES if a != b]
+OUTPUT_SUBSETS = [
+    list(subset) for size in (1, 2, 3) for subset in itertools.combinations(SWEEP_OUTPUTS, size)
+]
+
+
+def sweep_doc(basis_a, basis_b, count, start=0, stop="2*pi", outputs=None, triple=(99, 50, 1)):
+    block = {"theta": {"start": start, "stop": stop, "count": count}, "basis_a": basis_a, "basis_b": basis_b}
+    if outputs is not None:
+        block["outputs"] = outputs
+    a, b, c = triple
+    return json.dumps({"payoffs": {"ultimatum": {"a": a, "b": b, "c": c}}, "sweep": block})
+
+
+def assert_same_lines(text, eps, resolution=64, out_format="csv"):
+    sweep = parse_sweep_spec(text)
+    assert run_sweep(sweep, eps, resolution, out_format) == rowwise_run_sweep(sweep, eps, resolution, out_format)
+
+
+@pytest.mark.parametrize("eps", (1e-300, 1e-9, 5.0))
+def test_every_basis_pair_and_output_subset_matches_the_row_by_row_sweep(eps):
+    # 24 documents per eps; the output subsets rotate so each eps sees all seven
+    for i, ((basis_a, basis_b), out_format) in enumerate(itertools.product(BASIS_PAIRS, ("csv", "table"))):
+        outputs = OUTPUT_SUBSETS[i % len(OUTPUT_SUBSETS)]
+        triple = ((99, 50, 1), (3, 2, 1))[i // 2 % 2]
+        text = sweep_doc(list(basis_a), list(basis_b), 37, start="-pi/3", outputs=outputs, triple=triple)
+        assert_same_lines(text, eps, resolution=1 + i % 9, out_format=out_format)
+
+
+@pytest.mark.parametrize("count", (2, SWEEP_CHUNK, SWEEP_CHUNK + 1, 2 * SWEEP_CHUNK + 3))
+def test_chunk_boundaries_match_the_row_by_row_sweep(count):
+    # at eps 1e-300 a fair share of the rows takes the grid fallback
+    assert_same_lines(sweep_doc([1, 1], [0, 0], count, start="-pi", stop="pi", outputs=["equilibria"]), 1e-300)
+
+
+def test_full_turn_with_two_equilibria_matches_the_row_by_row_sweep():
+    text = sweep_doc([0, 1], [1, 1], 2001)
+    sweep = parse_sweep_spec(text)
+    lines = run_sweep(sweep, 1e-9, 64, "table")
+    assert lines == rowwise_run_sweep(sweep, 1e-9, 64, "table")
+    assert sum(";mu=" in line for line in lines) == 4
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_ends_match_the_row_by_row_sweep():
+    # an end of 1e400 reads as infinity, so rows hold NaN states that certify nothing
+    for start, stop in (("-1e400", 0), (0, "1e400")):
+        text = sweep_doc([1, 1], [0, 0], 5).replace('"start": 0', f'"start": {start}').replace(
+            '"stop": "2*pi"', f'"stop": {stop}'
+        )
+        assert_same_lines(text, 1e-9)
+
+
+def test_chunks_see_the_row_by_row_thetas(monkeypatch):
+    seen = []
+    sweep_rows = cli._sweep_rows
+
+    def recording(sweep, thetas, *args):
+        seen.append(thetas)
+        return sweep_rows(sweep, thetas, *args)
+
+    monkeypatch.setattr(cli, "_sweep_rows", recording)
+    sweep = parse_sweep_spec(sweep_doc([1, 1], [0, 0], 2 * SWEEP_CHUNK + 3, start=0.1, stop=0.3))
+    run_sweep(sweep, 1e-9, 64, "csv")
+    step = (sweep.stop - sweep.start) / (sweep.count - 1)
+    expected = [sweep.start + i * step for i in range(sweep.count - 1)] + [sweep.stop]
+    assert [len(t) for t in seen] == [SWEEP_CHUNK, SWEEP_CHUNK, 3]
+    assert np.concatenate(seen).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "name, text, flags",
+    [
+        ("sweep_fallback_1e-14.csv", sweep_doc([0, 0], [1, 1], 241), ["--eps", "1e-14"]),
+        (
+            "sweep_fallback_1e-300.csv",
+            sweep_doc([1, 1], [0, 0], 97, start="-pi/3", stop="pi", triple=(3, 2, 1)),
+            ["--eps", "1e-300", "--resolution", "8"],
+        ),
+    ],
+)
+def test_golden_csv_byte_for_byte(tmp_path, capsys, name, text, flags):
+    # captured from the row-by-row implementation; both files hold grid-fallback rows
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert main(["sweep", "--spec", str(path), "--format", "csv"] + flags) == 0
+    assert capsys.readouterr().out == (DATA / name).read_text()
+
+
+@pytest.mark.parametrize("module, name", [(hilbert, "NORM_TOL"), (nash, "SIMPLEX_SUM_TOL")])
+def test_rows_failing_a_check_raise_the_row_by_row_error(monkeypatch, module, name):
+    # With a zero tolerance, rows whose norm or mix weights are off by one
+    # rounding fail the state check or mixed_strategy, as single states do.
+    monkeypatch.setattr(module, name, 0.0)
+    sweep = parse_sweep_spec(sweep_doc([1, 1], [0, 0], SWEEP_CHUNK + 500, start=0.1, stop=3))
+    with pytest.raises(GameError) as expected:
+        rowwise_run_sweep(sweep, 1e-9, 64, "csv")
+    with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+        run_sweep(sweep, 1e-9, 64, "csv")
