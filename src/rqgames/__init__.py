@@ -24,6 +24,7 @@ from .errors import (
     ZeroStateError,
 )
 from .games import (
+    Bimatrix,
     MismatchedTotalsWarning,
     PayoffTable,
     UltimatumParams,
@@ -71,6 +72,7 @@ __all__ = [
     "ALIGNED",
     "OPPOSED",
     "EPS_DEFAULT",
+    "Bimatrix",
     "DegenerateSuperpositionError",
     "DimensionMismatchError",
     "EquilibriumProfile",

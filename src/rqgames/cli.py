@@ -28,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GameError, ParseError, TooLargeError, ValidationError
-from .games import PayoffTable, UltimatumParams, ultimatum_2x2, ultimatum_general
+from .errors import GameError, ParseError, ValidationError
+from .games import Bimatrix, PayoffTable, UltimatumParams, ultimatum_2x2, ultimatum_general
 from .hilbert import QuantumState, bell_like, bell_like_probs, probability_table, state_from_amplitudes
 from .induce import (
-    InducedGame,
     MoveSet,
     class_labels,
     classify_state,
@@ -94,22 +93,47 @@ def _reject_constant(name: str):
     raise ParseError(f"{name} is not a finite number")
 
 
-def _load_json(text: str) -> dict:
+def _load_json(text: str):
     try:
-        data = json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, (exc.lineno, exc.colno)) from exc
-    if not isinstance(data, dict):
-        raise ValidationError("document", "top level must be an object")
-    return data
+
+
+def _object(block, field: str, allowed=None, required=(), reason: str = "expected an object") -> dict:
+    """Check a document block: an object, with no key outside ``allowed``
+    (when given) and every ``required`` key, checked in that order.
+
+    Missing top-level keys are named without the ``document.`` prefix.
+    """
+    if not isinstance(block, dict):
+        raise ValidationError(field, reason)
+    for key in block:
+        if allowed is not None and key not in allowed:
+            raise ValidationError(f"{field}.{key}", "unknown field")
+    for key in required:
+        if key not in block:
+            raise ValidationError(key if field == "document" else f"{field}.{key}", "missing")
+    return block
+
+
+def _source(block, field: str, names: tuple[str, str]) -> tuple[str, object]:
+    """The one of the two ``names`` an object gives as its source, and its block."""
+    given = [name for name in names if name in _object(block, field)]
+    if len(given) != 1:
+        raise ValidationError(field, f"need exactly one of {names[0]!r} or {names[1]!r}")
+    _object(block, field, names)
+    return given[0], block[given[0]]
+
+
+def _finite(value) -> bool:
+    # abs(int) compares exactly, so an integer beyond float range fails too
+    return abs(value) <= sys.float_info.max
 
 
 def parse_angle(value, field: str) -> float:
-    """Accept a number, a numeric string, or a symbolic pi expression."""
-    if isinstance(value, bool):
-        raise ValidationError(field, f"expected an angle, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
+    """Accept a finite number, a numeric string, or a symbolic pi expression."""
+    angle = value
     if isinstance(value, str):
         match = _PI_PATTERN.match(value)
         if match:
@@ -118,28 +142,26 @@ def parse_angle(value, field: str) -> float:
             divisor = float(match.group(3)) if match.group(3) else 1.0
             if divisor == 0.0:
                 raise ValidationError(field, f"division by zero in {value!r}")
-            return sign * factor * math.pi / divisor
-        try:
-            return float(value)
-        except ValueError:
-            raise ValidationError(
-                field, f"cannot read {value!r} as an angle (use a number or e.g. 'pi/4')"
-            ) from None
-    raise ValidationError(field, f"expected an angle, got {value!r}")
+            angle = sign * factor * math.pi / divisor
+        else:
+            try:
+                angle = float(value)
+            except ValueError:
+                raise ValidationError(
+                    field, f"cannot read {value!r} as an angle (use a number or e.g. 'pi/4')"
+                ) from None
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(field, f"expected an angle, got {value!r}")
+    if not _finite(angle):
+        raise ValidationError(field, f"expected a finite angle, got {value!r}")
+    return float(angle)
 
 
-def _require_keys(block: dict, field: str, allowed: set[str]):
-    for key in block:
-        if key not in allowed:
-            raise ValidationError(f"{field}.{key}", "unknown field")
-
-
-def _number(block: dict, field: str, key: str):
-    if key not in block:
-        raise ValidationError(f"{field}.{key}", "missing")
-    value = block[key]
+def _number(value, field: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{field}.{key}", f"expected a number, got {value!r}")
+        raise ValidationError(field, f"expected a number, got {value!r}")
+    if not _finite(value):
+        raise ValidationError(field, f"expected a finite number, got {value!r}")
     return value
 
 
@@ -154,101 +176,68 @@ def _index_pair(value, field: str) -> tuple[int, int]:
 
 
 def _build_payoffs(block, field: str = "payoffs") -> PayoffTable:
-    if not isinstance(block, dict):
-        raise ValidationError(field, "expected an object")
-    sources = [k for k in ("ultimatum", "matrices") if k in block]
-    if len(sources) != 1:
-        raise ValidationError(field, "need exactly one of 'ultimatum' or 'matrices'")
-    _require_keys(block, field, {"ultimatum", "matrices"})
-    if sources[0] == "ultimatum":
-        sub = block["ultimatum"]
-        if not isinstance(sub, dict):
-            raise ValidationError(f"{field}.ultimatum", "expected an object")
-        if set(sub) == {"a", "b", "c"}:
+    source, sub = _source(block, field, ("ultimatum", "matrices"))
+    if source == "ultimatum":
+        field = f"{field}.ultimatum"
+        if set(_object(sub, field)) == {"a", "b", "c"}:
             try:
-                return ultimatum_2x2(
-                    _number(sub, f"{field}.ultimatum", "a"),
-                    _number(sub, f"{field}.ultimatum", "b"),
-                    _number(sub, f"{field}.ultimatum", "c"),
-                )
+                return ultimatum_2x2(*(_number(sub[key], f"{field}.{key}") for key in "abc"))
             except GameError as exc:
-                raise ValidationError(f"{field}.ultimatum", str(exc)) from exc
+                raise ValidationError(field, str(exc)) from exc
         if set(sub) == {"total", "offers"}:
             offers = sub["offers"]
             if not isinstance(offers, list):
-                raise ValidationError(f"{field}.ultimatum.offers", "expected a list")
+                raise ValidationError(f"{field}.offers", "expected a list")
             try:
                 params = UltimatumParams(sub["total"], tuple(offers))
                 return ultimatum_general(params)
             except GameError as exc:
-                raise ValidationError(f"{field}.ultimatum", str(exc)) from exc
-        raise ValidationError(
-            f"{field}.ultimatum", "give either keys a, b, c or keys total, offers"
-        )
-    sub = block["matrices"]
-    if not isinstance(sub, dict) or set(sub) != {"proposer", "responder"}:
-        raise ValidationError(f"{field}.matrices", "need matrices 'proposer' and 'responder'")
+                raise ValidationError(field, str(exc)) from exc
+        raise ValidationError(field, "give either keys a, b, c or keys total, offers")
+    field = f"{field}.matrices"
+    need = "need matrices 'proposer' and 'responder'"
+    if set(_object(sub, field, reason=need)) != {"proposer", "responder"}:
+        raise ValidationError(field, need)
     try:
         return PayoffTable(np.array(sub["proposer"], dtype=float), np.array(sub["responder"], dtype=float))
     except (GameError, ValueError) as exc:
-        raise ValidationError(f"{field}.matrices", str(exc)) from exc
+        raise ValidationError(field, str(exc)) from exc
 
 
 def _complex_entry(value, field: str) -> complex:
-    if isinstance(value, bool):
-        raise ValidationError(field, f"expected a number or [re, im] pair, got {value!r}")
-    if isinstance(value, (int, float)):
-        return complex(value, 0.0)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        return complex(value[0], value[1])
-    raise ValidationError(field, f"expected a number or [re, im] pair, got {value!r}")
+    parts = value if isinstance(value, list) and len(value) == 2 else (value, 0.0)
+    for v in parts:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValidationError(field, f"expected a number or [re, im] pair, got {value!r}")
+    return complex(*parts)
 
 
 def _build_state(block, payoff_dims: tuple[int, int], field: str = "state") -> QuantumState:
-    if not isinstance(block, dict):
-        raise ValidationError(field, "expected an object")
-    sources = [k for k in ("bell", "amplitudes") if k in block]
-    if len(sources) != 1:
-        raise ValidationError(field, "need exactly one of 'bell' or 'amplitudes'")
-    _require_keys(block, field, {"bell", "amplitudes"})
-    if sources[0] == "bell":
-        sub = block["bell"]
-        if not isinstance(sub, dict):
-            raise ValidationError(f"{field}.bell", "expected an object")
-        _require_keys(sub, f"{field}.bell", {"theta", "basis_a", "basis_b", "dims"})
-        for key in ("theta", "basis_a", "basis_b"):
-            if key not in sub:
-                raise ValidationError(f"{field}.bell.{key}", "missing")
-        theta = parse_angle(sub["theta"], f"{field}.bell.theta")
-        basis_a = _index_pair(sub["basis_a"], f"{field}.bell.basis_a")
-        basis_b = _index_pair(sub["basis_b"], f"{field}.bell.basis_b")
+    source, sub = _source(block, field, ("bell", "amplitudes"))
+    field = f"{field}.{source}"
+    if source == "bell":
+        keys = ("theta", "basis_a", "basis_b")
+        _object(sub, field, {*keys, "dims"}, keys)
+        theta = parse_angle(sub["theta"], f"{field}.theta")
+        basis_a = _index_pair(sub["basis_a"], f"{field}.basis_a")
+        basis_b = _index_pair(sub["basis_b"], f"{field}.basis_b")
         dims = payoff_dims
         if "dims" in sub:
-            dims = _index_pair(sub["dims"], f"{field}.bell.dims")
+            dims = _index_pair(sub["dims"], f"{field}.dims")
         try:
             return bell_like(theta, basis_a, basis_b, dims)
         except GameError as exc:
-            raise ValidationError(f"{field}.bell", str(exc)) from exc
-    sub = block["amplitudes"]
-    if not isinstance(sub, dict):
-        raise ValidationError(f"{field}.amplitudes", "expected an object")
-    _require_keys(sub, f"{field}.amplitudes", {"matrix", "normalize"})
-    if "matrix" not in sub:
-        raise ValidationError(f"{field}.amplitudes.matrix", "missing")
-    rows = sub["matrix"]
+            raise ValidationError(field, str(exc)) from exc
+    rows = _object(sub, field, {"matrix", "normalize"}, ("matrix",))["matrix"]
     if not isinstance(rows, list) or not rows or any(not isinstance(r, list) for r in rows):
-        raise ValidationError(f"{field}.amplitudes.matrix", "expected a matrix of entries")
+        raise ValidationError(f"{field}.matrix", "expected a matrix of entries")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
-        raise ValidationError(f"{field}.amplitudes.matrix", "ragged rows")
+        raise ValidationError(f"{field}.matrix", "ragged rows")
     amps = np.array(
         [
             [
-                _complex_entry(v, f"{field}.amplitudes.matrix[{i}][{j}]")
+                _complex_entry(v, f"{field}.matrix[{i}][{j}]")
                 for j, v in enumerate(row)
             ]
             for i, row in enumerate(rows)
@@ -257,46 +246,34 @@ def _build_state(block, payoff_dims: tuple[int, int], field: str = "state") -> Q
     )
     normalize = sub.get("normalize", True)
     if not isinstance(normalize, bool):
-        raise ValidationError(f"{field}.amplitudes.normalize", "expected true or false")
+        raise ValidationError(f"{field}.normalize", "expected true or false")
     try:
         return state_from_amplitudes(amps, normalize=normalize)
     except GameError as exc:
-        raise ValidationError(f"{field}.amplitudes", str(exc)) from exc
+        raise ValidationError(field, str(exc)) from exc
 
 
 def _build_moves(block, payoff_dims: tuple[int, int]) -> tuple[MoveSet, MoveSet]:
-    moves_p = default_move_set(payoff_dims[0])
-    moves_r = default_move_set(payoff_dims[1])
-    if block is None:
-        return moves_p, moves_r
-    if not isinstance(block, dict):
-        raise ValidationError("moves", "expected an object")
-    _require_keys(block, "moves", {"proposer", "responder"})
-    for key in block:
-        perms = block[key]
-        if not isinstance(perms, list) or any(not isinstance(p, list) for p in perms):
-            raise ValidationError(f"moves.{key}", "expected a list of permutations")
-        try:
-            move_set = MoveSet(tuple(tuple(p) for p in perms))
-        except GameError as exc:
-            raise ValidationError(f"moves.{key}", str(exc)) from exc
-        if key == "proposer":
-            moves_p = move_set
-        else:
-            moves_r = move_set
-    return moves_p, moves_r
+    moves = {"proposer": default_move_set(payoff_dims[0]), "responder": default_move_set(payoff_dims[1])}
+    if block is not None:
+        for key, perms in _object(block, "moves", set(moves)).items():
+            if not isinstance(perms, list) or any(not isinstance(p, list) for p in perms):
+                raise ValidationError(f"moves.{key}", "expected a list of permutations")
+            try:
+                moves[key] = MoveSet(tuple(tuple(p) for p in perms))
+            except GameError as exc:
+                raise ValidationError(f"moves.{key}", str(exc)) from exc
+    return moves["proposer"], moves["responder"]
 
 
 def _build_solver(block) -> tuple[float | None, int | None]:
     if block is None:
         return None, None
-    if not isinstance(block, dict):
-        raise ValidationError("solver", "expected an object")
-    _require_keys(block, "solver", {"eps", "resolution"})
+    _object(block, "solver", {"eps", "resolution"})
     eps = None
     resolution = None
     if "eps" in block:
-        eps = _check_eps(_number(block, "solver", "eps"), "solver.eps")
+        eps = _check_eps(_number(block["eps"], "solver.eps"), "solver.eps")
     if "resolution" in block:
         resolution = _check_resolution(block["resolution"], "solver.resolution")
     return eps, resolution
@@ -314,14 +291,14 @@ def _check_resolution(resolution, field: str) -> int:
     return resolution
 
 
+def _document(text: str, keys: tuple[str, str], optional: set[str]) -> dict:
+    """The top level of a document: an object with the two ``keys`` and some ``optional`` ones."""
+    return _object(_load_json(text), "document", {*keys, *optional}, keys, "top level must be an object")
+
+
 def parse_spec(text: str) -> GameSpecDocument:
     """Parse and validate a game document."""
-    data = _load_json(text)
-    _require_keys(data, "document", {"payoffs", "state", "moves", "solver"})
-    if "payoffs" not in data:
-        raise ValidationError("payoffs", "missing")
-    if "state" not in data:
-        raise ValidationError("state", "missing")
+    data = _document(text, ("payoffs", "state"), {"moves", "solver"})
     payoffs = _build_payoffs(data["payoffs"])
     state = _build_state(data["state"], payoffs.dims)
     moves_p, moves_r = _build_moves(data.get("moves"), payoffs.dims)
@@ -348,29 +325,14 @@ def parse_spec(text: str) -> GameSpecDocument:
 
 def parse_sweep_spec(text: str) -> SweepSpec:
     """Parse and validate a sweep document."""
-    data = _load_json(text)
-    _require_keys(data, "document", {"payoffs", "sweep", "solver"})
-    if "payoffs" not in data:
-        raise ValidationError("payoffs", "missing")
-    if "sweep" not in data:
-        raise ValidationError("sweep", "missing")
+    data = _document(text, ("payoffs", "sweep"), {"solver"})
     payoffs = _build_payoffs(data["payoffs"])
     if payoffs.dims != (2, 2):
         raise ValidationError("payoffs", f"sweep requires a 2x2 payoff table, got {payoffs.dims}")
-    block = data["sweep"]
-    if not isinstance(block, dict):
-        raise ValidationError("sweep", "expected an object")
-    _require_keys(block, "sweep", {"theta", "basis_a", "basis_b", "outputs"})
-    for key in ("theta", "basis_a", "basis_b"):
-        if key not in block:
-            raise ValidationError(f"sweep.{key}", "missing")
-    theta = block["theta"]
-    if not isinstance(theta, dict):
-        raise ValidationError("sweep.theta", "expected an object with start, stop, count")
-    _require_keys(theta, "sweep.theta", {"start", "stop", "count"})
-    for key in ("start", "stop", "count"):
-        if key not in theta:
-            raise ValidationError(f"sweep.theta.{key}", "missing")
+    keys = ("theta", "basis_a", "basis_b")
+    block = _object(data["sweep"], "sweep", {*keys, "outputs"}, keys)
+    keys = ("start", "stop", "count")
+    theta = _object(block["theta"], "sweep.theta", keys, keys, "expected an object with start, stop, count")
     start = parse_angle(theta["start"], "sweep.theta.start")
     stop = parse_angle(theta["stop"], "sweep.theta.stop")
     count = theta["count"]
@@ -449,14 +411,14 @@ def _profile_lines(index: int, profile: EquilibriumProfile) -> list[str]:
     ]
 
 
-def _solve_game(game: InducedGame, eps: float, resolution: int) -> list[EquilibriumProfile]:
+def _solve_game(game: Bimatrix, eps: float, resolution: int) -> list[EquilibriumProfile]:
     profiles = support_enumeration(game, eps)
     if not profiles and game.dims == (2, 2):
         profiles = _grid_profiles(game, eps, resolution)
     return profiles
 
 
-def _grid_profiles(game: InducedGame, eps: float, resolution: int) -> list[EquilibriumProfile]:
+def _grid_profiles(game: Bimatrix, eps: float, resolution: int) -> list[EquilibriumProfile]:
     """Continuum-only corner of a 2x2 game: grid representatives, verified."""
     return [
         verify_equilibrium(game, ((mu, 1.0 - mu), (nu, 1.0 - nu)), eps)
@@ -624,7 +586,7 @@ def _sweep_rows(sweep: SweepSpec, thetas: np.ndarray, eps: float, resolution: in
             # raises the error of this row's state or table
             probability_table(bell_like(float(thetas[r]), sweep.basis_a, sweep.basis_b, sweep.payoffs.dims))
         if unsettled[r]:
-            game = InducedGame(a[r], b[r])
+            game = Bimatrix(a[r], b[r])
             if off_simplex[r]:
                 # raises mixed_strategy's error, as support_enumeration does
                 verify_equilibrium(game, (x[r, 4], y[r, 4]), eps)
@@ -685,28 +647,13 @@ def main(argv=None) -> int:
             _check_eps(args.eps, "--eps")
         if args.resolution is not None:
             _check_resolution(args.resolution, "--resolution")
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         text = _read_spec_text(args.spec)
-    except OSError as exc:
+        spec = parse_sweep_spec(text) if args.command == "sweep" else parse_spec(text)
+    except (GameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        if args.command == "sweep":
-            spec = parse_sweep_spec(text)
-        else:
-            spec = parse_spec(text)
-    except GameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    eps = args.eps if args.eps is not None else (spec.eps if spec.eps is not None else EPS_DEFAULT)
-    resolution = (
-        args.resolution
-        if args.resolution is not None
-        else (spec.resolution if spec.resolution is not None else RESOLUTION_FLAG_DEFAULT)
-    )
+    eps = next(v for v in (args.eps, spec.eps, EPS_DEFAULT) if v is not None)
+    resolution = next(v for v in (args.resolution, spec.resolution, RESOLUTION_FLAG_DEFAULT) if v is not None)
     try:
         if args.command == "induce":
             lines = run_induce(spec, args.format)
@@ -721,7 +668,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GameError, TooLargeError) as exc:
+    except GameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     for line in lines:

@@ -23,8 +23,13 @@ class MismatchedTotalsWarning(UserWarning):
 
 
 @dataclass(frozen=True, eq=False)
-class PayoffTable:
-    """Pair of real outcome-payoff matrices, one per player, same shape."""
+class Bimatrix:
+    """Pair of finite real payoff matrices, one per player, same shape.
+
+    Rows are proposer moves and columns responder moves.  An outcome payoff
+    table and the game a state induces from it are both bimatrices, hence
+    the aliases ``PayoffTable`` and ``induce.InducedGame``.
+    """
 
     proposer: np.ndarray
     responder: np.ndarray
@@ -37,7 +42,7 @@ class PayoffTable:
                 f"payoff matrices must share one 2-D shape, got "
                 f"{proposer.shape} and {responder.shape}"
             )
-        if not (np.all(np.isfinite(proposer)) and np.all(np.isfinite(responder))):
+        if not (np.isfinite(proposer).all() and np.isfinite(responder).all()):
             raise InvalidPayoffsError("payoff entries must be finite")
         object.__setattr__(self, "proposer", _freeze(proposer))
         object.__setattr__(self, "responder", _freeze(responder))
@@ -45,6 +50,9 @@ class PayoffTable:
     @property
     def dims(self) -> tuple[int, int]:
         return (self.proposer.shape[0], self.proposer.shape[1])
+
+
+PayoffTable = Bimatrix
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,10 @@ def _unit_sum(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sums over the last two axes, and where each misses 1 by more than NORM_TOL.
 
     The one normalization rule of ``QuantumState``, ``ProbabilityTable``
-    and ``bell_like_probs``.
+    and ``bell_like_probs``.  A NaN or infinite sum misses too.
     """
     total = weights.sum(axis=(-2, -1))
-    return total, np.abs(total - 1.0) > NORM_TOL
+    return total, ~(np.abs(total - 1.0) <= NORM_TOL)
 
 
 @dataclass(frozen=True, eq=False)

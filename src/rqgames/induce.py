@@ -33,8 +33,8 @@ from .errors import (
     InvalidProbabilityError,
     WrongClassError,
 )
-from .games import PayoffTable, ultimatum_2x2
-from .hilbert import QuantumState, _freeze, probability_table
+from .games import Bimatrix, PayoffTable, ultimatum_2x2
+from .hilbert import QuantumState, probability_table
 from .nash import EPS_DEFAULT, EquilibriumProfile, verify_equilibrium
 
 SIGN_TOL = 1e-12
@@ -87,27 +87,7 @@ def default_move_set(d: int) -> MoveSet:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class InducedGame:
-    """The classical bimatrix game generated by (state, payoffs, moves)."""
-
-    proposer: np.ndarray
-    responder: np.ndarray
-
-    def __post_init__(self):
-        proposer = np.asarray(self.proposer, dtype=float)
-        responder = np.asarray(self.responder, dtype=float)
-        if proposer.ndim != 2 or proposer.shape != responder.shape:
-            raise DimensionMismatchError(
-                f"induced matrices must share one 2-D shape, got "
-                f"{proposer.shape} and {responder.shape}"
-            )
-        object.__setattr__(self, "proposer", _freeze(proposer))
-        object.__setattr__(self, "responder", _freeze(responder))
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.proposer.shape[0], self.proposer.shape[1])
+InducedGame = Bimatrix
 
 
 def induce_game(
@@ -115,7 +95,7 @@ def induce_game(
     payoffs: PayoffTable,
     moves_p: MoveSet,
     moves_r: MoveSet,
-) -> InducedGame:
+) -> Bimatrix:
     """Expected-payoff bimatrix over all move pairs.
 
     Entries are accumulated in a fixed outcome order independent of the
@@ -129,7 +109,7 @@ def induce_game(
         )
     probs = probability_table(state).probs
     proposer, responder = induce_stack(probs[None], payoffs, moves_p, moves_r)
-    return InducedGame(proposer[0], responder[0])
+    return Bimatrix(proposer[0], responder[0])
 
 
 def induce_stack(
@@ -218,7 +198,8 @@ class StateClass:
     diffs = (p11 - p01, p10 - p00).  When the differences agree in sign
     (or one vanishes) the state is 'aligned' and the proposer has a weakly
     dominant move; strictly opposite signs are 'opposed', where only pure
-    or mixed equilibria depending on the coefficients exist.
+    or mixed equilibria depending on the coefficients exist.  A difference
+    within SIGN_TOL of zero counts as vanishing.
     """
 
     label: str
@@ -235,7 +216,15 @@ def classify_state(state: QuantumState) -> StateClass:
 
 def class_labels(diff1, diff2) -> np.ndarray:
     """The label of each state from its differences p11 - p01 and p10 - p00."""
-    return np.where(diff1 * diff2 < -SIGN_TOL, OPPOSED, ALIGNED)
+    return np.where(_sign(diff1) * _sign(diff2) < 0, OPPOSED, ALIGNED)
+
+
+def _sign(diff):
+    """The sign of a probability difference, 0 within SIGN_TOL of zero.
+
+    The one sign rule of ``class_labels`` and ``aligned_equilibrium``.
+    """
+    return np.sign(diff) * (np.abs(diff) > SIGN_TOL)
 
 
 def aligned_equilibrium(
@@ -256,7 +245,7 @@ def aligned_equilibrium(
             f"state is opposed (diffs {classification.diffs}); no dominant proposer move"
         )
     d1, d2 = classification.diffs
-    if d1 < -SIGN_TOL or d2 < -SIGN_TOL:
+    if _sign(d1) < 0 or _sign(d2) < 0:
         raise WrongClassError(
             f"aligned state has diffs {classification.diffs}; "
             "apply swap_proposer_coeffs to orient it first"

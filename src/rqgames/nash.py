@@ -1,10 +1,9 @@
 """Equilibrium search and certification for bimatrix games.
 
-Every function accepts either an object exposing ``proposer`` and
-``responder`` payoff matrices of equal shape (``InducedGame`` qualifies)
-or a plain ``(proposer, responder)`` pair of array-likes.  Mixed
-strategies are 1-D probability vectors; a profile is the pair
-(proposer strategy, responder strategy).
+Every function accepts either a ``Bimatrix`` (an induced game or a payoff
+table) or a plain ``(proposer, responder)`` pair of array-likes of equal
+shape.  Mixed strategies are 1-D probability vectors; a profile is the
+pair (proposer strategy, responder strategy).
 
 The certification primitive is regret: the gap between a player's best
 pure response against the opponent mix and the payoff actually realized.
@@ -20,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidProbabilityError, TooLargeError
+from .games import Bimatrix
 from .hilbert import _freeze
 
 EPS_DEFAULT = 1e-9
@@ -59,11 +59,14 @@ class EquilibriumProfile:
 
 
 def game_matrices(game) -> tuple[np.ndarray, np.ndarray]:
-    """Extract the (proposer, responder) payoff matrices from any game form."""
-    if isinstance(game, (tuple, list)) and len(game) == 2:
-        proposer, responder = game
-    else:
-        proposer, responder = game.proposer, game.responder
+    """The (proposer, responder) payoff matrices of a ``Bimatrix`` or a raw pair.
+
+    A ``Bimatrix`` was checked when it was built; a raw pair gets the shape
+    check only.
+    """
+    if isinstance(game, Bimatrix):
+        return game.proposer, game.responder
+    proposer, responder = game
     a = np.asarray(proposer, dtype=float)
     b = np.asarray(responder, dtype=float)
     if a.ndim != 2 or a.shape != b.shape:
@@ -163,19 +166,16 @@ def _certify(a, b, x, y, eps):
 def pure_equilibria(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfile]:
     """All pure cells that are mutual best responses, ties within eps included.
 
-    Cells come out in lexicographic (row, column) order; the list may be
-    empty (matching-pennies structure has no pure equilibrium).
+    Cells come out in lexicographic (row, column) order, and they are the
+    pure profiles ``support_enumeration`` returns: the same pure-cell test,
+    kept when the profile certifies.  The list may be empty
+    (matching-pennies structure has no pure equilibrium).
     """
     a, b = game_matrices(game)
     m, n = a.shape
-    col_max = a.max(axis=0)
-    row_max = b.max(axis=1)
-    found = []
-    for i in range(m):
-        for j in range(n):
-            if a[i, j] >= col_max[j] - eps and b[i, j] >= row_max[i] - eps:
-                found.append(verify_equilibrium(game, (_unit(m, i), _unit(n, j)), eps))
-    return found
+    cells = np.argwhere(_pure_cells(a, b, eps))
+    profiles = [verify_equilibrium(game, (_unit(m, i), _unit(n, j)), eps) for i, j in cells]
+    return [p for p in profiles if p.certified]
 
 
 def solve_pivoting(a, rhs, pivot_tol: float = PIVOT_TOL) -> np.ndarray | None:

@@ -461,3 +461,146 @@ def test_solver_eps_must_be_finite():
     doc = ENTANGLED_DOC[:-1] + ', "solver": {"eps": 1e400}}'
     with pytest.raises(ValidationError, match="solver.eps"):
         parse_spec(doc)
+
+
+GAME = {
+    "payoffs": {"ultimatum": {"a": 99, "b": 50, "c": 1}},
+    "state": {"bell": {"theta": "pi/4", "basis_a": [1, 1], "basis_b": [0, 0]}},
+}
+SWEEP = {
+    "payoffs": {"ultimatum": {"a": 99, "b": 50, "c": 1}},
+    "sweep": {"theta": {"start": 0, "stop": "pi/4", "count": 2}, "basis_a": [1, 1], "basis_b": [0, 0]},
+}
+DROP = object()
+AMPS = [[1, 0], [0, 0]]
+ONE_OF_PAYOFFS = "payoffs: need exactly one of 'ultimatum' or 'matrices'"
+ONE_OF_STATE = "state: need exactly one of 'bell' or 'amplitudes'"
+ULTIMATUM_KEYS = "payoffs.ultimatum: give either keys a, b, c or keys total, offers"
+MATRICES_KEYS = "payoffs.matrices: need matrices 'proposer' and 'responder'"
+
+# (path of the edited key, its new value or DROP, the one error line); the
+# empty path replaces the whole document
+SHARED_REJECTS = [
+    ((), [1], "document: top level must be an object"),
+    (("extra",), 1, "document.extra: unknown field"),
+    (("payoffs",), DROP, "payoffs: missing"),
+    (("payoffs",), 3, "payoffs: expected an object"),
+    (("payoffs",), {}, ONE_OF_PAYOFFS),
+    (("payoffs", "matrices"), {"proposer": [[1, 0]], "responder": [[1, 0]]}, ONE_OF_PAYOFFS),
+    (("payoffs", "x"), 1, "payoffs.x: unknown field"),
+    (("payoffs", "ultimatum"), [], "payoffs.ultimatum: expected an object"),
+    (("payoffs", "ultimatum", "c"), DROP, ULTIMATUM_KEYS),
+    (("payoffs", "ultimatum", "x"), 1, ULTIMATUM_KEYS),
+    (("payoffs", "ultimatum", "a"), "x", "payoffs.ultimatum: payoffs.ultimatum.a: expected a number, got 'x'"),
+    (("payoffs", "ultimatum"), {"total": 10, "offers": 3}, "payoffs.ultimatum.offers: expected a list"),
+    (("payoffs",), {"matrices": [1]}, MATRICES_KEYS),
+    (("payoffs",), {"matrices": {"proposer": [[1, 0]]}}, MATRICES_KEYS),
+    (("payoffs",), {"matrices": {"proposer": [[1]], "responder": [[1]], "x": 1}}, MATRICES_KEYS),
+    (("solver",), 1, "solver: expected an object"),
+    (("solver", "x"), 1, "solver.x: unknown field"),
+    (("solver", "eps"), "x", "solver.eps: expected a number, got 'x'"),
+    (("solver", "eps"), 0, "solver.eps: must be a finite positive number"),
+    (("solver", "resolution"), 1.5, "solver.resolution: must be a positive integer"),
+]
+NASH_REJECTS = [
+    (("state",), DROP, "state: missing"),
+    (("state",), "x", "state: expected an object"),
+    (("state",), {}, ONE_OF_STATE),
+    (("state", "amplitudes"), {"matrix": AMPS}, ONE_OF_STATE),
+    (("state", "x"), 1, "state.x: unknown field"),
+    (("state", "bell"), 1, "state.bell: expected an object"),
+    (("state", "bell", "x"), 1, "state.bell.x: unknown field"),
+    (("state", "bell", "theta"), DROP, "state.bell.theta: missing"),
+    (("state", "bell", "basis_b"), DROP, "state.bell.basis_b: missing"),
+    (
+        ("state", "bell", "theta"),
+        "two pi",
+        "state.bell.theta: cannot read 'two pi' as an angle (use a number or e.g. 'pi/4')",
+    ),
+    (("state",), {"amplitudes": 1}, "state.amplitudes: expected an object"),
+    (("state",), {"amplitudes": {"matrix": AMPS, "x": 1}}, "state.amplitudes.x: unknown field"),
+    (("state",), {"amplitudes": {"normalize": True}}, "state.amplitudes.matrix: missing"),
+    (("state",), {"amplitudes": {"matrix": AMPS, "normalize": 1}}, "state.amplitudes.normalize: expected true or false"),
+    (("moves",), [], "moves: expected an object"),
+    (("moves", "x"), [], "moves.x: unknown field"),
+    (("moves", "proposer"), 1, "moves.proposer: expected a list of permutations"),
+    (("sweep",), {}, "document.sweep: unknown field"),
+]
+SWEEP_REJECTS = [
+    (("sweep",), DROP, "sweep: missing"),
+    (("state",), {}, "document.state: unknown field"),
+    (("moves",), {}, "document.moves: unknown field"),
+    (
+        ("payoffs", "ultimatum"),
+        {"total": 10, "offers": [2, 4, 6]},
+        "payoffs: sweep requires a 2x2 payoff table, got (3, 2)",
+    ),
+    (("sweep",), [], "sweep: expected an object"),
+    (("sweep", "x"), 1, "sweep.x: unknown field"),
+    (("sweep", "theta"), DROP, "sweep.theta: missing"),
+    (("sweep", "basis_a"), DROP, "sweep.basis_a: missing"),
+    (("sweep", "theta"), 1, "sweep.theta: expected an object with start, stop, count"),
+    (("sweep", "theta", "x"), 1, "sweep.theta.x: unknown field"),
+    (("sweep", "theta", "stop"), DROP, "sweep.theta.stop: missing"),
+    (("sweep", "theta", "count"), DROP, "sweep.theta.count: missing"),
+    (("sweep", "theta", "count"), 1, "sweep.theta.count: must be an integer of at least 2"),
+    (("sweep", "theta", "stop"), 0, "sweep.theta: start 0.0 must be below stop 0.0"),
+    (("sweep", "basis_b"), [1, 1], "sweep.basis_b: basis pairs must differ"),
+    (("sweep", "basis_b"), [2, 0], "sweep.basis_b: outcome (2, 0) outside (2, 2)"),
+    (("sweep", "outputs"), ["x"], "sweep.outputs: expected a subset of ['probs', 'label', 'equilibria']"),
+]
+
+
+def edited(doc, path, value):
+    """A deep copy of doc with the key at path set to value, or removed for DROP."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    block = doc
+    for key in path[:-1]:
+        block = block.setdefault(key, {})
+    if value is DROP:
+        del block[path[-1]]
+    else:
+        block[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, path, value, line",
+    [("nash", *case) for case in SHARED_REJECTS + NASH_REJECTS]
+    + [("sweep", *case) for case in SHARED_REJECTS + SWEEP_REJECTS],
+)
+def test_golden_validation_errors(tmp_path, capsys, command, path, value, line):
+    doc = edited(GAME if command == "nash" else SWEEP, path, value)
+    code, out, err = run([command, "--spec", write(tmp_path, json.dumps(doc))], capsys)
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize(
+    "command, path, literal, line",
+    [
+        ("nash", ("state", "bell", "theta"), "1e400", "state.bell.theta: expected a finite angle, got inf"),
+        ("nash", ("state", "bell", "theta"), '"-inf"', "state.bell.theta: expected a finite angle, got '-inf'"),
+        ("nash", ("state", "bell", "theta"), str(10**400), f"state.bell.theta: expected a finite angle, got {10**400}"),
+        (
+            "nash",
+            ("payoffs", "ultimatum", "c"),
+            "-1e400",
+            "payoffs.ultimatum: payoffs.ultimatum.c: expected a finite number, got -inf",
+        ),
+        (
+            "sweep",
+            ("payoffs", "ultimatum", "a"),
+            str(10**400),
+            f"payoffs.ultimatum: payoffs.ultimatum.a: expected a finite number, got {10**400}",
+        ),
+        ("sweep", ("solver", "eps"), "1e400", "solver.eps: expected a finite number, got inf"),
+    ],
+    ids=["theta-1e400", "theta-string-inf", "theta-big-int", "c-1e400", "a-big-int", "eps-1e400"],
+)
+def test_non_finite_numbers_exit_2(tmp_path, capsys, command, path, literal, line):
+    # literals that overflow a float read as infinity, and big integers stay exact
+    text = json.dumps(edited(GAME if command == "nash" else SWEEP, path, "LITERAL"))
+    code, out, err = run([command, "--spec", write(tmp_path, text.replace('"LITERAL"', literal))], capsys)
+    assert (code, out, err) == (2, "", f"error: {line}\n")

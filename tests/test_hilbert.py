@@ -7,7 +7,10 @@ from rqgames import (
     DegenerateSuperpositionError,
     DimensionMismatchError,
     IndexOutOfRangeError,
+    InvalidProbabilityError,
     NotNormalizedError,
+    ProbabilityTable,
+    QuantumState,
     ZeroStateError,
     bell_like,
     probability_table,
@@ -169,3 +172,17 @@ def test_stacked_bell_probabilities_flag_the_rows_a_state_rejects(monkeypatch):
         else:
             bell_like(theta, (1, 1), (0, 0))
     assert 0 < failed.sum() < len(thetas)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_states_and_tables_rejected():
+    # a NaN or infinite total never lies within NORM_TOL of one
+    for theta in (np.inf, -np.inf, np.nan):
+        with pytest.raises(NotNormalizedError):
+            bell_like(theta, (1, 1), (0, 0))
+    with pytest.raises(NotNormalizedError):
+        QuantumState([[np.inf, 0.0], [0.0, 0.0]])
+    with pytest.raises(InvalidProbabilityError):
+        ProbabilityTable([[np.nan, 0.0], [0.0, 1.0]])
+    _, failed = bell_like_probs(np.array([0.5, np.inf, np.nan]), (1, 1), (0, 0))
+    assert failed.tolist() == [False, True, True]

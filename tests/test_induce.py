@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rqgames import (
     ALIGNED,
@@ -302,6 +304,48 @@ def test_zero_diff_boundary_is_aligned():
     got = classify_state(state)
     assert got.label == ALIGNED
     assert got.diffs[1] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_opposite_tiny_differences_are_opposed():
+    # diffs (1e-7, -1e-7): a product rule called this state aligned, yet
+    # aligned_equilibrium rejected both it and its swap image
+    probs = np.array([[0.25 + 5e-8, 0.25 - 5e-8], [0.25 - 5e-8, 0.25 + 5e-8]])
+    state = state_from_amplitudes(np.sqrt(probs), normalize=True)
+    got = classify_state(state)
+    assert got.diffs == pytest.approx((1e-7, -1e-7), rel=1e-6)
+    assert got.label == OPPOSED
+    assert class_labels(np.array([got.diffs[0]]), np.array([got.diffs[1]])).tolist() == [OPPOSED]
+    for image in (state, swap_proposer_coeffs(state)):
+        with pytest.raises(WrongClassError, match="opposed"):
+            aligned_equilibrium(image, *STANDARD)
+
+
+DIFFS = [0.0, 5e-13, 1e-12, 3e-12, 1e-9, 1e-7, 0.05, 0.3]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    q=st.floats(0.01, 0.49),
+    d1=st.sampled_from(DIFFS + [-d for d in DIFFS]),
+    d2=st.sampled_from(DIFFS + [-d for d in DIFFS]),
+)
+def test_aligned_states_or_their_swaps_pass_aligned_equilibrium(q, d1, d2):
+    # probabilities with p11 - p01 near d1 and p10 - p00 near d2, many of
+    # them within a few SIGN_TOL of zero
+    r = 0.5 - q
+    probs = np.array([[q, r], [q + d2, r + d1]])
+    assume((probs >= 0.0).all())
+    state = state_from_amplitudes(np.sqrt(probs), normalize=True)
+    swapped = swap_proposer_coeffs(state)
+    label = classify_state(state).label
+    assert classify_state(swapped).label == label
+    accepted = []
+    for image in (state, swapped):
+        try:
+            accepted.append(bool(aligned_equilibrium(image, *STANDARD)))
+        except WrongClassError:
+            pass
+    assert any(accepted) if label == ALIGNED else not accepted
 
 
 def test_aligned_equilibrium_fair_superposition():

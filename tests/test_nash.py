@@ -137,6 +137,34 @@ def test_pure_equilibria_total_indifference():
     assert len(profiles) == 4
 
 
+def test_pure_equilibria_are_the_pure_profiles_of_support_enumeration():
+    rng = np.random.default_rng(43)
+    for trial in range(400):
+        shape = tuple(rng.integers(2, 6, 2))
+        if trial % 2:  # ties everywhere
+            a, b = rng.integers(0, 3, shape).astype(float), rng.integers(0, 3, shape).astype(float)
+        else:
+            a, b = rng.uniform(0, 100, shape), rng.uniform(0, 100, shape)
+        eps = (1e-9, 0.0, 1.0)[trial % 3]
+        enumerated = [
+            p
+            for p in support_enumeration((a, b), eps)
+            if np.count_nonzero(p.proposer_strategy) == 1 and np.count_nonzero(p.responder_strategy) == 1
+        ]
+        pure = pure_equilibria((a, b), eps)
+        assert [profile_fields(p) for p in pure] == [profile_fields(p) for p in enumerated]
+    # 1.1 - 1.0 rounds above 0.1 while 1.1 - 0.1 <= 1.0: the cell (0, 0)
+    # certifies at eps 1.0, so both lists hold it
+    a = np.array([[0.1, 0.0], [1.1, 0.0]])
+    cells = [(p.proposer_strategy.argmax(), p.responder_strategy.argmax()) for p in pure_equilibria((a, 0 * a), 1.0)]
+    assert cells == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert len(support_enumeration((a, 0 * a), 1.0)) == 4
+
+
+def profile_fields(p):
+    return (p.proposer_strategy.tolist(), p.responder_strategy.tolist(), p.payoffs, p.regret, p.kind, p.certified, p.degenerate)
+
+
 def test_support_enumeration_entangled_game():
     profiles = support_enumeration(entangled_game())
     assert len(profiles) == 1

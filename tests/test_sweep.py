@@ -58,13 +58,21 @@ def test_full_turn_with_two_equilibria_matches_the_row_by_row_sweep():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_non_finite_ends_match_the_row_by_row_sweep():
-    # an end of 1e400 reads as infinity, so rows hold NaN states that certify nothing
-    for start, stop in (("-1e400", 0), (0, "1e400")):
-        text = sweep_doc([1, 1], [0, 0], 5).replace('"start": 0', f'"start": {start}').replace(
-            '"stop": "2*pi"', f'"stop": {stop}'
-        )
-        assert_same_lines(text, 1e-9)
+def test_non_finite_sweep_ends_fail_fast(tmp_path, capsys):
+    # a literal of 1e400 reads as infinity and is rejected with the document;
+    # finite ends whose step overflows give NaN and infinite thetas, which
+    # fail the state check like any other row
+    cases = [
+        ("-1e400", 0, 2, "error: sweep.theta.start: expected a finite angle, got -inf\n"),
+        (0, "1e400", 2, "error: sweep.theta.stop: expected a finite angle, got inf\n"),
+        ("-1e308", "1e308", 3, "error: squared amplitudes sum to nan, expected 1 within 1e-09\n"),
+    ]
+    path = tmp_path / "spec.json"
+    for start, stop, code, err in cases:
+        text = sweep_doc([1, 1], [0, 0], 5).replace('"start": 0', f'"start": {start}')
+        path.write_text(text.replace('"stop": "2*pi"', f'"stop": {stop}'))
+        assert main(["sweep", "--spec", str(path)]) == code
+        assert capsys.readouterr() == ("", err)
 
 
 def test_chunks_see_the_row_by_row_thetas(monkeypatch):
