@@ -98,6 +98,10 @@ def _load_json(text: str):
         return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, (exc.lineno, exc.colno)) from exc
+    except ParseError:
+        raise
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ParseError(str(exc)) from exc
 
 
 def _object(block, field: str, allowed=None, required=(), reason: str = "expected an object") -> dict:
@@ -180,8 +184,9 @@ def _build_payoffs(block, field: str = "payoffs") -> PayoffTable:
     if source == "ultimatum":
         field = f"{field}.ultimatum"
         if set(_object(sub, field)) == {"a", "b", "c"}:
+            coefficients = [_number(sub[key], f"{field}.{key}") for key in "abc"]
             try:
-                return ultimatum_2x2(*(_number(sub[key], f"{field}.{key}") for key in "abc"))
+                return ultimatum_2x2(*coefficients)
             except GameError as exc:
                 raise ValidationError(field, str(exc)) from exc
         if set(sub) == {"total", "offers"}:

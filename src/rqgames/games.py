@@ -9,6 +9,8 @@ column 1 = reject.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -71,7 +73,9 @@ class UltimatumParams:
             raise InvalidOffersError("offer list is empty")
         cleaned = []
         for o in offers:
-            if isinstance(o, bool) or int(o) != o:
+            # a non-number, NaN or infinity fails here, before int(o) can raise
+            whole = isinstance(o, numbers.Integral) or (isinstance(o, numbers.Real) and math.isfinite(o) and int(o) == o)
+            if isinstance(o, bool) or not whole:
                 raise InvalidOffersError(f"offers must be integers, got {o!r}")
             cleaned.append(int(o))
         if any(not 0 < o < total for o in cleaned):

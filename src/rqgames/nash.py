@@ -34,9 +34,6 @@ DOMINANCE_SLACK = 1e-12
 # Support pairs per stacked solve in ``support_enumeration``; it bounds the
 # memory one stack takes.
 STACK_PAIRS = 256
-# A stacked solve costs about as much as three or four pairs solved one at a
-# time, so support sizes with fewer pairs than this go pair by pair.
-STACK_MIN_PAIRS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,50 +179,16 @@ def solve_pivoting(a, rhs, pivot_tol: float = PIVOT_TOL) -> np.ndarray | None:
     """Gaussian elimination with partial pivoting on a small dense system.
 
     Returns None when some pivot magnitude falls to pivot_tol or below,
-    which marks the system singular for our purposes.
+    which marks the system singular for our purposes.  This is the
+    one-system case of ``_solve_stacked``.
     """
-    a = np.array(a, dtype=float)
-    b = np.array(rhs, dtype=float)
+    a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    for k in range(n):
-        p = k + int(np.abs(a[k:, k]).argmax())
-        if abs(a[p, k]) <= pivot_tol:
-            return None
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        for i in range(k + 1, n):
-            if a[i, k] != 0.0:
-                lam = a[i, k] / a[k, k]
-                a[i, k:] -= lam * a[k, k:]
-                b[i] -= lam * b[k]
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
-    return x
-
-
-def _indifference_mix(values: np.ndarray, axis_size: int, support) -> tuple[np.ndarray, float] | None:
-    """Solve for the mix over ``support`` that equalizes the given payoff rows.
-
-    ``values`` is the k x k payoff block seen by the player being made
-    indifferent (one row per their pure move, one column per opposing
-    support move).  Returns the full-length mix and the common value.
-    """
-    k = values.shape[0]
-    system = np.zeros((k + 1, k + 1))
-    system[:k, :k] = values
-    system[:k, k] = -1.0
-    system[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    solution = solve_pivoting(system, rhs)
-    if solution is None or not _valid_weights(solution, k):
-        return None
-    weights = np.where(solution[:k] < 0.0, 0.0, solution[:k])
-    full = np.zeros(axis_size)
-    full[list(support)] = weights
-    return full, float(solution[k])
+    ab = np.empty((n, n + 1, 1))
+    ab[:, :n, 0] = a
+    ab[:, n, 0] = rhs
+    x, singular = _solve_stacked(ab, pivot_tol)
+    return None if singular[0] else x[:, 0]
 
 
 def _valid_weights(solution: np.ndarray, k: int) -> np.ndarray:
@@ -235,38 +198,40 @@ def _valid_weights(solution: np.ndarray, k: int) -> np.ndarray:
 
 
 def _solve_stacked(ab: np.ndarray, pivot_tol: float = PIVOT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """``solve_pivoting`` applied to a stack of systems in one pass.
+    """Gaussian elimination with partial pivoting on a stack of systems in one pass.
 
-    ``ab`` is an (s, s + 1, N) float array, overwritten: system i has the
-    matrix ``ab[:, :s, i]`` and the right-hand side ``ab[:, s, i]``.  The
-    stack runs along the last axis so that every step acts on contiguous
-    runs of systems, and the right-hand side rides along as one more
-    column, so each row operation updates both with the same arithmetic
-    as separate updates.  Each system goes through the same pivot choices
-    and the same floating-point operations as in ``solve_pivoting``, so
-    non-singular solutions agree bit for bit.  Returns the (s, N)
-    solutions and the (N,) mask of systems that ``solve_pivoting`` reports
-    singular; their solution columns are meaningless.
+    ``ab`` is a C-contiguous (s, s + 1, N) float array, overwritten (row
+    swaps write through ``ab.reshape(-1)``): system i has the matrix
+    ``ab[:, :s, i]`` and the right-hand side ``ab[:, s, i]``.  The stack
+    runs along the last axis so that every step acts on contiguous runs of
+    systems, and the right-hand side rides along as one more column, so
+    each row operation updates both with the same arithmetic as separate
+    updates.  Each system goes through the pivot choices and the
+    floating-point operations of a textbook row-by-row elimination, so its
+    solution does not depend on the width of the stack it is solved in.
+    Returns the (s, N) solutions and the (N,) mask of singular systems,
+    those with a pivot magnitude at or below pivot_tol; their solution
+    columns are meaningless.
     """
     n, _, count = ab.shape
     flat = ab.reshape(-1)
     row = np.arange((n + 1) * count).reshape(n + 1, count)
-    singular = np.zeros(count, dtype=bool)
     x = np.empty((count, n))
     with np.errstate(all="ignore"):  # singular systems run on with tiny or zero pivots
-        for k in range(n):
-            p = k + np.argmax(np.abs(ab[k:, k]), axis=0)
+        for k in range(n - 1):  # the last row has no rows below to pivot with
+            p = k + np.abs(ab[k:, k]).argmax(axis=0)
             at = p * ((n + 1) * count) + row
             pivot_row = flat[at]
-            singular |= np.abs(pivot_row[k]) <= pivot_tol
             flat[at] = ab[k]
             ab[k] = pivot_row
             below = ab[k + 1 :, k]
             lam = below / ab[k, k]
             np.subtract(ab[k + 1 :, k:], lam[:, None] * ab[k, k:], out=ab[k + 1 :, k:], where=below[:, None] != 0.0)
+        # a step never changes the rows above it, so the diagonal holds every pivot
+        singular = (np.abs(np.diagonal(ab, axis1=0, axis2=1)) <= pivot_tol).any(axis=1)
         for k in range(n - 1, -1, -1):
-            # np.matmul on unit-stride rows reaches the same dot routine as
-            # solve_pivoting's ``@``, so the products round alike
+            # np.matmul on unit-stride rows reaches the same dot routine as a
+            # 1-D ``@`` of one row, so the products round alike at any width
             upper = np.ascontiguousarray(ab[k, k + 1 : n].T)
             done = np.matmul(upper[:, None, :], x[:, k + 1 :, None])[:, 0, 0]
             x[:, k] = (ab[k, n] - done) / ab[k, k]
@@ -299,9 +264,7 @@ def support_enumeration(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfi
 
     Pairs are visited by support size, then lexicographically by rows and
     by columns.  The pairs of one size are solved together as stacks of up
-    to ``STACK_PAIRS`` pairs (see ``_solve_stacked``); sizes with fewer than
-    ``STACK_MIN_PAIRS`` pairs are solved one pair at a time.  Both ways
-    yield the same candidates.
+    to ``STACK_PAIRS`` pairs (see ``_solve_stacked``).
     """
     a, b = game_matrices(game)
     m, n = a.shape
@@ -363,18 +326,9 @@ def _support_candidates(a, b, k, eps):
         for i, j in np.argwhere(_pure_cells(a, b, eps)):
             yield _unit(m, i), _unit(n, j)
         return
-    row_sets = list(itertools.combinations(range(m), k))
-    col_sets = list(itertools.combinations(range(n), k))
+    row_sets = np.array(list(itertools.combinations(range(m), k)))
+    col_sets = np.array(list(itertools.combinations(range(n), k)))
     pairs = len(row_sets) * len(col_sets)
-    if pairs < STACK_MIN_PAIRS:
-        for rows in row_sets:
-            for cols in col_sets:
-                pair = _solve_support(a, b, rows, cols, eps)
-                if pair is not None:
-                    yield pair
-        return
-    row_sets = np.array(row_sets)
-    col_sets = np.array(col_sets)
     for start in range(0, pairs, STACK_PAIRS):
         index = np.arange(start, min(start + STACK_PAIRS, pairs))
         rows = row_sets[index // len(col_sets)]
@@ -383,7 +337,7 @@ def _support_candidates(a, b, k, eps):
 
 
 def _solve_stack(a, b, rows, cols, eps):
-    """``_solve_support`` on a stack of support pairs: rows and cols are (N, k)."""
+    """Yield the candidates among a stack of support pairs: rows and cols are (N, k)."""
     m, n = a.shape
     k = rows.shape[1]
     # the proposer's k x k block of a, then the transposed block of b
@@ -398,9 +352,9 @@ def _solve_stack(a, b, rows, cols, eps):
     x = np.zeros((len(keep), m))
     x[stack, rows] = weights_x[:, keep].T
     value_p, value_r = value_p[keep], value_r[keep]
-    # These products round differently from the per-pair ones, so this test
+    # These products round differently from _off_support_ok's, so this test
     # only drops pairs beaten by more than any rounding could account for;
-    # _off_support_ok then decides the rest exactly as the per-pair path.
+    # _off_support_ok then decides the rest exactly.
     slack = DOMINANCE_SLACK * (1.0 + np.abs(a).max() + np.abs(b).max())
     with np.errstate(invalid="ignore"):  # 0 * inf off the support
         best_p = y @ a.T
@@ -414,17 +368,18 @@ def _solve_stack(a, b, rows, cols, eps):
 
 
 def _indifference_stack(blocks_p: np.ndarray, blocks_r: np.ndarray):
-    """``_indifference_mix`` on stacks of k x k blocks, (k, k, N) each.
+    """The mixes over the supports that equalize stacks of k x k blocks, (k, k, N) each.
 
-    ``blocks_p`` are the blocks the proposer is made indifferent on and
+    ``blocks_p`` are the blocks the proposer is made indifferent on (one
+    row per their pure move, one column per opposing support move) and
     ``blocks_r`` the transposed responder blocks.  Returns the clamped
     (k, N) weights of the responder's and of the proposer's mix, the
     (N,) values of both, and the (N,) mask of the pairs where both systems
     are non-singular with valid weights.
     """
     k, _, count = blocks_p.shape
-    # Systems [[block, -1], [1, 0]] with right-hand side (0, ..., 0, 1), as in
-    # _indifference_mix, all solved together by _solve_stacked.
+    # Systems [[block, -1], [1, 0]] with right-hand side (0, ..., 0, 1): the
+    # weights, then the common value; all solved together by _solve_stacked.
     ab = np.zeros((k + 1, k + 2, 2 * count))
     ab[:k, :k, :count] = blocks_p
     ab[:k, :k, count:] = blocks_r
@@ -435,22 +390,6 @@ def _indifference_stack(blocks_p: np.ndarray, blocks_r: np.ndarray):
     ok = ~singular & _valid_weights(solution, k)
     weights = np.where(solution[:k] < 0.0, 0.0, solution[:k])
     return weights[:, :count], weights[:, count:], solution[k, :count], solution[k, count:], ok[:count] & ok[count:]
-
-
-def _solve_support(a, b, rows, cols, eps):
-    m, n = a.shape
-    block = np.ix_(list(rows), list(cols))
-    mix_y = _indifference_mix(a[block], n, cols)
-    if mix_y is None:
-        return None
-    y, value_p = mix_y
-    mix_x = _indifference_mix(b[block].T, m, rows)
-    if mix_x is None:
-        return None
-    x, value_r = mix_x
-    if not _off_support_ok(a, b, rows, cols, x, y, value_p, value_r, eps):
-        return None
-    return x, y
 
 
 def _off_support_ok(a, b, rows, cols, x, y, value_p, value_r, eps) -> bool:

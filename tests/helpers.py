@@ -13,13 +13,12 @@ from rqgames import (
     default_move_set,
     grid_oracle,
     probability_table,
-    solve_pivoting,
     state_from_amplitudes,
     support_enumeration,
     verify_equilibrium,
 )
 from rqgames.cli import fmt
-from rqgames.nash import WEIGHT_CLAMP_TOL, game_matrices
+from rqgames.nash import PIVOT_TOL, WEIGHT_CLAMP_TOL, game_matrices
 
 
 def random_state(rng, dims=(2, 2)):
@@ -82,12 +81,39 @@ def ultimatum_entries_2x2(probs, a, b, c):
     return proposer, responder
 
 
+def loop_solve_pivoting(a, rhs, pivot_tol=PIVOT_TOL):
+    """Reference: Gaussian elimination with partial pivoting, row by row.
+
+    Returns None when some pivot magnitude falls to pivot_tol or below.
+    The stacked elimination in ``rqgames.nash`` must match it bit for bit.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(rhs, dtype=float)
+    n = a.shape[0]
+    for k in range(n):
+        p = k + int(np.abs(a[k:, k]).argmax())
+        if abs(a[p, k]) <= pivot_tol:
+            return None
+        if p != k:
+            a[[k, p]] = a[[p, k]]
+            b[[k, p]] = b[[p, k]]
+        for i in range(k + 1, n):
+            if a[i, k] != 0.0:
+                lam = a[i, k] / a[k, k]
+                a[i, k:] -= lam * a[k, k:]
+                b[i] -= lam * b[k]
+    x = np.empty(n)
+    for k in range(n - 1, -1, -1):
+        x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
+    return x
+
+
 def pairwise_support_enumeration(game, eps=EPS_DEFAULT):
     """Reference: support enumeration one support pair at a time.
 
     Plain loops over the pairs in the order ``support_enumeration``
-    promises, each solved with ``solve_pivoting``; tests require the same
-    profiles in the same order from both.
+    promises, each solved with ``loop_solve_pivoting``; tests require the
+    same profiles in the same order from both.
     """
     a, b = game_matrices(game)
     m, n = a.shape
@@ -119,7 +145,7 @@ def _pairwise_mix(values, axis_size, support):
     system[k, :k] = 1.0
     rhs = np.zeros(k + 1)
     rhs[k] = 1.0
-    solution = solve_pivoting(system, rhs)
+    solution = loop_solve_pivoting(system, rhs)
     if solution is None:
         return None
     weights = solution[:k]

@@ -491,7 +491,7 @@ SHARED_REJECTS = [
     (("payoffs", "ultimatum"), [], "payoffs.ultimatum: expected an object"),
     (("payoffs", "ultimatum", "c"), DROP, ULTIMATUM_KEYS),
     (("payoffs", "ultimatum", "x"), 1, ULTIMATUM_KEYS),
-    (("payoffs", "ultimatum", "a"), "x", "payoffs.ultimatum: payoffs.ultimatum.a: expected a number, got 'x'"),
+    (("payoffs", "ultimatum", "a"), "x", "payoffs.ultimatum.a: expected a number, got 'x'"),
     (("payoffs", "ultimatum"), {"total": 10, "offers": 3}, "payoffs.ultimatum.offers: expected a list"),
     (("payoffs",), {"matrices": [1]}, MATRICES_KEYS),
     (("payoffs",), {"matrices": {"proposer": [[1, 0]]}}, MATRICES_KEYS),
@@ -587,20 +587,54 @@ def test_golden_validation_errors(tmp_path, capsys, command, path, value, line):
             "nash",
             ("payoffs", "ultimatum", "c"),
             "-1e400",
-            "payoffs.ultimatum: payoffs.ultimatum.c: expected a finite number, got -inf",
+            "payoffs.ultimatum.c: expected a finite number, got -inf",
         ),
         (
             "sweep",
             ("payoffs", "ultimatum", "a"),
             str(10**400),
-            f"payoffs.ultimatum: payoffs.ultimatum.a: expected a finite number, got {10**400}",
+            f"payoffs.ultimatum.a: expected a finite number, got {10**400}",
         ),
         ("sweep", ("solver", "eps"), "1e400", "solver.eps: expected a finite number, got inf"),
+        (
+            "nash",
+            ("payoffs", "ultimatum"),
+            '{"total": 10, "offers": [1e400]}',
+            "payoffs.ultimatum: offers must be integers, got inf",
+        ),
+        (
+            "nash",
+            ("payoffs", "ultimatum"),
+            '{"total": 10, "offers": ["a"]}',
+            "payoffs.ultimatum: offers must be integers, got 'a'",
+        ),
+        (
+            "nash",
+            ("payoffs", "ultimatum"),
+            '{"total": 10, "offers": [null]}',
+            "payoffs.ultimatum: offers must be integers, got None",
+        ),
+        # past the interpreter's limit on integer digits, worded by the interpreter
+        ("nash", ("payoffs", "ultimatum", "a"), "9" * 5000, None),
     ],
-    ids=["theta-1e400", "theta-string-inf", "theta-big-int", "c-1e400", "a-big-int", "eps-1e400"],
+    ids=[
+        "theta-1e400",
+        "theta-string-inf",
+        "theta-big-int",
+        "c-1e400",
+        "a-big-int",
+        "eps-1e400",
+        "offers-1e400",
+        "offers-string",
+        "offers-null",
+        "a-5000-digits",
+    ],
 )
 def test_non_finite_numbers_exit_2(tmp_path, capsys, command, path, literal, line):
     # literals that overflow a float read as infinity, and big integers stay exact
     text = json.dumps(edited(GAME if command == "nash" else SWEEP, path, "LITERAL"))
     code, out, err = run([command, "--spec", write(tmp_path, text.replace('"LITERAL"', literal))], capsys)
-    assert (code, out, err) == (2, "", f"error: {line}\n")
+    if line is None:
+        assert (code, out) == (2, "") and err.startswith("error: ")
+    else:
+        assert (code, out, err) == (2, "", f"error: {line}\n")

@@ -72,6 +72,9 @@ def test_offer_validation():
         UltimatumParams(-4, (1,))
     with pytest.raises(InvalidOffersError):
         UltimatumParams(10, (2.5,))
+    for bad in (float("inf"), "a", None):  # checked before int() could raise
+        with pytest.raises(InvalidOffersError, match="offers must be integers"):
+            UltimatumParams(10, (bad,))
 
 
 def test_acceptance_conserves_total_and_rejection_pays_zero():

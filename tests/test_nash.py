@@ -25,7 +25,7 @@ from rqgames import (
 
 from rqgames.nash import STACK_PAIRS, _solve_stacked, equilibria_2x2
 
-from helpers import pairwise_support_enumeration, random_bimatrix
+from helpers import loop_solve_pivoting, pairwise_support_enumeration, random_bimatrix
 
 MOVES2 = default_move_set(2)
 
@@ -359,20 +359,22 @@ def test_stacked_elimination_matches_solve_pivoting_bit_for_bit():
     singular_seen = 0
     for trial in range(120):
         n = 3 + trial % 11
-        if trial % 2:
-            systems = _indifference_like(rng, 40, n)
-        else:
-            systems = rng.normal(size=(40, n, n))
-        rhs = rng.normal(size=(40, n)) if trial % 3 else np.eye(n)[np.full(40, n - 1)]
-        augmented = np.concatenate([systems, rhs[:, :, None]], axis=2)
-        solutions, singular = _solve_stacked(np.moveaxis(augmented, 0, -1).copy())
-        for i in range(40):
-            expected = solve_pivoting(systems[i], rhs[i])
-            assert singular[i] == (expected is None)
-            if expected is None:
-                singular_seen += 1
+        # 40 systems, then stacks as narrow as the smallest support levels
+        for width in (40, 1, 2, 3):
+            if trial % 2:
+                systems = _indifference_like(rng, width, n)
             else:
-                assert np.array_equal(solutions[:, i], expected)
+                systems = rng.normal(size=(width, n, n))
+            rhs = rng.normal(size=(width, n)) if trial % 3 else np.eye(n)[np.full(width, n - 1)]
+            augmented = np.concatenate([systems, rhs[:, :, None]], axis=2)
+            solutions, singular = _solve_stacked(np.moveaxis(augmented, 0, -1).copy())
+            for i in range(width):
+                expected = loop_solve_pivoting(systems[i], rhs[i])
+                assert singular[i] == (expected is None)
+                if expected is None:
+                    singular_seen += 1
+                else:
+                    assert np.array_equal(solutions[:, i], expected)
     assert singular_seen > 100
 
 
