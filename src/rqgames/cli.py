@@ -101,7 +101,7 @@ def _load_json(text: str):
     except ParseError:
         raise
     except ValueError as exc:  # an integer literal past the interpreter's digit limit
-        raise ParseError(str(exc)) from exc
+        raise ParseError(f"integer literal longer than {sys.get_int_max_str_digits()} digits") from exc
 
 
 def _object(block, field: str, allowed=None, required=(), reason: str = "expected an object") -> dict:

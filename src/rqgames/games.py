@@ -66,16 +66,15 @@ class UltimatumParams:
 
     def __post_init__(self):
         total = self.total
-        if not (isinstance(total, (int, np.integer)) and not isinstance(total, bool)) or total <= 0:
+        if not _whole(total) or total <= 0:
             raise InvalidOffersError(f"total must be a positive integer, got {total!r}")
+        total = int(total)
         offers = tuple(self.offers)
         if not offers:
             raise InvalidOffersError("offer list is empty")
         cleaned = []
         for o in offers:
-            # a non-number, NaN or infinity fails here, before int(o) can raise
-            whole = isinstance(o, numbers.Integral) or (isinstance(o, numbers.Real) and math.isfinite(o) and int(o) == o)
-            if isinstance(o, bool) or not whole:
+            if not _whole(o):
                 raise InvalidOffersError(f"offers must be integers, got {o!r}")
             cleaned.append(int(o))
         if any(not 0 < o < total for o in cleaned):
@@ -84,8 +83,20 @@ class UltimatumParams:
             )
         if any(b <= a for a, b in zip(cleaned, cleaned[1:])):
             raise InvalidOffersError(f"offers must be strictly increasing, got {cleaned}")
-        object.__setattr__(self, "total", int(total))
+        object.__setattr__(self, "total", total)
         object.__setattr__(self, "offers", tuple(cleaned))
+
+
+def _whole(value) -> bool:
+    """Whether a value is an integer or a float equal to one; never a bool.
+
+    A non-number, NaN or infinity fails here, before ``int(value)`` can raise.
+    """
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value
+    )
 
 
 def ultimatum_2x2(a: float, b: float, c: float) -> PayoffTable:

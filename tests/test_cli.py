@@ -614,8 +614,13 @@ def test_golden_validation_errors(tmp_path, capsys, command, path, value, line):
             '{"total": 10, "offers": [null]}',
             "payoffs.ultimatum: offers must be integers, got None",
         ),
-        # past the interpreter's limit on integer digits, worded by the interpreter
-        ("nash", ("payoffs", "ultimatum", "a"), "9" * 5000, None),
+        # past the interpreter's limit on integer digits
+        (
+            "nash",
+            ("payoffs", "ultimatum", "a"),
+            "9" * 5000,
+            "integer literal longer than 4300 digits",
+        ),
     ],
     ids=[
         "theta-1e400",
@@ -634,7 +639,4 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, command, path, literal, lin
     # literals that overflow a float read as infinity, and big integers stay exact
     text = json.dumps(edited(GAME if command == "nash" else SWEEP, path, "LITERAL"))
     code, out, err = run([command, "--spec", write(tmp_path, text.replace('"LITERAL"', literal))], capsys)
-    if line is None:
-        assert (code, out) == (2, "") and err.startswith("error: ")
-    else:
-        assert (code, out, err) == (2, "", f"error: {line}\n")
+    assert (code, out, err) == (2, "", f"error: {line}\n")

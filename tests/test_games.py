@@ -75,6 +75,14 @@ def test_offer_validation():
     for bad in (float("inf"), "a", None):  # checked before int() could raise
         with pytest.raises(InvalidOffersError, match="offers must be integers"):
             UltimatumParams(10, (bad,))
+    # the total follows the offers' whole-number rule
+    for bad in (10.5, float("inf"), float("nan"), True, "10"):
+        with pytest.raises(InvalidOffersError, match="total must be a positive integer"):
+            UltimatumParams(bad, (2,))
+    for total, offer in ((10.0, 2), (10, 2.0), (np.int64(10), np.float64(2.0))):
+        params = UltimatumParams(total, (offer,))
+        assert (params.total, params.offers) == (10, (2,))
+        assert type(params.total) is int and type(params.offers[0]) is int
 
 
 def test_acceptance_conserves_total_and_rejection_pays_zero():

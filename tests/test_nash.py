@@ -1,5 +1,7 @@
 """Best responses, certification, pure/support enumeration and the grid oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from rqgames import (
     verify_equilibrium,
 )
 
-from rqgames.nash import STACK_PAIRS, _solve_stacked, equilibria_2x2
+from rqgames.nash import STACK_PAIRS, TWO_PHASE_MIN_PAIRS, _solve_stacked, equilibria_2x2
 
 from helpers import loop_solve_pivoting, pairwise_support_enumeration, random_bimatrix
 
@@ -387,6 +389,13 @@ def _assert_same_profiles(found, expected):
         assert (p.kind, p.certified, p.degenerate) == (q.kind, q.certified, q.degenerate)
 
 
+def _random_game(rng, shape, integer):
+    # integer payoffs are degenerate: exact ties, singular blocks, duplicate profiles
+    if integer:
+        return rng.integers(0, 4, shape).astype(float), rng.integers(0, 4, shape).astype(float)
+    return rng.uniform(0, 100, shape), rng.uniform(0, 100, shape)
+
+
 SHAPES = [(m, n) for m in range(2, 7) for n in range(2, 7)] + [(3, 7), (7, 3), (2, 7)]
 
 
@@ -398,22 +407,54 @@ SHAPES = [(m, n) for m in range(2, 7) for n in range(2, 7)] + [(3, 7), (7, 3), (
     seed=st.integers(0, 2**32 - 1),
 )
 def test_support_enumeration_matches_the_pairwise_loop(shape, integer, eps, seed):
-    rng = np.random.default_rng(seed)
-    if integer:  # degenerate: exact ties, singular blocks, duplicate profiles
-        a, b = rng.integers(0, 4, shape).astype(float), rng.integers(0, 4, shape).astype(float)
-    else:
-        a, b = rng.uniform(0, 100, shape), rng.uniform(0, 100, shape)
-    expected = pairwise_support_enumeration((a, b), eps)
-    _assert_same_profiles(support_enumeration((a, b), eps), expected)
+    game = _random_game(np.random.default_rng(seed), shape, integer)
+    _assert_same_profiles(support_enumeration(game, eps), pairwise_support_enumeration(game, eps))
+
+
+# 6x6 and 5x8 have a k = 2 level of 225 and 280 pairs, one stack each, on
+# either side of the one-call limit; every level of 7x7, 12x4 and 4x12 with
+# more than 256 pairs takes the two phases.
+@pytest.mark.parametrize("shape", [(6, 6), (5, 8), (7, 7), (12, 4), (4, 12)], ids="{0[0]}x{0[1]}".format)
+@pytest.mark.parametrize("integer", [False, True])
+@pytest.mark.parametrize("eps", [1e-9, 0.0])
+def test_two_phase_levels_match_the_pairwise_loop(shape, integer, eps):
+    assert 15 * 15 <= TWO_PHASE_MIN_PAIRS < 10 * 28 <= STACK_PAIRS
+    game = _random_game(np.random.default_rng([*shape, integer]), shape, integer)
+    _assert_same_profiles(support_enumeration(game, eps), pairwise_support_enumeration(game, eps))
 
 
 def test_support_enumeration_splits_large_levels_into_stacks():
     rng = np.random.default_rng(25)
     assert 70 * 70 > STACK_PAIRS  # the k = 4 level of an 8x8 game
-    game = (rng.integers(0, 4, (8, 8)).astype(float), rng.integers(0, 4, (8, 8)).astype(float))
+    game = _random_game(rng, (8, 8), integer=True)
     expected = pairwise_support_enumeration(game)
     assert len(expected) > 1
     _assert_same_profiles(support_enumeration(game), expected)
+
+
+def _two_phase_stack(profile):
+    """(k, first pair) of the stack that solves a nondegenerate profile's
+    support pair, or None when that stack takes the one-call path."""
+    m, n = len(profile.proposer_strategy), len(profile.responder_strategy)
+    rows = tuple(np.flatnonzero(profile.proposer_strategy))
+    cols = tuple(np.flatnonzero(profile.responder_strategy))
+    row_sets = list(itertools.combinations(range(m), len(rows)))
+    col_sets = list(itertools.combinations(range(n), len(cols)))
+    index = row_sets.index(rows) * len(col_sets) + col_sets.index(cols)
+    start = index - index % STACK_PAIRS
+    if min(STACK_PAIRS, len(row_sets) * len(col_sets) - start) <= TWO_PHASE_MIN_PAIRS:
+        return None
+    return len(rows), start
+
+
+@pytest.mark.parametrize("eps", [1e-9, 0.0])
+def test_phase_two_keeps_the_survivors_of_every_stack(eps):
+    game = _random_game(np.random.default_rng(7), (8, 8), integer=False)
+    expected = pairwise_support_enumeration(game, eps)
+    stacks = {_two_phase_stack(p) for p in expected} - {None}
+    # equilibria in more than one two-phase stack of one level
+    assert len(stacks) > len({k for k, _ in stacks})
+    _assert_same_profiles(support_enumeration(game, eps), expected)
 
 
 def test_nondegenerate_games_have_an_odd_number_of_equilibria():
