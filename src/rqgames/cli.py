@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GameError, ParseError, ValidationError
-from .games import Bimatrix, PayoffTable, UltimatumParams, ultimatum_2x2, ultimatum_general
+from .games import Bimatrix, PayoffTable, UltimatumParams, _finite, ultimatum_2x2, ultimatum_general
 from .hilbert import QuantumState, bell_like, bell_like_probs, probability_table, state_from_amplitudes
 from .induce import (
     MoveSet,
@@ -102,6 +102,8 @@ def _load_json(text: str):
         raise
     except ValueError as exc:  # an integer literal past the interpreter's digit limit
         raise ParseError(f"integer literal longer than {sys.get_int_max_str_digits()} digits") from exc
+    except RecursionError as exc:  # the decoder recurses once per level of nesting
+        raise ParseError("arrays or objects nested too deeply") from exc
 
 
 def _object(block, field: str, allowed=None, required=(), reason: str = "expected an object") -> dict:
@@ -128,11 +130,6 @@ def _source(block, field: str, names: tuple[str, str]) -> tuple[str, object]:
         raise ValidationError(field, f"need exactly one of {names[0]!r} or {names[1]!r}")
     _object(block, field, names)
     return given[0], block[given[0]]
-
-
-def _finite(value) -> bool:
-    # abs(int) compares exactly, so an integer beyond float range fails too
-    return abs(value) <= sys.float_info.max
 
 
 def parse_angle(value, field: str) -> float:
@@ -520,16 +517,6 @@ def run_verify(doc: GameSpecDocument, profile_text: str, eps: float, out_format:
     ]
 
 
-def _equilibrium_group(mu: float, nu: float, pay_p: float, pay_r: float) -> str:
-    return f"mu={fmt(mu)} nu={fmt(nu)} pp={fmt(pay_p)} pr={fmt(pay_r)}"
-
-
-def _equilibria_cell(profiles: list[EquilibriumProfile]) -> str:
-    return ";".join(
-        _equilibrium_group(p.proposer_strategy[0], p.responder_strategy[0], *p.payoffs) for p in profiles
-    )
-
-
 def run_sweep(sweep: SweepSpec, eps: float, resolution: int, out_format: str) -> list[str]:
     step = (sweep.stop - sweep.start) / (sweep.count - 1)
     columns = ["theta"]
@@ -546,47 +533,48 @@ def run_sweep(sweep: SweepSpec, eps: float, resolution: int, out_format: str) ->
             thetas = sweep.start + index * step
         if index[-1] == sweep.count - 1:
             thetas[-1] = sweep.stop
-        for row in _sweep_rows(sweep, thetas, eps, resolution):
-            if out_format == "csv":
-                lines.append(",".join(row))
-            else:
-                lines.append("; ".join(f"{name}={value}" for name, value in zip(columns, row)))
+        lines += _sweep_rows(sweep, thetas, eps, resolution, columns, out_format)
     return lines
 
 
-def _sweep_rows(sweep: SweepSpec, thetas: np.ndarray, eps: float, resolution: int) -> list[list[str]]:
-    """Rows for a chunk of thetas, each layer run once on the whole chunk.
+def _line_template(columns: list[str], out_format: str, label: str, groups: int) -> str:
+    """The %-template of a sweep line; "%.9g" prints v + 0.0 as ``fmt`` prints v."""
+    cell = {"label": label, "equilibria": ";".join(["mu=%.9g nu=%.9g pp=%.9g pr=%.9g"] * groups)}
+    cells = [cell.get(name, "%.9g") for name in columns]
+    return ",".join(cells) if out_format == "csv" else "; ".join(f"{n}={c}" for n, c in zip(columns, cells))
+
+
+def _sweep_rows(
+    sweep: SweepSpec, thetas: np.ndarray, eps: float, resolution: int, columns: list[str], out_format: str
+) -> list[str]:
+    """Lines for a chunk of thetas, each layer run once on the whole chunk.
 
     Every row gets the checks a single state gets, as array tests.  Rows a
     check flags, and rows with no certified equilibrium, are finished in
     row order with the single-state functions, so they raise the same
-    error or print the same grid-fallback cell as a row-by-row loop.
+    error or print the same grid-fallback cell as a row-by-row loop.  The
+    chunk is rendered by one ``%`` over the floats it prints, with each
+    row's template chosen by its label and number of equilibria.
     """
+    count = len(thetas)
     probs, failed = bell_like_probs(thetas, sweep.basis_a, sweep.basis_b, sweep.payoffs.dims)
-    rows = [[fmt(theta)] for theta in thetas.tolist()]
-    if "probs" in sweep.outputs:
-        for row, cells in zip(rows, probs.reshape(len(rows), 4).tolist()):
-            row += [fmt(v) for v in cells]
+    values = [thetas[:, None], probs.reshape(count, 4)]
+    printed = [np.ones((count, 1), dtype=bool), np.full((count, 4), "probs" in sweep.outputs)]
+    labels = [""] * count
     if "label" in sweep.outputs:
-        labels = class_labels(probs[:, 1, 1] - probs[:, 0, 1], probs[:, 1, 0] - probs[:, 0, 0])
-        for row, label in zip(rows, labels.tolist()):
-            row.append(label)
-    unsettled = np.zeros(len(rows), dtype=bool)
+        labels = class_labels(probs[:, 1, 1] - probs[:, 0, 1], probs[:, 1, 0] - probs[:, 0, 0]).tolist()
+    groups = [0] * count
+    unsettled = np.zeros(count, dtype=bool)
     if "equilibria" in sweep.outputs:
         moves = default_move_set(2)
         a, b = induce_stack(probs, sweep.payoffs, moves, moves)
         x, y, pay_p, pay_r, found, off_simplex = equilibria_2x2(a, b, eps)
-        groups = [[] for _ in rows]
-        for r, *values in zip(
-            np.nonzero(found)[0].tolist(),
-            x[found, 0].tolist(),
-            y[found, 0].tolist(),
-            pay_p[found].tolist(),
-            pay_r[found].tolist(),
-        ):
-            groups[r].append(_equilibrium_group(*values))
+        values.append(np.stack([x[..., 0], y[..., 0], pay_p, pay_r], axis=-1).reshape(count, -1))
+        printed.append(np.repeat(found, 4, axis=1))
+        groups = found.sum(axis=1).tolist()
         unsettled = off_simplex | ~found.any(axis=1)
-    for r in np.flatnonzero(failed | unsettled):
+    fallback = {}
+    for r in np.flatnonzero(failed | unsettled).tolist():
         if failed[r]:
             # raises the error of this row's state or table
             probability_table(bell_like(float(thetas[r]), sweep.basis_a, sweep.basis_b, sweep.payoffs.dims))
@@ -596,11 +584,18 @@ def _sweep_rows(sweep: SweepSpec, thetas: np.ndarray, eps: float, resolution: in
                 # raises mixed_strategy's error, as support_enumeration does
                 verify_equilibrium(game, (x[r, 4], y[r, 4]), eps)
             if not found[r].any():
-                groups[r] = [_equilibria_cell(_grid_profiles(game, eps, resolution))]
-    if "equilibria" in sweep.outputs:
-        for row, group in zip(rows, groups):
-            row.append(";".join(group))
-    return rows
+                profiles = _grid_profiles(game, eps, resolution)
+                groups[r] = len(profiles)
+                floats = [(p.proposer_strategy[0], p.responder_strategy[0], *p.payoffs) for p in profiles]
+                fallback[r] = [float(v) + 0.0 for group in floats for v in group]
+    printed = np.hstack(printed)
+    args = (np.hstack(values)[printed] + 0.0).tolist()
+    ends = np.cumsum(printed.sum(axis=1)).tolist()
+    for r in reversed(fallback):  # the grid profiles follow the other floats of their row
+        args[ends[r] : ends[r]] = fallback[r]
+    keys = list(zip(labels, groups))
+    templates = {key: _line_template(columns, out_format, *key) for key in set(keys)}
+    return ("\n".join([templates[key] for key in keys]) % tuple(args)).split("\n")
 
 
 def _read_spec_text(path: str) -> str:
@@ -676,8 +671,7 @@ def main(argv=None) -> int:
     except GameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    for line in lines:
-        print(line)
+    sys.stdout.write("\n".join([*lines, ""]))
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -68,6 +69,8 @@ class UltimatumParams:
         total = self.total
         if not _whole(total) or total <= 0:
             raise InvalidOffersError(f"total must be a positive integer, got {total!r}")
+        if not _finite(total):
+            raise InvalidOffersError(f"total has {len(str(total))} digits, beyond float range")
         total = int(total)
         offers = tuple(self.offers)
         if not offers:
@@ -76,6 +79,8 @@ class UltimatumParams:
         for o in offers:
             if not _whole(o):
                 raise InvalidOffersError(f"offers must be integers, got {o!r}")
+            if not _finite(o):
+                raise InvalidOffersError(f"an offer has {len(str(abs(o)))} digits, beyond float range")
             cleaned.append(int(o))
         if any(not 0 < o < total for o in cleaned):
             raise InvalidOffersError(
@@ -85,6 +90,11 @@ class UltimatumParams:
             raise InvalidOffersError(f"offers must be strictly increasing, got {cleaned}")
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "offers", tuple(cleaned))
+
+
+def _finite(value) -> bool:
+    # abs(int) compares exactly, so an integer beyond float range fails too
+    return abs(value) <= sys.float_info.max
 
 
 def _whole(value) -> bool:

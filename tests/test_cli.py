@@ -4,11 +4,12 @@ import io
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from rqgames import ParseError, ValidationError
+from rqgames import ParseError, ValidationError, cli
 from rqgames.cli import main, parse_angle, parse_spec, parse_sweep_spec, render_spec
 
 ENTANGLED_DOC = json.dumps(
@@ -434,6 +435,34 @@ def test_main_runs_many_documents_in_one_process(tmp_path, capsys):
     assert "37.25" in first[0][1] and "state" in first[1][2]
 
 
+class Writes:
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+
+
+@pytest.mark.parametrize("out_format", ("table", "csv"))
+@pytest.mark.parametrize("command", ("induce", "classify", "nash", "verify", "sweep"))
+def test_main_writes_the_command_lines_in_one_call(tmp_path, monkeypatch, command, out_format):
+    doc = SWEEP_DOC if command == "sweep" else ENTANGLED_DOC
+    flags = ["--profile", "0.5,0.5;0.5,0.5"] if command == "verify" else []
+    spec = parse_sweep_spec(doc) if command == "sweep" else parse_spec(doc)
+    lines = {
+        "induce": lambda: cli.run_induce(spec, out_format),
+        "classify": lambda: cli.run_classify(spec, out_format),
+        "nash": lambda: cli.run_nash(spec, 1e-9, 64, out_format),
+        "verify": lambda: cli.run_verify(spec, "0.5,0.5;0.5,0.5", 1e-9, out_format),
+        "sweep": lambda: cli.run_sweep(spec, 1e-9, 64, out_format),
+    }[command]()
+    stdout = Writes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main([command, "--spec", write(tmp_path, doc), "--format", out_format] + flags) == 0
+    assert stdout.calls == ["".join(line + "\n" for line in lines)]
+    assert len(lines) > 1
+
+
 @pytest.mark.parametrize(
     "flags, field",
     [
@@ -621,6 +650,21 @@ def test_golden_validation_errors(tmp_path, capsys, command, path, value, line):
             "9" * 5000,
             "integer literal longer than 4300 digits",
         ),
+        # whole numbers beyond float range, which the table could not hold
+        (
+            "nash",
+            ("payoffs", "ultimatum"),
+            f'{{"total": {10**400}, "offers": [1]}}',
+            "payoffs.ultimatum: total has 401 digits, beyond float range",
+        ),
+        (
+            "nash",
+            ("payoffs", "ultimatum"),
+            f'{{"total": 10, "offers": [1, {10**400}]}}',
+            "payoffs.ultimatum: an offer has 401 digits, beyond float range",
+        ),
+        # the decoder's recursion limit
+        ("nash", (), "[" * 100_000 + "]" * 100_000, "arrays or objects nested too deeply"),
     ],
     ids=[
         "theta-1e400",
@@ -633,6 +677,9 @@ def test_golden_validation_errors(tmp_path, capsys, command, path, value, line):
         "offers-string",
         "offers-null",
         "a-5000-digits",
+        "total-401-digits",
+        "offers-401-digits",
+        "nested-100000-deep",
     ],
 )
 def test_non_finite_numbers_exit_2(tmp_path, capsys, command, path, literal, line):

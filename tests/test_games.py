@@ -1,5 +1,6 @@
 """Ultimatum payoff builders and their invariants."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -79,6 +80,14 @@ def test_offer_validation():
     for bad in (10.5, float("inf"), float("nan"), True, "10"):
         with pytest.raises(InvalidOffersError, match="total must be a positive integer"):
             UltimatumParams(bad, (2,))
+    # whole numbers beyond float range, which the table could not hold
+    with pytest.raises(InvalidOffersError, match="total has 401 digits, beyond float range"):
+        UltimatumParams(10**400, (1,))
+    for bad in (10**400, -(10**400)):
+        with pytest.raises(InvalidOffersError, match="an offer has 401 digits, beyond float range"):
+            UltimatumParams(10, (bad,))
+    big = int(sys.float_info.max)
+    assert ultimatum_general(UltimatumParams(big, (big - 10**300,))).proposer[0, 0] == 1e300
     for total, offer in ((10.0, 2), (10, 2.0), (np.int64(10), np.float64(2.0))):
         params = UltimatumParams(total, (offer,))
         assert (params.total, params.offers) == (10, (2,))

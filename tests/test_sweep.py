@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import re
 from pathlib import Path
 
@@ -55,6 +56,60 @@ def test_full_turn_with_two_equilibria_matches_the_row_by_row_sweep():
     lines = run_sweep(sweep, 1e-9, 64, "table")
     assert lines == rowwise_run_sweep(sweep, 1e-9, 64, "table")
     assert sum(";mu=" in line for line in lines) == 4
+
+
+def test_percent_9g_prints_as_fmt():
+    # the chunk renderer prints v + 0.0 through "%.9g" where a row prints fmt(v)
+    rng = np.random.default_rng(7)
+    tiny = np.nextafter(0.0, 1.0)
+    awkward = [-0.0, 0.0, tiny, -tiny, 2.5e-310, np.finfo(float).tiny, 1e16, 1e-5, 1.5e-5, 9.9999999995e-5]
+    awkward += [123456789.5, 999999999.5, 1e21, 0.1 + 0.2, math.pi, np.finfo(float).max, math.nan]
+    awkward += [math.inf, -math.inf]
+    awkward += (rng.standard_normal(2000) * 10.0 ** rng.integers(-320, 300, 2000)).tolist()
+    awkward += rng.integers(0, 2**63, 500).astype(float).tolist()
+    values = np.array(awkward) + 0.0
+    assert "\n".join(["%.9g"] * len(values)) % tuple(values.tolist()) == "\n".join(cli.fmt(v) for v in awkward)
+
+
+@pytest.mark.parametrize("out_format", ("csv", "table"))
+def test_negative_zero_payoffs_print_as_zero(out_format):
+    # explicit matrices with -0.0 entries give payoffs of -0.0, which fmt prints as 0
+    payoffs = {"proposer": [[-0.0, -0.0], [-1.0, -0.0]], "responder": [[-0.0, -1.0], [-2.0, -0.0]]}
+    doc = json.loads(sweep_doc([1, 1], [0, 0], 9, stop="pi"))
+    doc["payoffs"] = {"matrices": payoffs}
+    assert_same_lines(json.dumps(doc), 1e-9, out_format=out_format)
+
+
+@pytest.mark.parametrize("out_format", ("csv", "table"))
+@pytest.mark.parametrize(
+    "text, eps, special",
+    [
+        # the aligned pair's exact indifferences: two equilibria on rows 500 and 1500 in
+        # the first chunk, 2500 and 3500 in the second
+        (sweep_doc([0, 1], [1, 1], 4001), 1e-9, "two equilibria"),
+        (sweep_doc([1, 1], [0, 0], 2 * SWEEP_CHUNK + 3, start="-pi", stop="pi"), 1e-300, "grid fallback"),
+    ],
+    ids=["two-equilibria", "grid-fallback"],
+)
+def test_special_rows_in_several_chunks_match_the_row_by_row_sweep(monkeypatch, text, eps, special, out_format):
+    chunks = []  # per chunk: rows with two equilibria, rows that took the grid fallback
+    sweep_rows, grid_profiles = cli._sweep_rows, cli._grid_profiles
+
+    def counting_rows(*args):
+        chunks.append([0, 0])
+        lines = sweep_rows(*args)
+        chunks[-1][0] = sum(";mu=" in line for line in lines)
+        return lines
+
+    def counting_fallbacks(*args):
+        chunks[-1][1] += 1
+        return grid_profiles(*args)
+
+    monkeypatch.setattr(cli, "_sweep_rows", counting_rows)
+    monkeypatch.setattr(cli, "_grid_profiles", counting_fallbacks)
+    assert_same_lines(text, eps, resolution=8, out_format=out_format)
+    column = 0 if special == "two equilibria" else 1
+    assert sum(chunk[column] > 0 for chunk in chunks) >= 2
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
