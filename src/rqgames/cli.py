@@ -24,6 +24,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -634,6 +635,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning the document draws, such as ``MismatchedTotalsWarning``,
+    as one stderr line with no program location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 _parser: argparse.ArgumentParser | None = None
 
 
@@ -648,7 +655,9 @@ def main(argv=None) -> int:
         if args.resolution is not None:
             _check_resolution(args.resolution, "--resolution")
         text = _read_spec_text(args.spec)
-        spec = parse_sweep_spec(text) if args.command == "sweep" else parse_spec(text)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            spec = parse_sweep_spec(text) if args.command == "sweep" else parse_spec(text)
     except (GameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -269,8 +269,11 @@ def support_enumeration(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfi
     so no profile with a non-finite strategy, payoff or regret comes back.
 
     Pairs are visited by support size, then lexicographically by rows and
-    by columns.  The pairs of one size are solved together as stacks of up
-    to ``STACK_PAIRS`` pairs (see ``_solve_stack``): the proposer's systems
+    by columns.  Pairs in which some support move is beaten on the whole
+    opposing support are dropped before any system is solved (see
+    ``_support_pairs``); they could not pass the tests above.  The kept
+    pairs of one size are solved together as stacks of up to
+    ``STACK_PAIRS`` pairs (see ``_solve_stack``): the proposer's systems
     first, then the responder's systems of the pairs the proposer's side
     of the test keeps.
     """
@@ -330,20 +333,50 @@ def equilibria_2x2(a: np.ndarray, b: np.ndarray, eps: float = EPS_DEFAULT):
 
 
 def _support_candidates(a, b, k, eps, slack):
-    """Yield the (x, y) candidates with supports of size k, in enumeration order."""
+    """Yield the (x, y) candidates with supports of size k, in enumeration
+    order; for k >= 2, those of the pairs ``_support_pairs`` keeps."""
     m, n = a.shape
     if k == 1:
         for i, j in np.argwhere(_pure_cells(a, b, eps)):
             yield _unit(m, i), _unit(n, j)
         return
-    row_sets = np.array(list(itertools.combinations(range(m), k)))
-    col_sets = np.array(list(itertools.combinations(range(n), k)))
-    pairs = len(row_sets) * len(col_sets)
-    for start in range(0, pairs, STACK_PAIRS):
-        index = np.arange(start, min(start + STACK_PAIRS, pairs))
+    row_sets, col_sets, kept = _support_pairs(a, b, k, eps, slack)
+    for start in range(0, len(kept), STACK_PAIRS):
+        index = kept[start : start + STACK_PAIRS]
         rows = row_sets[index // len(col_sets)]
         cols = col_sets[index % len(col_sets)]
         yield from _solve_stack(a, b, rows, cols, eps, slack)
+
+
+def _support_pairs(a, b, k, eps, slack):
+    """The row sets and column sets of size k, and the flat indices, in
+    enumeration order, of the (row set, column set) pairs worth solving.
+
+    A pair is dropped when some move of one player's support is beaten on
+    every move of the opponent's support by another move of the same player
+    by more than eps + 2 k slack (Porter, Nudelman & Shoham, GEB 63, 2008).
+    A beater off the support fails the off-support test.  A beater on it
+    leaves the system singular or its weights invalid: k - 1 weights down to
+    -WEIGHT_CLAMP_TOL (= DOMINANCE_SLACK) on gaps of up to twice the largest
+    payoff, plus rounding, make up less than 2 k slack.
+    """
+    m, n = a.shape
+    row_sets = np.array(list(itertools.combinations(range(m), k)))
+    col_sets = np.array(list(itertools.combinations(range(n), k)))
+    threshold = eps + 2 * k * slack
+    beaten_rows = _beaten(a, col_sets, threshold)
+    beaten_cols = _beaten(b.T, row_sets, threshold)
+    dropped = np.zeros((len(row_sets), len(col_sets)), dtype=bool)
+    for t in range(k):
+        dropped |= beaten_rows[row_sets[:, t]] | beaten_cols[col_sets[:, t]].T
+    return row_sets, col_sets, np.flatnonzero(~dropped)
+
+
+def _beaten(a, col_sets, threshold) -> np.ndarray:
+    """(rows, column sets) mask of the rows of ``a`` that some row beats by
+    more than threshold on every column of the set."""
+    beats = a[:, None] - a[None] > threshold  # [r, i, j]: row r beats row i in column j
+    return beats[:, :, col_sets].all(axis=-1).any(axis=0)
 
 
 def _solve_stack(a, b, rows, cols, eps, slack):

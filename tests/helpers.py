@@ -121,7 +121,7 @@ def pairwise_support_enumeration(game, eps=EPS_DEFAULT):
     for k in range(1, min(m, n) + 1):
         for rows in itertools.combinations(range(m), k):
             for cols in itertools.combinations(range(n), k):
-                pair = _pairwise_support(a, b, rows, cols, eps)
+                pair = pairwise_support(a, b, rows, cols, eps)
                 if pair is None:
                     continue
                 x, y = pair
@@ -157,7 +157,8 @@ def _pairwise_mix(values, axis_size, support):
     return full, float(solution[k])
 
 
-def _pairwise_support(a, b, rows, cols, eps):
+def pairwise_support(a, b, rows, cols, eps):
+    """Reference: the (x, y) candidate of one support pair, or None when it is rejected."""
     m, n = a.shape
     if len(rows) == 1:
         i, j = rows[0], cols[0]

@@ -4,6 +4,8 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -352,6 +354,27 @@ def test_spec_read_from_stdin(capsys, monkeypatch):
     code, out, _ = run(["classify", "--spec", "-", "--format", "csv"], capsys)
     assert code == 0
     assert out.splitlines()[1].startswith("opposed")
+
+
+MISMATCHED_TOTALS_WARNING = "warning: offer rows imply different pot totals: a + c = 100 but 2b = 80\n"
+
+
+def test_mismatched_pot_totals_warn_in_one_stderr_line(capsys, monkeypatch):
+    # a + c != 2b is a legal table; the user sees one line and no program location
+    doc = ENTANGLED_DOC.replace('"b": 50', '"b": 40')
+    process = subprocess.run(
+        [sys.executable, "-m", "rqgames.cli", "nash", "--spec", "-"],
+        input=doc,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+        check=False,
+    )
+    assert (process.returncode, process.stderr) == (0, MISMATCHED_TOTALS_WARNING)
+    assert "payoffs: 34.75 10.25" in process.stdout
+    for _ in range(2):  # every document of a long-running process warns
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert run(["nash", "--spec", "-"], capsys) == (0, process.stdout, MISMATCHED_TOTALS_WARNING)
 
 
 def test_validation_failure_exits_2(tmp_path, capsys):

@@ -1,7 +1,5 @@
 """Best responses, certification, pure/support enumeration and the grid oracle."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,9 +23,17 @@ from rqgames import (
     verify_equilibrium,
 )
 
-from rqgames.nash import STACK_PAIRS, TWO_PHASE_MIN_PAIRS, _solve_stacked, equilibria_2x2
+from rqgames.nash import (
+    DOMINANCE_SLACK,
+    EPS_DEFAULT,
+    STACK_PAIRS,
+    TWO_PHASE_MIN_PAIRS,
+    _solve_stacked,
+    _support_pairs,
+    equilibria_2x2,
+)
 
-from helpers import loop_solve_pivoting, pairwise_support_enumeration, random_bimatrix
+from helpers import loop_solve_pivoting, pairwise_support, pairwise_support_enumeration, random_bimatrix
 
 MOVES2 = default_move_set(2)
 
@@ -411,50 +417,129 @@ def test_support_enumeration_matches_the_pairwise_loop(shape, integer, eps, seed
     _assert_same_profiles(support_enumeration(game, eps), pairwise_support_enumeration(game, eps))
 
 
-# 6x6 and 5x8 have a k = 2 level of 225 and 280 pairs, one stack each, on
-# either side of the one-call limit; every level of 7x7, 12x4 and 4x12 with
-# more than 256 pairs takes the two phases.
+def _slack(a, b):
+    """The per-game slack ``support_enumeration`` hands to the prefilter."""
+    return DOMINANCE_SLACK * (1.0 + np.abs(a).max() + np.abs(b).max())
+
+
+def _kept_pairs(game, k, eps):
+    """The row sets, column sets and kept flat pair indices of level k."""
+    a, b = game
+    return _support_pairs(a, b, k, eps, _slack(a, b))
+
+
+# Some level of the 0..3-integer 7x7 and 12x4 games keeps more than 256
+# support pairs and takes the two phases; every level of the others keeps
+# fewer and takes one call.
+TWO_PHASE_GAMES = {((7, 7), True), ((12, 4), True)}
+
+
 @pytest.mark.parametrize("shape", [(6, 6), (5, 8), (7, 7), (12, 4), (4, 12)], ids="{0[0]}x{0[1]}".format)
 @pytest.mark.parametrize("integer", [False, True])
 @pytest.mark.parametrize("eps", [1e-9, 0.0])
 def test_two_phase_levels_match_the_pairwise_loop(shape, integer, eps):
-    assert 15 * 15 <= TWO_PHASE_MIN_PAIRS < 10 * 28 <= STACK_PAIRS
     game = _random_game(np.random.default_rng([*shape, integer]), shape, integer)
+    two_phase = max(len(_kept_pairs(game, k, eps)[2]) for k in range(2, min(shape) + 1)) > TWO_PHASE_MIN_PAIRS
+    assert two_phase == ((shape, integer) in TWO_PHASE_GAMES)
     _assert_same_profiles(support_enumeration(game, eps), pairwise_support_enumeration(game, eps))
 
 
 def test_support_enumeration_splits_large_levels_into_stacks():
     rng = np.random.default_rng(25)
-    assert 70 * 70 > STACK_PAIRS  # the k = 4 level of an 8x8 game
     game = _random_game(rng, (8, 8), integer=True)
+    assert len(_kept_pairs(game, 4, EPS_DEFAULT)[2]) > STACK_PAIRS
     expected = pairwise_support_enumeration(game)
     assert len(expected) > 1
     _assert_same_profiles(support_enumeration(game), expected)
 
 
-def _two_phase_stack(profile):
-    """(k, first pair) of the stack that solves a nondegenerate profile's
+def _two_phase_stack(game, eps, profile):
+    """(k, first kept pair) of the stack that solves a nondegenerate profile's
     support pair, or None when that stack takes the one-call path."""
-    m, n = len(profile.proposer_strategy), len(profile.responder_strategy)
     rows = tuple(np.flatnonzero(profile.proposer_strategy))
     cols = tuple(np.flatnonzero(profile.responder_strategy))
-    row_sets = list(itertools.combinations(range(m), len(rows)))
-    col_sets = list(itertools.combinations(range(n), len(cols)))
-    index = row_sets.index(rows) * len(col_sets) + col_sets.index(cols)
-    start = index - index % STACK_PAIRS
-    if min(STACK_PAIRS, len(row_sets) * len(col_sets) - start) <= TWO_PHASE_MIN_PAIRS:
+    row_sets, col_sets, kept = _kept_pairs(game, len(rows), eps)
+    pair = row_sets.tolist().index(list(rows)) * len(col_sets) + col_sets.tolist().index(list(cols))
+    position = int(np.searchsorted(kept, pair))
+    assert kept[position] == pair
+    start = position - position % STACK_PAIRS
+    if min(STACK_PAIRS, len(kept) - start) <= TWO_PHASE_MIN_PAIRS:
         return None
     return len(rows), start
 
 
+def _coordination_game(rng, n):
+    """Both players gain 100 on the diagonal, plus small generic noise: every
+    nonempty set S of moves supports an equilibrium with I = J = S."""
+    return np.eye(n) * 100 + rng.uniform(0, 10, (n, n)), np.eye(n) * 100 + rng.uniform(0, 10, (n, n))
+
+
 @pytest.mark.parametrize("eps", [1e-9, 0.0])
 def test_phase_two_keeps_the_survivors_of_every_stack(eps):
-    game = _random_game(np.random.default_rng(7), (8, 8), integer=False)
+    game = _coordination_game(np.random.default_rng(1), 8)
     expected = pairwise_support_enumeration(game, eps)
-    stacks = {_two_phase_stack(p) for p in expected} - {None}
+    stacks = {_two_phase_stack(game, eps, p) for p in expected} - {None}
     # equilibria in more than one two-phase stack of one level
     assert len(stacks) > len({k for k, _ in stacks})
     _assert_same_profiles(support_enumeration(game, eps), expected)
+
+
+def _step_ulps(value, ulps):
+    for _ in range(abs(ulps)):
+        value = np.nextafter(value, np.copysign(np.inf, ulps))
+    return value
+
+
+def _near_tie_game(rng, shape, eps):
+    """A 0..3-integer game in which a row of the proposer beats another, and a
+    column of the responder another, on k of the opponent's moves by eps +
+    2 k slack or by eps, give or take two ulps."""
+    a, b = _random_game(rng, shape, integer=True)
+    ties = []
+    for payoff in (a, b.T):  # b.T is a view, so the second tie is between columns of b
+        beater, beaten = rng.choice(payoff.shape[0], 2, replace=False)
+        support = rng.choice(payoff.shape[1], int(rng.integers(2, min(shape) + 1)), replace=False)
+        ties.append((payoff, beater, beaten, support, bool(rng.integers(2)), int(rng.integers(-2, 3))))
+    for _ in range(3):  # a tied entry may be the largest payoff, which slack depends on
+        slack = _slack(a, b)
+        for payoff, beater, beaten, support, at_margin, ulps in ties:
+            payoff[beaten, support] = 0.0
+            payoff[beater, support] = _step_ulps(eps + 2 * len(support) * slack if at_margin else eps, ulps)
+    return a, b
+
+
+def _conditionally_dominated(a, b, rows, cols, threshold):
+    """Reference: some support move is beaten by more than threshold on every
+    move of the opponent's support by another move of the same player."""
+    rows, cols = list(rows), list(cols)
+    beaten_row = any((a[r, cols] - a[i, cols] > threshold).all() for i in rows for r in range(a.shape[0]))
+    beaten_col = any((b[rows, c] - b[rows, j] > threshold).all() for j in cols for c in range(a.shape[1]))
+    return beaten_row or beaten_col
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from(SHAPES + [(7, 7)]),
+    kind=st.sampled_from(["uniform", "0..3", "0..1", "near tie"]),
+    eps=st.sampled_from([0.0, 1e-9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prefilter_drops_only_pairs_the_pairwise_loop_rejects(shape, kind, eps, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "near tie":
+        a, b = _near_tie_game(rng, shape, eps)
+    elif kind == "0..1":
+        a, b = rng.integers(0, 2, shape).astype(float), rng.integers(0, 2, shape).astype(float)
+    else:
+        a, b = _random_game(rng, shape, integer=kind == "0..3")
+    for k in range(2, min(shape) + 1):
+        row_sets, col_sets, kept = _kept_pairs((a, b), k, eps)
+        threshold = eps + 2 * k * _slack(a, b)
+        dropped = [_conditionally_dominated(a, b, rows, cols, threshold) for rows in row_sets for cols in col_sets]
+        assert kept.tolist() == [index for index, drop in enumerate(dropped) if not drop]
+        for index in np.flatnonzero(dropped):
+            rows, cols = row_sets[index // len(col_sets)], col_sets[index % len(col_sets)]
+            assert pairwise_support(a, b, tuple(rows), tuple(cols), eps) is None
 
 
 def test_nondegenerate_games_have_an_odd_number_of_equilibria():
