@@ -7,7 +7,7 @@ source and one state source, plus optional move sets and solver options:
       "payoffs": {"ultimatum": {"a": 99, "b": 50, "c": 1}},
       "state": {"bell": {"theta": "pi/4", "basis_a": [1, 1], "basis_b": [0, 0]}},
       "moves": {"proposer": [[1, 0], [0, 1]], "responder": [[1, 0], [0, 1]]},
-      "solver": {"eps": 1e-9, "resolution": 64}
+      "solver": {"eps": 1e-9}
     }
 
 Payoffs may instead be explicit {"matrices": {"proposer": [[...]], "responder":
@@ -44,12 +44,11 @@ from .nash import (
     EPS_DEFAULT,
     EquilibriumProfile,
     equilibria_2x2,
-    grid_oracle,
+    grid_oracle,  # unused here; bench/spans.py wraps cli.grid_oracle, so a traced run needs it
     support_enumeration,
     verify_equilibrium,
 )
 
-RESOLUTION_FLAG_DEFAULT = 64
 SWEEP_OUTPUTS = ("probs", "label", "equilibria")
 # Thetas per pass of ``run_sweep`` through the layers; it bounds the memory
 # one pass takes.
@@ -70,7 +69,6 @@ class GameSpecDocument:
     moves_proposer: MoveSet
     moves_responder: MoveSet
     eps: float | None
-    resolution: int | None
     source: dict
 
 
@@ -86,7 +84,6 @@ class SweepSpec:
     basis_b: tuple[int, int]
     outputs: tuple[str, ...]
     eps: float | None
-    resolution: int | None
     source: dict
 
 
@@ -269,17 +266,16 @@ def _build_moves(block, payoff_dims: tuple[int, int]) -> tuple[MoveSet, MoveSet]
     return moves["proposer"], moves["responder"]
 
 
-def _build_solver(block) -> tuple[float | None, int | None]:
+def _build_solver(block) -> float | None:
     if block is None:
-        return None, None
+        return None
     _object(block, "solver", {"eps", "resolution"})
     eps = None
-    resolution = None
     if "eps" in block:
         eps = _check_eps(_number(block["eps"], "solver.eps"), "solver.eps")
     if "resolution" in block:
-        resolution = _check_resolution(block["resolution"], "solver.resolution")
-    return eps, resolution
+        _check_resolution(block["resolution"], "solver.resolution")
+    return eps
 
 
 def _check_eps(eps, field: str) -> float:
@@ -288,10 +284,9 @@ def _check_eps(eps, field: str) -> float:
     return float(eps)
 
 
-def _check_resolution(resolution, field: str) -> int:
+def _check_resolution(resolution, field: str) -> None:
     if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
         raise ValidationError(field, "must be a positive integer")
-    return resolution
 
 
 def _document(text: str, keys: tuple[str, str], optional: set[str]) -> dict:
@@ -305,7 +300,7 @@ def parse_spec(text: str) -> GameSpecDocument:
     payoffs = _build_payoffs(data["payoffs"])
     state = _build_state(data["state"], payoffs.dims)
     moves_p, moves_r = _build_moves(data.get("moves"), payoffs.dims)
-    eps, resolution = _build_solver(data.get("solver"))
+    eps = _build_solver(data.get("solver"))
     if state.dims != payoffs.dims:
         raise ValidationError(
             "state", f"state dimensions {state.dims} do not match payoffs {payoffs.dims}"
@@ -321,7 +316,6 @@ def parse_spec(text: str) -> GameSpecDocument:
         moves_proposer=moves_p,
         moves_responder=moves_r,
         eps=eps,
-        resolution=resolution,
         source=data,
     )
 
@@ -358,7 +352,7 @@ def parse_sweep_spec(text: str) -> SweepSpec:
         or len(set(outputs)) != len(outputs)
     ):
         raise ValidationError("sweep.outputs", f"expected a subset of {list(SWEEP_OUTPUTS)}")
-    eps, resolution = _build_solver(data.get("solver"))
+    eps = _build_solver(data.get("solver"))
     return SweepSpec(
         payoffs=payoffs,
         start=start,
@@ -368,7 +362,6 @@ def parse_sweep_spec(text: str) -> SweepSpec:
         basis_b=basis_b,
         outputs=tuple(o for o in SWEEP_OUTPUTS if o in outputs),
         eps=eps,
-        resolution=resolution,
         source=data,
     )
 
@@ -414,21 +407,6 @@ def _profile_lines(index: int, profile: EquilibriumProfile) -> list[str]:
     ]
 
 
-def _solve_game(game: Bimatrix, eps: float, resolution: int) -> list[EquilibriumProfile]:
-    profiles = support_enumeration(game, eps)
-    if not profiles and game.dims == (2, 2):
-        profiles = _grid_profiles(game, eps, resolution)
-    return profiles
-
-
-def _grid_profiles(game: Bimatrix, eps: float, resolution: int) -> list[EquilibriumProfile]:
-    """Continuum-only corner of a 2x2 game: grid representatives, verified."""
-    return [
-        verify_equilibrium(game, ((mu, 1.0 - mu), (nu, 1.0 - nu)), eps)
-        for mu, nu in grid_oracle(game, resolution, eps)
-    ]
-
-
 def run_induce(doc: GameSpecDocument, out_format: str) -> list[str]:
     game = induce_game(doc.state, doc.payoffs, doc.moves_proposer, doc.moves_responder)
     if out_format == "csv":
@@ -456,9 +434,9 @@ def run_classify(doc: GameSpecDocument, out_format: str) -> list[str]:
     ]
 
 
-def run_nash(doc: GameSpecDocument, eps: float, resolution: int, out_format: str) -> list[str]:
+def run_nash(doc: GameSpecDocument, eps: float, out_format: str) -> list[str]:
     game = induce_game(doc.state, doc.payoffs, doc.moves_proposer, doc.moves_responder)
-    profiles = _solve_game(game, eps, resolution)
+    profiles = support_enumeration(game, eps)
     if out_format == "csv":
         lines = [
             "index,kind,certified,degenerate,payoff_proposer,payoff_responder,"
@@ -518,7 +496,7 @@ def run_verify(doc: GameSpecDocument, profile_text: str, eps: float, out_format:
     ]
 
 
-def run_sweep(sweep: SweepSpec, eps: float, resolution: int, out_format: str) -> list[str]:
+def run_sweep(sweep: SweepSpec, eps: float, out_format: str) -> list[str]:
     step = (sweep.stop - sweep.start) / (sweep.count - 1)
     columns = ["theta"]
     if "probs" in sweep.outputs:
@@ -534,7 +512,7 @@ def run_sweep(sweep: SweepSpec, eps: float, resolution: int, out_format: str) ->
             thetas = sweep.start + index * step
         if index[-1] == sweep.count - 1:
             thetas[-1] = sweep.stop
-        lines += _sweep_rows(sweep, thetas, eps, resolution, columns, out_format)
+        lines += _sweep_rows(sweep, thetas, eps, columns, out_format)
     return lines
 
 
@@ -545,17 +523,15 @@ def _line_template(columns: list[str], out_format: str, label: str, groups: int)
     return ",".join(cells) if out_format == "csv" else "; ".join(f"{n}={c}" for n, c in zip(columns, cells))
 
 
-def _sweep_rows(
-    sweep: SweepSpec, thetas: np.ndarray, eps: float, resolution: int, columns: list[str], out_format: str
-) -> list[str]:
+def _sweep_rows(sweep: SweepSpec, thetas: np.ndarray, eps: float, columns: list[str], out_format: str) -> list[str]:
     """Lines for a chunk of thetas, each layer run once on the whole chunk.
 
     Every row gets the checks a single state gets, as array tests.  Rows a
-    check flags, and rows with no certified equilibrium, are finished in
-    row order with the single-state functions, so they raise the same
-    error or print the same grid-fallback cell as a row-by-row loop.  The
-    chunk is rendered by one ``%`` over the floats it prints, with each
-    row's template chosen by its label and number of equilibria.
+    check flags are finished in row order with the single-state functions,
+    as in a row-by-row loop: a failed state raises its error, and a row
+    ``equilibria_2x2`` leaves unsettled gets one ``support_enumeration``
+    call.  The chunk is rendered by one ``%`` over the floats it prints,
+    with each row's template chosen by its label and number of equilibria.
     """
     count = len(thetas)
     probs, failed = bell_like_probs(thetas, sweep.basis_a, sweep.basis_b, sweep.payoffs.dims)
@@ -569,31 +545,26 @@ def _sweep_rows(
     if "equilibria" in sweep.outputs:
         moves = default_move_set(2)
         a, b = induce_stack(probs, sweep.payoffs, moves, moves)
-        x, y, pay_p, pay_r, found, off_simplex = equilibria_2x2(a, b, eps)
+        x, y, pay_p, pay_r, found, unsettled = equilibria_2x2(a, b, eps)
+        found &= ~unsettled[:, None]
         values.append(np.stack([x[..., 0], y[..., 0], pay_p, pay_r], axis=-1).reshape(count, -1))
         printed.append(np.repeat(found, 4, axis=1))
         groups = found.sum(axis=1).tolist()
-        unsettled = off_simplex | ~found.any(axis=1)
-    fallback = {}
+    settled = {}
     for r in np.flatnonzero(failed | unsettled).tolist():
         if failed[r]:
             # raises the error of this row's state or table
             probability_table(bell_like(float(thetas[r]), sweep.basis_a, sweep.basis_b, sweep.payoffs.dims))
         if unsettled[r]:
-            game = Bimatrix(a[r], b[r])
-            if off_simplex[r]:
-                # raises mixed_strategy's error, as support_enumeration does
-                verify_equilibrium(game, (x[r, 4], y[r, 4]), eps)
-            if not found[r].any():
-                profiles = _grid_profiles(game, eps, resolution)
-                groups[r] = len(profiles)
-                floats = [(p.proposer_strategy[0], p.responder_strategy[0], *p.payoffs) for p in profiles]
-                fallback[r] = [float(v) + 0.0 for group in floats for v in group]
+            profiles = support_enumeration(Bimatrix(a[r], b[r]), eps)
+            groups[r] = len(profiles)
+            floats = [(p.proposer_strategy[0], p.responder_strategy[0], *p.payoffs) for p in profiles]
+            settled[r] = [float(v) + 0.0 for group in floats for v in group]
     printed = np.hstack(printed)
     args = (np.hstack(values)[printed] + 0.0).tolist()
     ends = np.cumsum(printed.sum(axis=1)).tolist()
-    for r in reversed(fallback):  # the grid profiles follow the other floats of their row
-        args[ends[r] : ends[r]] = fallback[r]
+    for r in reversed(settled):  # these profiles follow the other floats of their row
+        args[ends[r] : ends[r]] = settled[r]
     keys = list(zip(labels, groups))
     templates = {key: _line_template(columns, out_format, *key) for key in set(keys)}
     return ("\n".join([templates[key] for key in keys]) % tuple(args)).split("\n")
@@ -625,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--spec", required=True, help="document path, or - for stdin")
         cmd.add_argument("--eps", type=float, default=None, help="regret tolerance (default 1e-9)")
         cmd.add_argument(
-            "--resolution", type=int, default=None, help="grid resolution (default 64)"
+            "--resolution", type=int, default=None, help="accepted for old documents and scripts; unused"
         )
         cmd.add_argument("--format", choices=("table", "csv"), default="table")
         if name == "verify":
@@ -662,18 +633,17 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     eps = next(v for v in (args.eps, spec.eps, EPS_DEFAULT) if v is not None)
-    resolution = next(v for v in (args.resolution, spec.resolution, RESOLUTION_FLAG_DEFAULT) if v is not None)
     try:
         if args.command == "induce":
             lines = run_induce(spec, args.format)
         elif args.command == "classify":
             lines = run_classify(spec, args.format)
         elif args.command == "nash":
-            lines = run_nash(spec, eps, resolution, args.format)
+            lines = run_nash(spec, eps, args.format)
         elif args.command == "verify":
             lines = run_verify(spec, args.profile, eps, args.format)
         else:
-            lines = run_sweep(spec, eps, resolution, args.format)
+            lines = run_sweep(spec, eps, args.format)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

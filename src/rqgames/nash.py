@@ -14,7 +14,8 @@ below ``eps`` certifies an eps-equilibrium.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -268,6 +269,9 @@ def support_enumeration(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfi
     degenerate games are merged; every returned profile re-verifies at eps,
     so no profile with a non-finite strategy, payoff or regret comes back.
 
+    In a finite game, a candidate that fails the off-support test or
+    verification, perhaps by rounding alone, is re-checked exactly.
+
     Pairs are visited by support size, then lexicographically by rows and
     by columns.  Pairs in which some support move is beaten on the whole
     opposing support are dropped before any system is solved (see
@@ -285,11 +289,13 @@ def support_enumeration(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfi
     found: list[EquilibriumProfile] = []
     found_x, found_y = np.empty((0, m)), np.empty((0, n))
     for k in range(1, min(m, n) + 1):
-        for x, y in _support_candidates(a, b, k, eps, slack):
-            if _same_profile(found_x, found_y, x, y).any():
+        for candidate, support in _support_candidates(a, b, k, eps, slack):
+            if candidate is not None and _same_profile(found_x, found_y, *candidate).any():
                 continue
-            profile = verify_equilibrium(game, (x, y), eps)
-            if profile.certified:
+            profile = None if candidate is None else verify_equilibrium(game, candidate, eps)
+            if (profile is None or not profile.certified) and np.isfinite(a).all() and np.isfinite(b).all():
+                profile = _exact_profile(a, b, *support, eps, found_x, found_y)
+            if profile is not None and profile.certified:
                 found.append(profile)
                 found_x = np.vstack([found_x, profile.proposer_strategy])
                 found_y = np.vstack([found_y, profile.responder_strategy])
@@ -303,12 +309,12 @@ def equilibria_2x2(a: np.ndarray, b: np.ndarray, eps: float = EPS_DEFAULT):
     cells, row by row, then the full-support mix.  Returns their (B, 5, 2)
     strategies ``x`` and ``y``, their (B, 5) payoffs, the (B, 5) mask of
     the profiles ``support_enumeration`` returns, and the (B,) mask of
-    games whose mix fails ``mixed_strategy``.  On those games
-    ``support_enumeration`` raises where ``verify_equilibrium`` of the mix
-    does, and their row of the first mask means nothing.  Games with no
-    certified candidate are left to the caller.  Each step runs the
-    single-game code on the whole stack, so every value and decision
-    equals the single-game one.
+    games it leaves unsettled: their mix fails ``mixed_strategy``, where
+    ``support_enumeration`` raises, or is valid but fails certification,
+    where it re-checks exactly.  Their row of the first mask means nothing.
+    A pure cell's regret is one float subtraction, so none certifies only
+    exactly.  Each step runs the single-game code on the whole stack, so
+    every value and decision equals the single-game one.
     """
     count = len(a)
     with np.errstate(all="ignore"):  # the mix of a singular game is garbage until masked
@@ -327,18 +333,17 @@ def equilibria_2x2(a: np.ndarray, b: np.ndarray, eps: float = EPS_DEFAULT):
         mixed &= ~(_same_profile(x[:, :4], y[:, :4], x[:, 4:], y[:, 4:]) & found[:, :4]).any(axis=1)
         # mixed_strategy's sum test; the weights are clamped to nonnegative already
         sums_ok = np.abs(np.stack([x[:, 4], y[:, 4]]).sum(axis=-1) - 1.0) <= SIMPLEX_SUM_TOL
-        off_simplex = mixed & ~sums_ok.all(axis=0)
         found[:, 4] = mixed & certified[:, 4]
-    return x, y, pay_p, pay_r, found, off_simplex
+    return x, y, pay_p, pay_r, found, mixed & ~(sums_ok.all(axis=0) & certified[:, 4])
 
 
 def _support_candidates(a, b, k, eps, slack):
-    """Yield the (x, y) candidates with supports of size k, in enumeration
-    order; for k >= 2, those of the pairs ``_support_pairs`` keeps."""
+    """Yield the candidates of size k in enumeration order (for k >= 2, of the pairs ``_support_pairs``
+    keeps): (x, y), or None when it fails the off-support test, and the support (rows, cols) as lists."""
     m, n = a.shape
     if k == 1:
-        for i, j in np.argwhere(_pure_cells(a, b, eps)):
-            yield _unit(m, i), _unit(n, j)
+        for i, j in np.argwhere(_pure_cells(a, b, eps)).tolist():
+            yield (_unit(m, i), _unit(n, j)), ([i], [j])
         return
     row_sets, col_sets, kept = _support_pairs(a, b, k, eps, slack)
     for start in range(0, len(kept), STACK_PAIRS):
@@ -405,8 +410,9 @@ def _solve_stack(a, b, rows, cols, eps, slack):
     kept, x = _undominated(b.T, cols[pairs], rows[pairs], weights, value, ok, eps, slack)
     for i in np.flatnonzero(kept):
         j = pairs[i]
-        if _off_support_ok(a, b, rows[j].tolist(), cols[j].tolist(), x[i], y[j], value_p[j], value[i], eps):
-            yield x[i], y[j]
+        support = rows[j].tolist(), cols[j].tolist()
+        ok = _off_support_ok(a, b, *support, x[i], y[j], value_p[j], value[i], eps)
+        yield ((x[i], y[j]) if ok else None), support
 
 
 def _blocks(a, rows, cols) -> np.ndarray:
@@ -466,6 +472,45 @@ def _off_support_ok(a, b, rows, cols, x, y, value_p, value_r, eps) -> bool:
     if off_cols and float((x @ b[:, off_cols]).max()) > value_r + eps:
         return False
     return True
+
+
+def _exact_profile(a, b, rows, cols, eps, found_x, found_y) -> EquilibriumProfile | None:
+    """A support pair re-solved and re-certified in exact rationals, from the
+    float payoffs, which are exact rationals.  Returns the floats of its exact
+    values, or None when a system is singular, a weight negative, a regret
+    above eps or the profile already found."""
+    a_cols = [[Fraction(v) for v in row] for row in a[:, cols].tolist()]  # m x k
+    b_rows = [[Fraction(v) for v in row] for row in b[rows].T.tolist()]  # n x k
+    y = _exact_mix([a_cols[i] for i in rows])
+    x = _exact_mix([b_rows[j] for j in cols])
+    if y is None or x is None or min(x[:-1] + y[:-1]) < 0:
+        return None
+    # on an exact solution every support move earns the value, the last entry
+    regret = [max(sum(map(Fraction.__mul__, row, w)) for row in p) - w[-1] for p, w in ((a_cols, y), (b_rows, x))]
+    # bincount scatters the weights, each rounded to its nearest float
+    xs, ys = np.bincount(rows, x[:-1], a.shape[0]), np.bincount(cols, y[:-1], a.shape[1])
+    if max(regret) > eps or _same_profile(found_x, found_y, xs, ys).any():
+        return None
+    profile = verify_equilibrium((a, b), (xs, ys), eps)
+    payoffs, regret = (float(y[-1]), float(x[-1])), tuple(map(float, regret))
+    return replace(profile, payoffs=payoffs, regret=regret, certified=True)
+
+
+def _exact_mix(block):
+    """The exact opponent weights, then the value, that make a player
+    indifferent on a k x k block of Fractions (one row per their move), or
+    None when the system is singular; Gauss-Jordan elimination."""
+    system = [[*map(Fraction, [*row, -1, 0])] for row in block] + [[*map(Fraction, [1] * len(block) + [0, 1])]]
+    for c in range(len(system)):
+        p = next((r for r in range(c, len(system)) if system[r][c]), None)
+        if p is None:
+            return None
+        system[c], system[p] = system[p], system[c]
+        for r in range(len(system)):
+            if r != c and system[r][c]:
+                f = system[r][c] / system[c][c]
+                system[r] = [u - f * w for u, w in zip(system[r], system[c])]
+    return [row[-1] / row[i] for i, row in enumerate(system)]
 
 
 def grid_oracle(game, resolution: int = 64, eps: float = EPS_DEFAULT) -> list[tuple[float, float]]:

@@ -1,6 +1,9 @@
 """Shared test utilities: random generators and slow independent oracles."""
 
 import itertools
+from dataclasses import replace
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -11,7 +14,6 @@ from rqgames import (
     bell_like,
     classify_state,
     default_move_set,
-    grid_oracle,
     probability_table,
     state_from_amplitudes,
     support_enumeration,
@@ -113,26 +115,40 @@ def pairwise_support_enumeration(game, eps=EPS_DEFAULT):
 
     Plain loops over the pairs in the order ``support_enumeration``
     promises, each solved with ``loop_solve_pivoting``; tests require the
-    same profiles in the same order from both.
+    same profiles in the same order from both.  In a finite game, a pair
+    with valid float weights whose candidate fails the off-support test or
+    verification is re-solved by Cramer's rule in exact rationals
+    (``exact_pairwise_profile``).
     """
     a, b = game_matrices(game)
     m, n = a.shape
+    finite = np.isfinite(a).all() and np.isfinite(b).all()
     found = []
+
+    def seen(x, y):
+        return any(
+            float(np.max(np.abs(p.proposer_strategy - x))) <= 1e-9
+            and float(np.max(np.abs(p.responder_strategy - y))) <= 1e-9
+            for p in found
+        )
+
     for k in range(1, min(m, n) + 1):
         for rows in itertools.combinations(range(m), k):
             for cols in itertools.combinations(range(n), k):
-                pair = pairwise_support(a, b, rows, cols, eps)
-                if pair is None:
+                mixes = _pairwise_mixes(a, b, rows, cols, eps)
+                if mixes is None:
                     continue
-                x, y = pair
-                if any(
-                    float(np.max(np.abs(p.proposer_strategy - x))) <= 1e-9
-                    and float(np.max(np.abs(p.responder_strategy - y))) <= 1e-9
-                    for p in found
-                ):
-                    continue
-                profile = verify_equilibrium(game, (x, y), eps)
-                if profile.certified:
+                x, y = mixes[:2]
+                profile = None
+                if _pairwise_off_support_ok(a, b, rows, cols, *mixes, eps):
+                    if seen(x, y):
+                        continue
+                    profile = verify_equilibrium(game, (x, y), eps)
+                if finite and (profile is None or not profile.certified):
+                    profile = exact_pairwise_profile(a, b, rows, cols, eps)
+                    if profile is not None and seen(profile.proposer_strategy, profile.responder_strategy):
+                        continue
+                if profile is not None and profile.certified:
                     found.append(profile)
     return found
 
@@ -157,8 +173,9 @@ def _pairwise_mix(values, axis_size, support):
     return full, float(solution[k])
 
 
-def pairwise_support(a, b, rows, cols, eps):
-    """Reference: the (x, y) candidate of one support pair, or None when it is rejected."""
+def _pairwise_mixes(a, b, rows, cols, eps):
+    """Reference: the float (x, y, value_p, value_r) of one support pair, or
+    None when it is not a pure cell (k = 1) or its weights are not valid."""
     m, n = a.shape
     if len(rows) == 1:
         i, j = rows[0], cols[0]
@@ -166,23 +183,88 @@ def pairwise_support(a, b, rows, cols, eps):
             return None
         unit_x, unit_y = np.zeros(m), np.zeros(n)
         unit_x[i] = unit_y[j] = 1.0
-        return unit_x, unit_y
+        return unit_x, unit_y, a[i, j], b[i, j]
     block = np.ix_(list(rows), list(cols))
     mix_y = _pairwise_mix(a[block], n, cols)
     if mix_y is None:
         return None
-    y, value_p = mix_y
     mix_x = _pairwise_mix(b[block].T, m, rows)
     if mix_x is None:
         return None
-    x, value_r = mix_x
+    return mix_x[0], mix_y[0], mix_y[1], mix_x[1]
+
+
+def _pairwise_off_support_ok(a, b, rows, cols, x, y, value_p, value_r, eps):
+    m, n = a.shape
     off_rows = [i for i in range(m) if i not in rows]
     if off_rows and float((a[off_rows] @ y).max()) > value_p + eps:
-        return None
+        return False
     off_cols = [j for j in range(n) if j not in cols]
     if off_cols and float((x @ b[:, off_cols]).max()) > value_r + eps:
+        return False
+    return True
+
+
+def pairwise_support(a, b, rows, cols, eps):
+    """Reference: the float (x, y) candidate of one support pair, or None when it is rejected."""
+    mixes = _pairwise_mixes(a, b, rows, cols, eps)
+    if mixes is None or not _pairwise_off_support_ok(a, b, rows, cols, *mixes, eps):
         return None
-    return x, y
+    return mixes[:2]
+
+
+def cramer_mix(values):
+    """Reference: the exact weights, then the value, that make a player
+    indifferent on a k x k block of floats, or None when the system is singular.
+
+    The system is [[block, -1], [1 ... 1, 0]] z = (0, ..., 0, 1).  By
+    Cramer's rule each z_t is the cofactor of entry (k, t) over the
+    determinant, and the determinant is the expansion along row k, so every
+    number is a minor of the first k rows, by Laplace expansion on Fractions.
+    """
+    k = len(values)
+    top = [[Fraction(v) for v in row] + [Fraction(-1)] for row in np.asarray(values).tolist()]
+
+    @lru_cache(maxsize=None)
+    def minor(cols):  # the first len(cols) rows of top on the columns cols
+        if not cols:
+            return Fraction(1)
+        r = len(cols) - 1
+        return sum((-1) ** (r + p) * top[r][c] * minor(cols[:p] + cols[p + 1 :]) for p, c in enumerate(cols))
+
+    full = tuple(range(k + 1))
+    cofactors = [(-1) ** (k + t) * minor(full[:t] + full[t + 1 :]) for t in full]
+    det = sum(cofactors[:k])  # row k is (1, ..., 1, 0)
+    if det == 0:
+        return None
+    return [c / det for c in cofactors]
+
+
+def exact_pairwise_profile(a, b, rows, cols, eps):
+    """Reference: the profile of one support pair in exact rationals, or None
+    when it is singular, a weight is negative or a regret exceeds eps."""
+    m, n = a.shape
+    y = cramer_mix(a[np.ix_(rows, cols)])
+    x = cramer_mix(b[np.ix_(rows, cols)].T)
+    if y is None or x is None or min(x[:-1] + y[:-1]) < 0:
+        return None
+    xs, ys = [Fraction(0)] * m, [Fraction(0)] * n
+    for i, w in zip(rows, x):
+        xs[i] = w
+    for j, w in zip(cols, y):
+        ys[j] = w
+    fa = [[Fraction(v) for v in row] for row in a.tolist()]
+    fb = [[Fraction(v) for v in row] for row in b.tolist()]
+    row_values = [sum(fa[i][j] * ys[j] for j in range(n)) for i in range(m)]
+    col_values = [sum(xs[i] * fb[i][j] for i in range(m)) for j in range(n)]
+    pay_p = sum(xs[i] * row_values[i] for i in range(m))
+    pay_r = sum(col_values[j] * ys[j] for j in range(n))
+    regret = (max(row_values) - pay_p, max(col_values) - pay_r)
+    if max(regret) > eps:
+        return None
+    floats = np.array([float(w) for w in xs]), np.array([float(w) for w in ys])
+    profile = verify_equilibrium((a, b), floats, eps)
+    return replace(profile, payoffs=(float(pay_p), float(pay_r)), regret=tuple(map(float, regret)), certified=True)
 
 
 def loop_induce_game(state, payoffs, moves_p, moves_r):
@@ -217,12 +299,11 @@ def _inverse(perm):
     return inv
 
 
-def rowwise_run_sweep(sweep, eps, resolution, out_format):
+def rowwise_run_sweep(sweep, eps, out_format):
     """Reference: ``rqgames sweep`` output computed one theta at a time.
 
     Every row builds its own state, probability table, induced game and
-    support enumeration, with the grid fallback when nothing certifies;
-    the chunked ``run_sweep`` must print the same lines.
+    support enumeration; the chunked ``run_sweep`` must print the same lines.
     """
     moves = default_move_set(2)
     step = (sweep.stop - sweep.start) / (sweep.count - 1)
@@ -246,11 +327,6 @@ def rowwise_run_sweep(sweep, eps, resolution, out_format):
         if "equilibria" in sweep.outputs:
             game = loop_induce_game(state, sweep.payoffs, moves, moves)
             profiles = support_enumeration(game, eps)
-            if not profiles:
-                profiles = [
-                    verify_equilibrium(game, ((mu, 1.0 - mu), (nu, 1.0 - nu)), eps)
-                    for mu, nu in grid_oracle(game, resolution, eps)
-                ]
             row.append(
                 ";".join(
                     f"mu={fmt(p.proposer_strategy[0])} nu={fmt(p.responder_strategy[0])} "

@@ -71,7 +71,7 @@ def test_parse_spec_builds_the_entangled_setup():
     r = 1 / np.sqrt(2)
     assert np.allclose(doc.state.amps, [[r, 0], [0, r]], atol=1e-15)
     assert doc.moves_proposer.perms == ((1, 0), (0, 1))
-    assert doc.eps is None and doc.resolution is None
+    assert doc.eps is None
 
 
 def test_parse_spec_explicit_matrices_and_amplitudes():
@@ -187,7 +187,7 @@ def test_round_trip_preserves_the_spec():
     assert np.array_equal(doc.state.amps, again.state.amps)
     assert doc.moves_proposer.perms == again.moves_proposer.perms
     assert doc.moves_responder.perms == again.moves_responder.perms
-    assert doc.eps == again.eps and doc.resolution == again.resolution
+    assert doc.eps == again.eps
     assert doc.source == again.source
 
 
@@ -475,9 +475,9 @@ def test_main_writes_the_command_lines_in_one_call(tmp_path, monkeypatch, comman
     lines = {
         "induce": lambda: cli.run_induce(spec, out_format),
         "classify": lambda: cli.run_classify(spec, out_format),
-        "nash": lambda: cli.run_nash(spec, 1e-9, 64, out_format),
+        "nash": lambda: cli.run_nash(spec, 1e-9, out_format),
         "verify": lambda: cli.run_verify(spec, "0.5,0.5;0.5,0.5", 1e-9, out_format),
-        "sweep": lambda: cli.run_sweep(spec, 1e-9, 64, out_format),
+        "sweep": lambda: cli.run_sweep(spec, 1e-9, out_format),
     }[command]()
     stdout = Writes()
     monkeypatch.setattr(sys, "stdout", stdout)
@@ -502,6 +502,29 @@ def test_bad_eps_and_resolution_flags_exit_2(tmp_path, capsys, flags, field):
         code, out, err = run([command, "--spec", write(tmp_path, doc)] + flags, capsys)
         assert code == 2
         assert out == "" and err.startswith(f"error: {field}: ")
+
+
+def test_tiny_eps_prints_the_mix_that_certifies_exactly(tmp_path, capsys):
+    # the float regret of the true mix is about 1e-16, above eps; its exact regret is 0
+    doc = {
+        "payoffs": {"ultimatum": {"a": 3, "b": 2, "c": 1}},
+        "state": {"bell": {"theta": "-pi/4", "basis_a": [1, 1], "basis_b": [0, 0]}},
+    }
+    expected = (
+        "equilibria: 1\n"
+        "equilibrium 1: kind=mixed certified=true degenerate=false\n"
+        "  proposer strategy: 0.5 0.5\n"
+        "  responder strategy: 0.5 0.5\n"
+        "  payoffs: 1.25 0.75\n"
+        "  regrets: 0 0\n"
+    )
+    argv = ["nash", "--spec", write(tmp_path, json.dumps(doc)), "--eps", "1e-300"]
+    assert run(argv, capsys) == (0, expected, "")
+    # a resolution, from the flag or the document, is accepted and changes nothing
+    assert run(argv + ["--resolution", "8"], capsys) == (0, expected, "")
+    doc["solver"] = {"resolution": 32}
+    argv[2] = write(tmp_path, json.dumps(doc), "solver.json")
+    assert run(argv, capsys) == (0, expected, "")
 
 
 def test_bad_flags_are_rejected_before_the_document_is_read(capsys):

@@ -29,6 +29,7 @@ from rqgames.nash import (
     STACK_PAIRS,
     TWO_PHASE_MIN_PAIRS,
     _solve_stacked,
+    _same_profile,
     _support_pairs,
     equilibria_2x2,
 )
@@ -585,12 +586,71 @@ def _random_2x2_games(rng, count):
 @pytest.mark.parametrize("eps", (1e-9, 0.0, 1e-300, 5.0))
 def test_stacked_2x2_solve_matches_support_enumeration(eps):
     games = _random_2x2_games(np.random.default_rng(17), 300)
-    x, y, pay_p, pay_r, found, off_simplex = equilibria_2x2(games[:, 0], games[:, 1], eps)
-    assert not off_simplex.any()
+    x, y, pay_p, pay_r, found, unsettled = equilibria_2x2(games[:, 0], games[:, 1], eps)
+    # at eps 0 and 1e-300 some valid mixes certify only in exact rationals
+    assert unsettled.any() == (eps in (0.0, 1e-300))
     for g, (a, b) in enumerate(games):
-        expected = support_enumeration((a, b), eps)
-        assert len(expected) == found[g].sum()
-        for profile, c in zip(expected, np.flatnonzero(found[g])):
-            assert np.array_equal(profile.proposer_strategy, x[g, c])
-            assert np.array_equal(profile.responder_strategy, y[g, c])
-            assert profile.payoffs == (pay_p[g, c], pay_r[g, c])
+        try:
+            expected = support_enumeration((a, b), eps)
+        except InvalidProbabilityError:
+            assert unsettled[g]
+            continue
+        same = len(expected) == found[g].sum() and all(
+            np.array_equal(profile.proposer_strategy, x[g, c])
+            and np.array_equal(profile.responder_strategy, y[g, c])
+            and profile.payoffs == (pay_p[g, c], pay_r[g, c])
+            for profile, c in zip(expected, np.flatnonzero(found[g]))
+        )
+        # unflagged rows equal support_enumeration; flagged rows are the ones that differ
+        assert same != unsettled[g]
+
+
+OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def test_enumeration_is_never_empty():
+    # Every finite game has an equilibrium (Nash 1951).  At a tiny eps the float
+    # regret of a true mix can exceed eps by rounding alone; the exact re-check
+    # keeps it.  Induced 2x2 ultimatum games on 12 basis pairs x 3 tables x 181
+    # thetas, then uniform games from 2x2 to 6x6.
+    for table in ((99, 50, 1), (3, 2, 1), (5, 3, 1)):
+        payoffs = ultimatum_2x2(*table)
+        for basis_a, basis_b in ((p, q) for p in OUTCOMES for q in OUTCOMES if p != q):
+            for theta in np.linspace(0.0, 2.0 * np.pi, 181):
+                game = induce_game(bell_like(float(theta), basis_a, basis_b), payoffs, MOVES2, MOVES2)
+                assert support_enumeration(game, 1e-300), (table, basis_a, basis_b, theta)
+    rng = np.random.default_rng(31)
+    for _ in range(1000):
+        game = _random_game(rng, tuple(rng.integers(2, 7, 2)), integer=False)
+        for eps in (0.0, 1e-300):
+            assert support_enumeration(game, eps), (game, eps)
+
+
+def test_eps_zero_finds_the_equilibria_of_eps_1e_9():
+    # rounding alone used to drop true equilibria at eps 0
+    rng = np.random.default_rng(32)
+    for shape in [(8, 8)] * 3 + [tuple(rng.integers(2, 9, 2)) for _ in range(20)]:
+        a, b = _random_game(rng, shape, integer=False)
+        exact, loose = support_enumeration((a, b), 0.0), support_enumeration((a, b), 1e-9)
+        assert len(exact) == len(loose)
+        for p, q in zip(exact, loose):
+            assert _same_profile(p.proposer_strategy, p.responder_strategy, q.proposer_strategy, q.responder_strategy)
+            assert p.certified and p.regret == (0.0, 0.0)
+
+
+TINY = 2.0**-45
+NEAR_MISS_GAMES = [
+    # the full-support mix's exact proposer weight is about -TINY/2: clamped to 0 in floats
+    (np.array([[2, 1], [0, 1 - TINY]]), np.array([[0.0, 1], [1, 0]])),
+    # the mix on rows 0 and 1 leaves row 2 better by 1e-13, within the prefilter's slack
+    (np.array([[1, 0], [0, 1], [0.5 + 1e-13] * 2]), np.array([[0.0, 1], [1, 0], [0, 0]])),
+]
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-300])
+@pytest.mark.parametrize("game", NEAR_MISS_GAMES, ids=["negative-weight", "beaten-off-support"])
+def test_exact_recheck_keeps_no_false_equilibrium(game, eps):
+    # each game's float candidate fails certification and is re-checked exactly
+    found = support_enumeration(game, eps)
+    assert len(found) == 1 and found[0].regret == (0.0, 0.0)
+    _assert_same_profiles(found, pairwise_support_enumeration(game, eps))

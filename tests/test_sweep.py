@@ -29,9 +29,9 @@ def sweep_doc(basis_a, basis_b, count, start=0, stop="2*pi", outputs=None, tripl
     return json.dumps({"payoffs": {"ultimatum": {"a": a, "b": b, "c": c}}, "sweep": block})
 
 
-def assert_same_lines(text, eps, resolution=64, out_format="csv"):
+def assert_same_lines(text, eps, out_format="csv"):
     sweep = parse_sweep_spec(text)
-    assert run_sweep(sweep, eps, resolution, out_format) == rowwise_run_sweep(sweep, eps, resolution, out_format)
+    assert run_sweep(sweep, eps, out_format) == rowwise_run_sweep(sweep, eps, out_format)
 
 
 @pytest.mark.parametrize("eps", (1e-300, 1e-9, 5.0))
@@ -41,20 +41,20 @@ def test_every_basis_pair_and_output_subset_matches_the_row_by_row_sweep(eps):
         outputs = OUTPUT_SUBSETS[i % len(OUTPUT_SUBSETS)]
         triple = ((99, 50, 1), (3, 2, 1))[i // 2 % 2]
         text = sweep_doc(list(basis_a), list(basis_b), 37, start="-pi/3", outputs=outputs, triple=triple)
-        assert_same_lines(text, eps, resolution=1 + i % 9, out_format=out_format)
+        assert_same_lines(text, eps, out_format=out_format)
 
 
 @pytest.mark.parametrize("count", (2, SWEEP_CHUNK, SWEEP_CHUNK + 1, 2 * SWEEP_CHUNK + 3))
 def test_chunk_boundaries_match_the_row_by_row_sweep(count):
-    # at eps 1e-300 a fair share of the rows takes the grid fallback
+    # at eps 1e-300 a fair share of the rows goes to support_enumeration
     assert_same_lines(sweep_doc([1, 1], [0, 0], count, start="-pi", stop="pi", outputs=["equilibria"]), 1e-300)
 
 
 def test_full_turn_with_two_equilibria_matches_the_row_by_row_sweep():
     text = sweep_doc([0, 1], [1, 1], 2001)
     sweep = parse_sweep_spec(text)
-    lines = run_sweep(sweep, 1e-9, 64, "table")
-    assert lines == rowwise_run_sweep(sweep, 1e-9, 64, "table")
+    lines = run_sweep(sweep, 1e-9, "table")
+    assert lines == rowwise_run_sweep(sweep, 1e-9, "table")
     assert sum(";mu=" in line for line in lines) == 4
 
 
@@ -81,6 +81,15 @@ def test_negative_zero_payoffs_print_as_zero(out_format):
 
 
 @pytest.mark.parametrize("out_format", ("csv", "table"))
+def test_pure_cells_beside_an_exact_mix_match_the_row_by_row_sweep(out_format):
+    # at eps 1e-300 most rows have two pure equilibria and a mix that certifies only
+    # exactly; each profile prints once
+    doc = json.loads(sweep_doc([0, 0], [0, 1], 241, start="-pi", stop="pi"))
+    doc["payoffs"] = {"matrices": {"proposer": [[2, 0], [0, 1]], "responder": [[1, 0], [0, 2]]}}
+    assert_same_lines(json.dumps(doc), 1e-300, out_format=out_format)
+
+
+@pytest.mark.parametrize("out_format", ("csv", "table"))
 @pytest.mark.parametrize(
     "text, eps, special",
     [
@@ -92,8 +101,10 @@ def test_negative_zero_payoffs_print_as_zero(out_format):
     ids=["two-equilibria", "grid-fallback"],
 )
 def test_special_rows_in_several_chunks_match_the_row_by_row_sweep(monkeypatch, text, eps, special, out_format):
-    chunks = []  # per chunk: rows with two equilibria, rows that took the grid fallback
-    sweep_rows, grid_profiles = cli._sweep_rows, cli._grid_profiles
+    # "grid fallback" names the rows that once took the grid; they now get one
+    # support_enumeration call each
+    chunks = []  # per chunk: rows with two equilibria, rows handed to support_enumeration
+    sweep_rows, enumeration = cli._sweep_rows, cli.support_enumeration
 
     def counting_rows(*args):
         chunks.append([0, 0])
@@ -101,13 +112,13 @@ def test_special_rows_in_several_chunks_match_the_row_by_row_sweep(monkeypatch, 
         chunks[-1][0] = sum(";mu=" in line for line in lines)
         return lines
 
-    def counting_fallbacks(*args):
+    def counting_enumeration(*args):
         chunks[-1][1] += 1
-        return grid_profiles(*args)
+        return enumeration(*args)
 
     monkeypatch.setattr(cli, "_sweep_rows", counting_rows)
-    monkeypatch.setattr(cli, "_grid_profiles", counting_fallbacks)
-    assert_same_lines(text, eps, resolution=8, out_format=out_format)
+    monkeypatch.setattr(cli, "support_enumeration", counting_enumeration)
+    assert_same_lines(text, eps, out_format=out_format)
     column = 0 if special == "two equilibria" else 1
     assert sum(chunk[column] > 0 for chunk in chunks) >= 2
 
@@ -140,7 +151,7 @@ def test_chunks_see_the_row_by_row_thetas(monkeypatch):
 
     monkeypatch.setattr(cli, "_sweep_rows", recording)
     sweep = parse_sweep_spec(sweep_doc([1, 1], [0, 0], 2 * SWEEP_CHUNK + 3, start=0.1, stop=0.3))
-    run_sweep(sweep, 1e-9, 64, "csv")
+    run_sweep(sweep, 1e-9, "csv")
     step = (sweep.stop - sweep.start) / (sweep.count - 1)
     expected = [sweep.start + i * step for i in range(sweep.count - 1)] + [sweep.stop]
     assert [len(t) for t in seen] == [SWEEP_CHUNK, SWEEP_CHUNK, 3]
@@ -154,12 +165,13 @@ def test_chunks_see_the_row_by_row_thetas(monkeypatch):
         (
             "sweep_fallback_1e-300.csv",
             sweep_doc([1, 1], [0, 0], 97, start="-pi/3", stop="pi", triple=(3, 2, 1)),
-            ["--eps", "1e-300", "--resolution", "8"],
+            ["--eps", "1e-300", "--resolution", "8"],  # the resolution is accepted and unused
         ),
     ],
 )
 def test_golden_csv_byte_for_byte(tmp_path, capsys, name, text, flags):
-    # captured from the row-by-row implementation; both files hold grid-fallback rows
+    # captured from the row-by-row implementation; both files hold rows whose mix
+    # certifies only in exact rationals
     path = tmp_path / "spec.json"
     path.write_text(text)
     assert main(["sweep", "--spec", str(path), "--format", "csv"] + flags) == 0
@@ -173,6 +185,6 @@ def test_rows_failing_a_check_raise_the_row_by_row_error(monkeypatch, module, na
     monkeypatch.setattr(module, name, 0.0)
     sweep = parse_sweep_spec(sweep_doc([1, 1], [0, 0], SWEEP_CHUNK + 500, start=0.1, stop=3))
     with pytest.raises(GameError) as expected:
-        rowwise_run_sweep(sweep, 1e-9, 64, "csv")
+        rowwise_run_sweep(sweep, 1e-9, "csv")
     with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
-        run_sweep(sweep, 1e-9, 64, "csv")
+        run_sweep(sweep, 1e-9, "csv")
