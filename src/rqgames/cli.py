@@ -43,8 +43,10 @@ from .induce import (
 from .nash import (
     EPS_DEFAULT,
     EquilibriumProfile,
+    _exact_profile,
     equilibria_2x2,
     grid_oracle,  # unused here; bench/spans.py wraps cli.grid_oracle, so a traced run needs it
+    mixed_strategy,
     support_enumeration,
     verify_equilibrium,
 )
@@ -527,11 +529,13 @@ def _sweep_rows(sweep: SweepSpec, thetas: np.ndarray, eps: float, columns: list[
     """Lines for a chunk of thetas, each layer run once on the whole chunk.
 
     Every row gets the checks a single state gets, as array tests.  Rows a
-    check flags are finished in row order with the single-state functions,
-    as in a row-by-row loop: a failed state raises its error, and a row
-    ``equilibria_2x2`` leaves unsettled gets one ``support_enumeration``
-    call.  The chunk is rendered by one ``%`` over the floats it prints,
-    with each row's template chosen by its label and number of equilibria.
+    check flags are finished in row order as ``support_enumeration``
+    finishes a single state: a failed state raises its error, and a row
+    ``equilibria_2x2`` leaves unsettled raises the error of its non-finite
+    game or of its mix's ``mixed_strategy`` test, or else has only that mix
+    re-checked in exact rationals, beside the row's certified pure cells.
+    The chunk is rendered by one ``%`` over the floats it prints, with each
+    row's template chosen by its label and number of equilibria.
     """
     count = len(thetas)
     probs, failed = bell_like_probs(thetas, sweep.basis_a, sweep.basis_b, sweep.payoffs.dims)
@@ -546,7 +550,6 @@ def _sweep_rows(sweep: SweepSpec, thetas: np.ndarray, eps: float, columns: list[
         moves = default_move_set(2)
         a, b = induce_stack(probs, sweep.payoffs, moves, moves)
         x, y, pay_p, pay_r, found, unsettled = equilibria_2x2(a, b, eps)
-        found &= ~unsettled[:, None]
         values.append(np.stack([x[..., 0], y[..., 0], pay_p, pay_r], axis=-1).reshape(count, -1))
         printed.append(np.repeat(found, 4, axis=1))
         groups = found.sum(axis=1).tolist()
@@ -556,14 +559,18 @@ def _sweep_rows(sweep: SweepSpec, thetas: np.ndarray, eps: float, columns: list[
             # raises the error of this row's state or table
             probability_table(bell_like(float(thetas[r]), sweep.basis_a, sweep.basis_b, sweep.payoffs.dims))
         if unsettled[r]:
-            profiles = support_enumeration(Bimatrix(a[r], b[r]), eps)
-            groups[r] = len(profiles)
-            floats = [(p.proposer_strategy[0], p.responder_strategy[0], *p.payoffs) for p in profiles]
-            settled[r] = [float(v) + 0.0 for group in floats for v in group]
+            game = Bimatrix(a[r], b[r])  # raises for a non-finite game
+            mixed_strategy(x[r, 4]), mixed_strategy(y[r, 4])  # raise where verify_equilibrium would
+            pure = found[r, :4]
+            profile = _exact_profile(game.proposer, game.responder, [0, 1], [0, 1], eps, x[r, :4][pure], y[r, :4][pure])
+            if profile is not None:
+                groups[r] += 1
+                floats = (profile.proposer_strategy[0], profile.responder_strategy[0], *profile.payoffs)
+                settled[r] = [float(v) + 0.0 for v in floats]
     printed = np.hstack(printed)
     args = (np.hstack(values)[printed] + 0.0).tolist()
     ends = np.cumsum(printed.sum(axis=1)).tolist()
-    for r in reversed(settled):  # these profiles follow the other floats of their row
+    for r in reversed(settled):  # an exact mix follows the other floats of its row
         args[ends[r] : ends[r]] = settled[r]
     keys = list(zip(labels, groups))
     templates = {key: _line_template(columns, out_format, *key) for key in set(keys)}

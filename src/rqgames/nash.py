@@ -106,12 +106,6 @@ def best_response_value(game, who: str, opponent) -> float:
     raise ValueError(f"player must be 'proposer' or 'responder', got {who!r}")
 
 
-def _unit(size: int, index: int) -> np.ndarray:
-    v = np.zeros(size)
-    v[index] = 1.0
-    return v
-
-
 def _degenerate(a, b, x, y, eps) -> bool:
     row_values = a @ y
     col_values = x @ b
@@ -171,15 +165,20 @@ def pure_equilibria(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfile]:
     """All pure cells that are mutual best responses, ties within eps included.
 
     Cells come out in lexicographic (row, column) order, and they are the
-    pure profiles ``support_enumeration`` returns: the same pure-cell test,
-    kept when the profile certifies.  The list may be empty
-    (matching-pennies structure has no pure equilibrium).
+    pure profiles ``support_enumeration`` returns: the cells ``_pure_cells``
+    finds, with the certificates it reads off the payoff entries.  The list
+    may be empty (matching-pennies structure has no pure equilibrium).
     """
     a, b = game_matrices(game)
     m, n = a.shape
-    cells = np.argwhere(_pure_cells(a, b, eps))
-    profiles = [verify_equilibrium(game, (_unit(m, i), _unit(n, j)), eps) for i, j in cells]
-    return [p for p in profiles if p.certified]
+    regret_p, regret_r, _, found, degenerate = _pure_cells(a, b, eps)
+    return [
+        EquilibriumProfile(
+            _freeze(np.eye(m)[i]), _freeze(np.eye(n)[j]), (float(a[i, j]), float(b[i, j])),
+            (float(regret_p[i, j]), float(regret_r[i, j])), "pure", True, bool(degenerate[i, j]),
+        )
+        for i, j in np.argwhere(found).tolist()
+    ]
 
 
 def solve_pivoting(a, rhs, pivot_tol: float = PIVOT_TOL) -> np.ndarray | None:
@@ -250,27 +249,59 @@ def _same_profile(found_x, found_y, x, y, tol: float = 1e-9) -> np.ndarray:
     return (np.abs(found_x - x).max(axis=-1) <= tol) & (np.abs(found_y - y).max(axis=-1) <= tol)
 
 
-def _pure_cells(a, b, eps) -> np.ndarray:
-    """Mask of the cells where neither player gains more than eps by a pure deviation.
+def _pure_cells(a, b, eps):
+    """The certificates of every pure cell, read off the payoff entries of
+    games stacked on trailing axes, (m, n, ...) per player.
 
-    Games may be stacked on leading axes.
+    A cell's payoffs are its two entries, and its regrets are the column
+    maximum of ``a`` and the row maximum of ``b`` minus them, clipped at 0.
+    Returns the (m, n, ...) regrets and three masks: the cells that certify
+    (both regrets within eps, in a finite game), those of them that pass
+    enumeration's pure-cell test too (no pure deviation gains more than
+    eps), and the degenerate cells.  Each value is what ``verify_equilibrium``
+    gives the unit profile, whose products multiply the entries by ones and
+    zeros, bar the sign of a zero payoff; a non-finite entry makes one NaN.
     """
-    return ~((a.max(axis=-2, keepdims=True) > a + eps) | (b.max(axis=-1, keepdims=True) > b + eps))
+    with np.errstate(all="ignore"):  # inf - inf is NaN, which never certifies
+        col_best = a.max(axis=0, keepdims=True)
+        row_best = b.max(axis=1, keepdims=True)
+        gap_p, gap_r = col_best - a, row_best - b
+        regret_p = np.where(gap_p <= 0.0, 0.0, gap_p)
+        regret_r = np.where(gap_r <= 0.0, 0.0, gap_r)
+        finite = np.isfinite(a).all(axis=(0, 1)) & np.isfinite(b).all(axis=(0, 1))
+        certified = (regret_p <= eps) & (regret_r <= eps) & finite
+        found = certified & ~((col_best > a + eps) | (row_best > b + eps))
+        # _degenerate's test: more best responses than weights above eps, and
+        # a unit strategy has one such weight below eps = 1, none from there up
+        support = 1.0 > eps
+        degenerate = ((a >= col_best - eps).sum(axis=0, keepdims=True) > support) | (
+            (b >= row_best - eps).sum(axis=1, keepdims=True) > support
+        )
+    return regret_p, regret_r, certified, found, degenerate
+
+
+def _slack(a, b):
+    """The prefilters' rounding margin: DOMINANCE_SLACK times one plus the
+    largest payoff magnitude of each player, per game of a (m, n, ...) stack."""
+    return DOMINANCE_SLACK * (1.0 + np.abs(a).max(axis=(0, 1)) + np.abs(b).max(axis=(0, 1)))
 
 
 def support_enumeration(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfile]:
     """Equilibria via enumeration of equal-size support pairs.
 
-    For each candidate pair the two indifference systems are solved
-    directly; solutions are kept when they are valid simplex vectors whose
-    on-support value dominates every off-support pure move within eps.
-    Singular systems are skipped.  Size-one supports reproduce the pure
-    equilibria, so those are always included.  Duplicates arising from
-    degenerate games are merged; every returned profile re-verifies at eps,
-    so no profile with a non-finite strategy, payoff or regret comes back.
+    Size-one supports are the pure equilibria, so those are always
+    included; they come from ``pure_equilibria``.  For each larger
+    candidate pair the two indifference systems are solved directly;
+    solutions are kept when they are valid simplex vectors whose on-support
+    value dominates every off-support pure move within eps.  Singular
+    systems are skipped.  Duplicates arising from degenerate games are
+    merged; every returned profile re-verifies at eps, so no profile with a
+    non-finite strategy, payoff or regret comes back.
 
     In a finite game, a candidate that fails the off-support test or
-    verification, perhaps by rounding alone, is re-checked exactly.
+    verification, perhaps by rounding alone, is re-checked exactly.  A pure
+    cell needs no such re-check: its regret is one float subtraction, and
+    rounding is monotone, so a float regret above eps is above it exactly.
 
     Pairs are visited by support size, then lexicographically by rows and
     by columns.  Pairs in which some support move is beaten on the whole
@@ -285,10 +316,11 @@ def support_enumeration(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfi
     m, n = a.shape
     if max(m, n) > 12:
         raise TooLargeError(f"support enumeration limited to 12 moves per side, got {m}x{n}")
-    slack = DOMINANCE_SLACK * (1.0 + np.abs(a).max() + np.abs(b).max())
-    found: list[EquilibriumProfile] = []
-    found_x, found_y = np.empty((0, m)), np.empty((0, n))
-    for k in range(1, min(m, n) + 1):
+    slack = _slack(a, b)
+    found = pure_equilibria((a, b), eps)
+    found_x = np.array([p.proposer_strategy for p in found]).reshape(-1, m)
+    found_y = np.array([p.responder_strategy for p in found]).reshape(-1, n)
+    for k in range(2, min(m, n) + 1):
         for candidate, support in _support_candidates(a, b, k, eps, slack):
             if candidate is not None and _same_profile(found_x, found_y, *candidate).any():
                 continue
@@ -312,39 +344,48 @@ def equilibria_2x2(a: np.ndarray, b: np.ndarray, eps: float = EPS_DEFAULT):
     games it leaves unsettled: their mix fails ``mixed_strategy``, where
     ``support_enumeration`` raises, or is valid but fails certification,
     where it re-checks exactly.  Their row of the first mask means nothing.
-    A pure cell's regret is one float subtraction, so none certifies only
-    exactly.  Each step runs the single-game code on the whole stack, so
-    every value and decision equals the single-game one.
+
+    The pure cells come from ``_pure_cells`` on the whole stack.  The mix
+    is solved and certified only in the games that ``_support_pairs``
+    keeps; in the others it is singular or has an invalid weight, its
+    strategies and payoffs stay 0, and it is neither found nor unsettled.
+    Each step runs the single-game code on the stack, whose values do not
+    depend on the stack's width, so every value and decision equals the
+    single-game one.
     """
     count = len(a)
+    x, y = np.zeros((count, 5, 2)), np.zeros((count, 5, 2))
+    x[:, :4] = np.eye(2)[[0, 0, 1, 1]]
+    y[:, :4] = np.eye(2)[[0, 1, 0, 1]]
+    pay_p, pay_r = np.zeros((count, 5)), np.zeros((count, 5))
+    pay_p[:, :4], pay_r[:, :4] = a.reshape(count, 4), b.reshape(count, 4)
+    # the rules below take the games on the last axis
+    last_a, last_b = np.ascontiguousarray(a.transpose(1, 2, 0)), np.ascontiguousarray(b.transpose(1, 2, 0))
+    found = np.zeros((count, 5), dtype=bool)
+    found[:, :4] = _pure_cells(last_a, last_b, eps)[3].reshape(4, count).T
+    unsettled = np.zeros(count, dtype=bool)
     with np.errstate(all="ignore"):  # the mix of a singular game is garbage until masked
-        x = np.empty((count, 5, 2))
-        y = np.empty((count, 5, 2))
-        x[:, :4] = np.eye(2)[[0, 0, 1, 1]]
-        y[:, :4] = np.eye(2)[[0, 1, 0, 1]]
+        # a 2x2 game has one support pair of size 2, so the kept flat indices are games
+        kept = _support_pairs(last_a, last_b, 2, eps, _slack(last_a, last_b))[2]
+        size = len(kept)
         # the block the proposer is made indifferent on is a, the responder's is b transposed
-        weights, _, ok = _indifference(np.concatenate([a.transpose(1, 2, 0), b.transpose(2, 1, 0)], axis=-1))
-        mixed = ok[:count] & ok[count:]
-        x[:, 4] = weights[:, count:].T
-        y[:, 4] = weights[:, :count].T
-        pay_p, pay_r, _, _, certified = _certify(a[:, None], b[:, None], x, y, eps)
-        found = np.empty((count, 5), dtype=bool)
-        found[:, :4] = _pure_cells(a, b, eps).reshape(count, 4) & certified[:, :4]
-        mixed &= ~(_same_profile(x[:, :4], y[:, :4], x[:, 4:], y[:, 4:]) & found[:, :4]).any(axis=1)
+        blocks = np.concatenate([last_a[..., kept], last_b[..., kept].transpose(1, 0, 2)], axis=-1)
+        weights, _, ok = _indifference(blocks)
+        x[kept, 4], y[kept, 4] = weights[:, size:].T, weights[:, :size].T
+        mix_x, mix_y = x[kept, 4], y[kept, 4]
+        pay_p[kept, 4], pay_r[kept, 4], _, _, certified = _certify(a[kept], b[kept], mix_x, mix_y, eps)
+        pure = _same_profile(x[kept, :4], y[kept, :4], mix_x[:, None], mix_y[:, None]) & found[kept, :4]
+        mixed = ok[:size] & ok[size:] & ~pure.any(axis=1)
         # mixed_strategy's sum test; the weights are clamped to nonnegative already
-        sums_ok = np.abs(np.stack([x[:, 4], y[:, 4]]).sum(axis=-1) - 1.0) <= SIMPLEX_SUM_TOL
-        found[:, 4] = mixed & certified[:, 4]
-    return x, y, pay_p, pay_r, found, mixed & ~(sums_ok.all(axis=0) & certified[:, 4])
+        sums_ok = np.abs(np.stack([mix_x, mix_y]).sum(axis=-1) - 1.0) <= SIMPLEX_SUM_TOL
+    found[kept, 4] = mixed & certified
+    unsettled[kept] = mixed & ~(sums_ok.all(axis=0) & certified)
+    return x, y, pay_p, pay_r, found, unsettled
 
 
 def _support_candidates(a, b, k, eps, slack):
-    """Yield the candidates of size k in enumeration order (for k >= 2, of the pairs ``_support_pairs``
-    keeps): (x, y), or None when it fails the off-support test, and the support (rows, cols) as lists."""
-    m, n = a.shape
-    if k == 1:
-        for i, j in np.argwhere(_pure_cells(a, b, eps)).tolist():
-            yield (_unit(m, i), _unit(n, j)), ([i], [j])
-        return
+    """Yield the candidates of size k >= 2 of the pairs ``_support_pairs`` keeps, in enumeration
+    order: (x, y), or None when it fails the off-support test, and the support (rows, cols) as lists."""
     row_sets, col_sets, kept = _support_pairs(a, b, k, eps, slack)
     for start in range(0, len(kept), STACK_PAIRS):
         index = kept[start : start + STACK_PAIRS]
@@ -356,6 +397,8 @@ def _support_candidates(a, b, k, eps, slack):
 def _support_pairs(a, b, k, eps, slack):
     """The row sets and column sets of size k, and the flat indices, in
     enumeration order, of the (row set, column set) pairs worth solving.
+    Games may be stacked on trailing axes, (m, n, ...) per player, with a
+    slack each; the flat indices then run over (row set, column set, game).
 
     A pair is dropped when some move of one player's support is beaten on
     every move of the opponent's support by another move of the same player
@@ -363,25 +406,27 @@ def _support_pairs(a, b, k, eps, slack):
     A beater off the support fails the off-support test.  A beater on it
     leaves the system singular or its weights invalid: k - 1 weights down to
     -WEIGHT_CLAMP_TOL (= DOMINANCE_SLACK) on gaps of up to twice the largest
-    payoff, plus rounding, make up less than 2 k slack.
+    payoff, plus rounding, make up less than 2 k slack.  A non-finite payoff
+    makes the slack non-finite, so such a game drops nothing.
     """
-    m, n = a.shape
+    m, n = a.shape[:2]
     row_sets = np.array(list(itertools.combinations(range(m), k)))
     col_sets = np.array(list(itertools.combinations(range(n), k)))
     threshold = eps + 2 * k * slack
     beaten_rows = _beaten(a, col_sets, threshold)
-    beaten_cols = _beaten(b.T, row_sets, threshold)
-    dropped = np.zeros((len(row_sets), len(col_sets)), dtype=bool)
+    beaten_cols = _beaten(np.swapaxes(b, 0, 1), row_sets, threshold)
+    dropped = np.zeros((len(row_sets), len(col_sets)) + np.shape(slack), dtype=bool)
     for t in range(k):
-        dropped |= beaten_rows[row_sets[:, t]] | beaten_cols[col_sets[:, t]].T
+        dropped |= beaten_rows[row_sets[:, t]] | np.swapaxes(beaten_cols[col_sets[:, t]], 0, 1)
     return row_sets, col_sets, np.flatnonzero(~dropped)
 
 
 def _beaten(a, col_sets, threshold) -> np.ndarray:
-    """(rows, column sets) mask of the rows of ``a`` that some row beats by
-    more than threshold on every column of the set."""
-    beats = a[:, None] - a[None] > threshold  # [r, i, j]: row r beats row i in column j
-    return beats[:, :, col_sets].all(axis=-1).any(axis=0)
+    """(rows, column sets, ...) mask of the rows of ``a`` that some row beats
+    by more than threshold on every column of the set; games may be stacked
+    on trailing axes, with a threshold each."""
+    beats = a[:, None] - a[None] > threshold  # [r, i, j, ...]: row r beats row i in column j
+    return beats[:, :, col_sets].all(axis=3).any(axis=0)
 
 
 def _solve_stack(a, b, rows, cols, eps, slack):

@@ -28,6 +28,9 @@ from rqgames.nash import (
     EPS_DEFAULT,
     STACK_PAIRS,
     TWO_PHASE_MIN_PAIRS,
+    _exact_profile,
+    _indifference,
+    _pure_cells,
     _solve_stacked,
     _same_profile,
     _support_pairs,
@@ -580,7 +583,10 @@ def _random_2x2_games(rng, count):
     induced = [induce_game(s, ultimatum_2x2(99, 50, 1), MOVES2, MOVES2) for s in states]
     ultimatum = np.array([[g.proposer, g.responder] for g in induced])
     nan = np.where(rng.random((count, 2, 2, 2)) < 0.3, np.nan, uniform)
-    return np.concatenate([uniform, integer, ultimatum, nan])
+    # integer ties: equal entries, duplicate profiles and singular blocks
+    ties = rng.integers(0, 2, (count, 2, 2, 2)).astype(float)
+    wide = rng.integers(0, 4, (count, 2, 2, 2)).astype(float)
+    return np.concatenate([uniform, integer, ultimatum, nan, ties, wide])
 
 
 @pytest.mark.parametrize("eps", (1e-9, 0.0, 1e-300, 5.0))
@@ -603,6 +609,89 @@ def test_stacked_2x2_solve_matches_support_enumeration(eps):
         )
         # unflagged rows equal support_enumeration; flagged rows are the ones that differ
         assert same != unsettled[g]
+
+
+PURE_EPS = (0.0, 1e-300, 1e-9, 0.5, 1.0, 3.0)
+
+
+def _unit_vector(size, index):
+    v = np.zeros(size)
+    v[index] = 1.0
+    return v
+
+
+@pytest.mark.parametrize("kind", ["uniform", "0..3", "negative"])
+def test_pure_cells_equal_verify_on_the_unit_profiles(kind):
+    # at eps >= 1 a unit strategy has no weight above eps, so more than zero
+    # best responses make a cell degenerate
+    rng = np.random.default_rng([41, len(kind)])
+    for m, n in [(m, n) for m in range(1, 8) for n in range(1, 8)]:
+        if kind == "uniform":
+            games = rng.uniform(0.0, 100.0, (5, 2, m, n))
+        elif kind == "0..3":
+            games = rng.integers(0, 4, (5, 2, m, n)).astype(float)
+        else:  # negative entries and zeros of both signs
+            games = rng.integers(-3, 2, (5, 2, m, n)) * rng.choice([1.0, -0.5, 1e-3], (5, 2, m, n))
+        for eps in PURE_EPS:
+            # one call on the stack, whose games run along the last axis
+            stack = games.transpose(1, 2, 3, 0)
+            regret_p, regret_r, certified, found, degenerate = _pure_cells(stack[0], stack[1], eps)
+            for g, (a, b) in enumerate(games):
+                expected = []
+                for i in range(m):
+                    for j in range(n):
+                        unit = verify_equilibrium((a, b), (_unit_vector(m, i), _unit_vector(n, j)), eps)
+                        assert unit.payoffs == (a[i, j], b[i, j])  # equal, bar the sign of a zero
+                        assert unit.regret == (regret_p[i, j, g], regret_r[i, j, g])
+                        assert (unit.kind, unit.certified, unit.degenerate) == (
+                            "pure", certified[i, j, g], degenerate[i, j, g]
+                        )
+                        if found[i, j, g]:
+                            expected.append(profile_fields(unit))
+                        # the pure-cell test of the pairwise reference, on top of certification
+                        assert found[i, j, g] == (unit.certified and pairwise_support(a, b, (i,), (j,), eps) is not None)
+                assert [profile_fields(p) for p in pure_equilibria((a, b), eps)] == expected
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_pure_cells_of_a_non_finite_game_never_certify(value):
+    rng = np.random.default_rng(42)
+    for m, n in [(1, 1), (2, 2), (3, 5), (7, 7)]:
+        for eps in PURE_EPS + (np.inf,):
+            a, b = rng.uniform(0.0, 100.0, (2, m, n))
+            (a, b)[rng.integers(2)][rng.integers(m), rng.integers(n)] = value
+            assert not _pure_cells(a, b, eps)[2].any()
+            assert pure_equilibria((a, b), eps) == []
+
+
+def test_a_pure_cell_above_eps_in_floats_is_above_it_exactly():
+    # Rounding is monotone, so a float regret above eps is above it exactly and
+    # support enumeration needs no exact re-check of a pure cell.  The eps just
+    # below each float regret is the closest call.
+    rng = np.random.default_rng(44)
+    for trial in range(300):
+        m, n = (int(v) for v in rng.integers(1, 5, 2))
+        scale = 10.0 ** rng.integers(-20, 20, (2, m, n))
+        a, b = rng.uniform(-1.0, 1.0, (2, m, n)) * scale
+        regret = np.maximum(*_pure_cells(a, b, 0.0)[:2])
+        for i, j in np.argwhere(regret > 0.0).tolist():
+            for eps in (np.nextafter(regret[i, j], 0.0), regret[i, j] / 2, 1e-300):
+                assert _exact_profile(a, b, [i], [j], eps, np.empty((0, m)), np.empty((0, n))) is None
+
+
+@pytest.mark.parametrize("eps", (0.0, 1e-300, 1e-9))
+def test_the_2x2_prefilter_drops_no_valid_mix(eps):
+    rng = np.random.default_rng(45)
+    for games in (rng.uniform(-10.0, 10.0, (2000, 2, 2, 2)), rng.integers(0, 4, (2000, 2, 2, 2)).astype(float)):
+        a, b = games[:, 0].transpose(1, 2, 0), games[:, 1].transpose(1, 2, 0)  # the games on the last axis
+        slack = np.array([_slack(*game) for game in games])
+        kept = _support_pairs(a, b, 2, eps, slack)[2]  # one pair per game: the games kept
+        # the stacked rule is support_enumeration's rule of one game
+        assert kept.tolist() == [g for g, game in enumerate(games) if len(_kept_pairs(game, 2, eps)[2]) == 1]
+        _, _, ok = _indifference(np.concatenate([a, b.transpose(1, 0, 2)], axis=-1))
+        mixed = ok[: len(games)] & ok[len(games) :]
+        dropped = np.setdiff1d(np.arange(len(games)), kept)
+        assert len(dropped) and not mixed[dropped].any()
 
 
 OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))

@@ -102,9 +102,9 @@ def test_pure_cells_beside_an_exact_mix_match_the_row_by_row_sweep(out_format):
 )
 def test_special_rows_in_several_chunks_match_the_row_by_row_sweep(monkeypatch, text, eps, special, out_format):
     # "grid fallback" names the rows that once took the grid; they now get one
-    # support_enumeration call each
-    chunks = []  # per chunk: rows with two equilibria, rows handed to support_enumeration
-    sweep_rows, enumeration = cli._sweep_rows, cli.support_enumeration
+    # exact re-check of their mix each
+    chunks = []  # per chunk: rows with two equilibria, rows whose mix is re-checked exactly
+    sweep_rows, exact_profile = cli._sweep_rows, cli._exact_profile
 
     def counting_rows(*args):
         chunks.append([0, 0])
@@ -112,12 +112,12 @@ def test_special_rows_in_several_chunks_match_the_row_by_row_sweep(monkeypatch, 
         chunks[-1][0] = sum(";mu=" in line for line in lines)
         return lines
 
-    def counting_enumeration(*args):
+    def counting_exact_profile(*args):
         chunks[-1][1] += 1
-        return enumeration(*args)
+        return exact_profile(*args)
 
     monkeypatch.setattr(cli, "_sweep_rows", counting_rows)
-    monkeypatch.setattr(cli, "support_enumeration", counting_enumeration)
+    monkeypatch.setattr(cli, "_exact_profile", counting_exact_profile)
     assert_same_lines(text, eps, out_format=out_format)
     column = 0 if special == "two equilibria" else 1
     assert sum(chunk[column] > 0 for chunk in chunks) >= 2
