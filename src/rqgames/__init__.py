@@ -57,11 +57,9 @@ from .induce import (
 from .nash import (
     EPS_DEFAULT,
     EquilibriumProfile,
-    best_response_value,
     grid_oracle,
     mixed_strategy,
     pure_equilibria,
-    solve_pivoting,
     support_enumeration,
     verify_equilibrium,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "ZeroStateError",
     "aligned_equilibrium",
     "bell_like",
-    "best_response_value",
     "classify_state",
     "default_move_set",
     "grid_oracle",
@@ -109,7 +106,6 @@ __all__ = [
     "pure_equilibria",
     "responder_payoff",
     "schmidt_rank",
-    "solve_pivoting",
     "state_from_amplitudes",
     "support_enumeration",
     "swap_proposer_coeffs",

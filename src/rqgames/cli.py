@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GameError, ParseError, ValidationError
-from .games import Bimatrix, PayoffTable, UltimatumParams, _finite, ultimatum_2x2, ultimatum_general
+from .games import Bimatrix, PayoffTable, UltimatumParams, _finite, _whole, ultimatum_2x2, ultimatum_general
 from .hilbert import QuantumState, bell_like, bell_like_probs, probability_table, state_from_amplitudes
 from .induce import (
     MoveSet,
@@ -43,8 +43,7 @@ from .induce import (
 from .nash import (
     EPS_DEFAULT,
     EquilibriumProfile,
-    _exact_profile,
-    equilibria_2x2,
+    _enumerate,
     grid_oracle,  # unused here; bench/spans.py wraps cli.grid_oracle, so a traced run needs it
     mixed_strategy,
     support_enumeration,
@@ -64,14 +63,13 @@ _PI_PATTERN = re.compile(
 
 @dataclass(frozen=True, eq=False)
 class GameSpecDocument:
-    """A validated game document with its source recipe kept for rendering."""
+    """A validated game document."""
 
     payoffs: PayoffTable
     state: QuantumState
     moves_proposer: MoveSet
     moves_responder: MoveSet
     eps: float | None
-    source: dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +84,6 @@ class SweepSpec:
     basis_b: tuple[int, int]
     outputs: tuple[str, ...]
     eps: float | None
-    source: dict
 
 
 def _reject_constant(name: str):
@@ -202,6 +199,8 @@ def _build_payoffs(block, field: str = "payoffs") -> PayoffTable:
         raise ValidationError(field, need)
     try:
         return PayoffTable(np.array(sub["proposer"], dtype=float), np.array(sub["responder"], dtype=float))
+    except TypeError:  # an object where a number belongs
+        raise ValidationError(field, "expected matrices of numbers") from None
     except (GameError, ValueError) as exc:
         raise ValidationError(field, str(exc)) from exc
 
@@ -261,6 +260,8 @@ def _build_moves(block, payoff_dims: tuple[int, int]) -> tuple[MoveSet, MoveSet]
         for key, perms in _object(block, "moves", set(moves)).items():
             if not isinstance(perms, list) or any(not isinstance(p, list) for p in perms):
                 raise ValidationError(f"moves.{key}", "expected a list of permutations")
+            for v in (v for p in perms for v in p if not _whole(v)):
+                raise ValidationError(f"moves.{key}", f"permutation entries must be integers, got {v!r}")
             try:
                 moves[key] = MoveSet(tuple(tuple(p) for p in perms))
             except GameError as exc:
@@ -318,7 +319,6 @@ def parse_spec(text: str) -> GameSpecDocument:
         moves_proposer=moves_p,
         moves_responder=moves_r,
         eps=eps,
-        source=data,
     )
 
 
@@ -364,13 +364,7 @@ def parse_sweep_spec(text: str) -> SweepSpec:
         basis_b=basis_b,
         outputs=tuple(o for o in SWEEP_OUTPUTS if o in outputs),
         eps=eps,
-        source=data,
     )
-
-
-def render_spec(doc: GameSpecDocument | SweepSpec) -> str:
-    """Serialize a parsed document back to text; reparsing yields the same spec."""
-    return json.dumps(doc.source, indent=2) + "\n"
 
 
 def fmt(x: float) -> str:
@@ -528,53 +522,43 @@ def _line_template(columns: list[str], out_format: str, label: str, groups: int)
 def _sweep_rows(sweep: SweepSpec, thetas: np.ndarray, eps: float, columns: list[str], out_format: str) -> list[str]:
     """Lines for a chunk of thetas, each layer run once on the whole chunk.
 
-    Every row gets the checks a single state gets, as array tests.  Rows a
-    check flags are finished in row order as ``support_enumeration``
-    finishes a single state: a failed state raises its error, and a row
-    ``equilibria_2x2`` leaves unsettled raises the error of its non-finite
-    game or of its mix's ``mixed_strategy`` test, or else has only that mix
-    re-checked in exact rationals, beside the row's certified pure cells.
-    The chunk is rendered by one ``%`` over the floats it prints, with each
+    The equilibria come from ``nash._enumerate``, the core of
+    ``support_enumeration``, on the chunk's stack of induced games.  The
+    first row that fails a check raises the error of its single state.  The
+    chunk is rendered by one ``%`` over the floats it prints, with each
     row's template chosen by its label and number of equilibria.
     """
     count = len(thetas)
     probs, failed = bell_like_probs(thetas, sweep.basis_a, sweep.basis_b, sweep.payoffs.dims)
-    values = [thetas[:, None], probs.reshape(count, 4)]
-    printed = [np.ones((count, 1), dtype=bool), np.full((count, 4), "probs" in sweep.outputs)]
+    head = np.hstack([thetas[:, None], probs.reshape(count, 4)]) if "probs" in sweep.outputs else thetas[:, None]
     labels = [""] * count
     if "label" in sweep.outputs:
         labels = class_labels(probs[:, 1, 1] - probs[:, 0, 1], probs[:, 1, 0] - probs[:, 0, 0]).tolist()
-    groups = [0] * count
-    unsettled = np.zeros(count, dtype=bool)
+    games, groups, profiles = np.zeros(0, dtype=int), np.zeros(count, dtype=int), np.zeros((0, 4))
     if "equilibria" in sweep.outputs:
         moves = default_move_set(2)
         a, b = induce_stack(probs, sweep.payoffs, moves, moves)
-        x, y, pay_p, pay_r, found, unsettled = equilibria_2x2(a, b, eps)
-        values.append(np.stack([x[..., 0], y[..., 0], pay_p, pay_r], axis=-1).reshape(count, -1))
-        printed.append(np.repeat(found, 4, axis=1))
-        groups = found.sum(axis=1).tolist()
-    settled = {}
-    for r in np.flatnonzero(failed | unsettled).tolist():
-        if failed[r]:
-            # raises the error of this row's state or table
-            probability_table(bell_like(float(thetas[r]), sweep.basis_a, sweep.basis_b, sweep.payoffs.dims))
-        if unsettled[r]:
-            game = Bimatrix(a[r], b[r])  # raises for a non-finite game
-            mixed_strategy(x[r, 4]), mixed_strategy(y[r, 4])  # raise where verify_equilibrium would
-            pure = found[r, :4]
-            profile = _exact_profile(game.proposer, game.responder, [0, 1], [0, 1], eps, x[r, :4][pure], y[r, :4][pure])
-            if profile is not None:
-                groups[r] += 1
-                floats = (profile.proposer_strategy[0], profile.responder_strategy[0], *profile.payoffs)
-                settled[r] = [float(v) + 0.0 for v in floats]
-    printed = np.hstack(printed)
-    args = (np.hstack(values)[printed] + 0.0).tolist()
-    ends = np.cumsum(printed.sum(axis=1)).tolist()
-    for r in reversed(settled):  # an exact mix follows the other floats of its row
-        args[ends[r] : ends[r]] = settled[r]
-    keys = list(zip(labels, groups))
+        found, (stopped, stop_x, stop_y) = _enumerate(a.transpose(1, 2, 0), b.transpose(1, 2, 0), eps)
+        games, x, y, payoffs = found[:4]
+        failed = failed | ~(np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))) | stopped
+        groups = np.bincount(games, minlength=count)
+        profiles = np.column_stack([x[:, 0], y[:, 0], payoffs])
+    if failed.any():
+        r = int(failed.argmax())
+        # the checks of a single state, in order; the first that fails raises
+        probability_table(bell_like(float(thetas[r]), sweep.basis_a, sweep.basis_b, sweep.payoffs.dims))
+        Bimatrix(a[r], b[r])  # the induced game's finite-payoff check
+        mixed_strategy(stop_x[r]), mixed_strategy(stop_y[r])  # where support_enumeration raises
+    # each row prints its head, then mu, nu and the payoffs of each equilibrium
+    width = head.shape[1] + 4 * groups
+    starts = np.cumsum(width) - width
+    args = np.empty(width.sum())
+    args[starts[:, None] + np.arange(head.shape[1])] = head
+    slots = starts[games] + head.shape[1] + 4 * (np.arange(len(games)) - (np.cumsum(groups) - groups)[games])
+    args[slots[:, None] + np.arange(4)] = profiles
+    keys = list(zip(labels, groups.tolist()))
     templates = {key: _line_template(columns, out_format, *key) for key in set(keys)}
-    return ("\n".join([templates[key] for key in keys]) % tuple(args)).split("\n")
+    return ("\n".join([templates[key] for key in keys]) % tuple((args + 0.0).tolist())).split("\n")
 
 
 def _read_spec_text(path: str) -> str:

@@ -129,8 +129,9 @@ def induce_stack(
     # each block's summation order.
     stack = np.arange(len(probs))[:, None, None, None, None]
     moved = probs[stack, inv_p[:, None, :, None], inv_r[:, None, :]]
-    proposer = (moved * payoffs.proposer).sum(axis=(-2, -1))
-    responder = (moved * payoffs.responder).sum(axis=(-2, -1))
+    with np.errstate(over="ignore"):  # an overflowing sum gives inf, which fails the game's finite check
+        proposer = (moved * payoffs.proposer).sum(axis=(-2, -1))
+        responder = (moved * payoffs.responder).sum(axis=(-2, -1))
     return proposer, responder
 
 

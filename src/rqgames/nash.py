@@ -13,8 +13,9 @@ below ``eps`` certifies an eps-equilibrium.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ WEIGHT_CLAMP_TOL = 1e-12
 SIMPLEX_SUM_TOL = 1e-9
 PURE_KIND_TOL = 1e-9
 # Relative margin, far above the rounding of a dot product of at most 12
-# terms, within which the stacked off-support test defers to the exact one.
+# terms, within which the off-support prefilter defers to the off-support test.
 DOMINANCE_SLACK = 1e-12
 
 # Support pairs per stacked solve in ``support_enumeration``; it bounds the
@@ -63,21 +64,18 @@ class EquilibriumProfile:
 
 
 def game_matrices(game) -> tuple[np.ndarray, np.ndarray]:
-    """The (proposer, responder) payoff matrices of a ``Bimatrix`` or a raw pair.
-
-    A ``Bimatrix`` was checked when it was built; a raw pair gets the shape
-    check only.
-    """
+    """The (proposer, responder) payoff matrices of a ``Bimatrix`` or a raw
+    pair, in C order, which gives a profile the products it gets in a stack.
+    A raw pair gets the shape check only."""
     if isinstance(game, Bimatrix):
-        return game.proposer, game.responder
-    proposer, responder = game
-    a = np.asarray(proposer, dtype=float)
-    b = np.asarray(responder, dtype=float)
-    if a.ndim != 2 or a.shape != b.shape:
-        raise DimensionMismatchError(
-            f"payoff matrices must share one 2-D shape, got {a.shape} and {b.shape}"
-        )
-    return a, b
+        a, b = game.proposer, game.responder
+    else:
+        a, b = (np.asarray(v, dtype=float) for v in game)
+        if a.ndim != 2 or a.shape != b.shape:
+            raise DimensionMismatchError(
+                f"payoff matrices must share one 2-D shape, got {a.shape} and {b.shape}"
+            )
+    return np.ascontiguousarray(a), np.ascontiguousarray(b)
 
 
 def mixed_strategy(weights, size: int | None = None) -> np.ndarray:
@@ -94,27 +92,9 @@ def mixed_strategy(weights, size: int | None = None) -> np.ndarray:
     return w
 
 
-def best_response_value(game, who: str, opponent) -> float:
-    """Best expected payoff over a player's pure moves against an opponent mix."""
-    a, b = game_matrices(game)
-    if who == "proposer":
-        y = mixed_strategy(opponent, a.shape[1])
-        return float((a @ y).max())
-    if who == "responder":
-        x = mixed_strategy(opponent, a.shape[0])
-        return float((x @ b).max())
-    raise ValueError(f"player must be 'proposer' or 'responder', got {who!r}")
-
-
-def _degenerate(a, b, x, y, eps) -> bool:
-    row_values = a @ y
-    col_values = x @ b
-    row_best = row_values >= row_values.max() - eps
-    col_best = col_values >= col_values.max() - eps
-    return bool(
-        row_best.sum() > np.count_nonzero(x > eps)
-        or col_best.sum() > np.count_nonzero(y > eps)
-    )
+def _is_pure(x, y):
+    """Whether stacked profiles put all but PURE_KIND_TOL of each player's weight on one move."""
+    return (x.max(axis=-1) >= 1.0 - PURE_KIND_TOL) & (y.max(axis=-1) >= 1.0 - PURE_KIND_TOL)
 
 
 def verify_equilibrium(game, profile, eps: float = EPS_DEFAULT) -> EquilibriumProfile:
@@ -127,21 +107,15 @@ def verify_equilibrium(game, profile, eps: float = EPS_DEFAULT) -> EquilibriumPr
     a, b = game_matrices(game)
     x = mixed_strategy(profile[0], a.shape[0])
     y = mixed_strategy(profile[1], a.shape[1])
-    pay_p, pay_r, regret_p, regret_r, certified = _certify(a, b, x, y, eps)
-    kind = "pure" if x.max() >= 1.0 - PURE_KIND_TOL and y.max() >= 1.0 - PURE_KIND_TOL else "mixed"
-    return EquilibriumProfile(
-        proposer_strategy=_freeze(x),
-        responder_strategy=_freeze(y),
-        payoffs=(float(pay_p), float(pay_r)),
-        regret=(float(regret_p), float(regret_r)),
-        kind=kind,
-        certified=bool(certified),
-        degenerate=_degenerate(a, b, x, y, eps),
-    )
+    pay_p, pay_r, regret_p, regret_r, certified, degenerate = _certify(a, b, x, y, eps)
+    kind = "pure" if _is_pure(x, y) else "mixed"
+    payoffs, regret = (float(pay_p), float(pay_r)), (float(regret_p), float(regret_r))
+    return EquilibriumProfile(_freeze(x), _freeze(y), payoffs, regret, kind, bool(certified), bool(degenerate))
 
 
 def _certify(a, b, x, y, eps):
-    """Payoffs, regrets and the certified flag of profiles (x, y) in games (a, b).
+    """Payoffs, regrets, the certified flag and the degenerate flag of
+    profiles (x, y) in games (a, b).
 
     Games and strategies may be stacked on broadcastable leading axes.  Every
     product is one ``np.matmul`` kernel call per profile, the same call a
@@ -151,14 +125,28 @@ def _certify(a, b, x, y, eps):
     """
     x_row, y_col = x[..., None, :], y[..., :, None]
     xb = np.matmul(x_row, b)
+    row_values, col_values = np.matmul(a, y_col)[..., 0], xb[..., 0, :]  # a @ y and x @ b
+    best_p, best_r = _across(np.maximum, row_values), _across(np.maximum, col_values)
     pay_p = np.matmul(np.matmul(x_row, a), y_col)[..., 0, 0]
     pay_r = np.matmul(xb, y_col)[..., 0, 0]
-    gap_p = np.matmul(a, y_col)[..., 0].max(axis=-1) - pay_p
-    gap_r = xb[..., 0, :].max(axis=-1) - pay_r
-    regret_p = np.where(gap_p <= 0.0, 0.0, gap_p)
-    regret_r = np.where(gap_r <= 0.0, 0.0, gap_r)
+    regret_p, regret_r = (np.where(gap <= 0.0, 0.0, gap) for gap in (best_p - pay_p, best_r - pay_r))
     certified = (regret_p <= eps) & (regret_r <= eps) & np.isfinite(pay_p) & np.isfinite(pay_r)
-    return pay_p, pay_r, regret_p, regret_r, certified
+    degenerate = _degenerate(row_values >= best_p[..., None] - eps, col_values >= best_r[..., None] - eps, x, y, eps)
+    return pay_p, pay_r, regret_p, regret_r, certified, degenerate
+
+
+def _degenerate(row_best, col_best, x, y, eps):
+    """Whether some player has more best responses (masks) than weights above eps."""
+    more_p = _across(np.add, row_best) > _across(np.add, x > eps)
+    return more_p | (_across(np.add, col_best) > _across(np.add, y > eps))
+
+
+def _across(ufunc, v):
+    """``ufunc.reduce(v, axis=-1)``, for more than 32 rows over a copy with that axis first,
+    which numpy reduces much faster when it is short.  Exact for maxima and integer sums."""
+    if v.size <= 32 * v.shape[-1]:
+        return ufunc.reduce(v, axis=-1)
+    return ufunc.reduce(np.ascontiguousarray(v.transpose(v.ndim - 1, *range(v.ndim - 1))), axis=0)
 
 
 def pure_equilibria(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfile]:
@@ -171,7 +159,7 @@ def pure_equilibria(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfile]:
     """
     a, b = game_matrices(game)
     m, n = a.shape
-    regret_p, regret_r, _, found, degenerate = _pure_cells(a, b, eps)
+    regret_p, regret_r, found, degenerate = _pure_cells(a, b, eps)
     return [
         EquilibriumProfile(
             _freeze(np.eye(m)[i]), _freeze(np.eye(n)[j]), (float(a[i, j]), float(b[i, j])),
@@ -179,22 +167,6 @@ def pure_equilibria(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfile]:
         )
         for i, j in np.argwhere(found).tolist()
     ]
-
-
-def solve_pivoting(a, rhs, pivot_tol: float = PIVOT_TOL) -> np.ndarray | None:
-    """Gaussian elimination with partial pivoting on a small dense system.
-
-    Returns None when some pivot magnitude falls to pivot_tol or below,
-    which marks the system singular for our purposes.  This is the
-    one-system case of ``_solve_stacked``.
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    ab = np.empty((n, n + 1, 1))
-    ab[:, :n, 0] = a
-    ab[:, n, 0] = rhs
-    x, singular = _solve_stacked(ab, pivot_tol)
-    return None if singular[0] else x[:, 0]
 
 
 def _valid_weights(solution: np.ndarray, k: int) -> np.ndarray:
@@ -246,7 +218,7 @@ def _solve_stacked(ab: np.ndarray, pivot_tol: float = PIVOT_TOL) -> tuple[np.nda
 
 def _same_profile(found_x, found_y, x, y, tol: float = 1e-9) -> np.ndarray:
     """Which found profiles (strategies stacked on axis -2) lie within tol of (x, y)."""
-    return (np.abs(found_x - x).max(axis=-1) <= tol) & (np.abs(found_y - y).max(axis=-1) <= tol)
+    return (_across(np.maximum, np.abs(found_x - x)) <= tol) & (_across(np.maximum, np.abs(found_y - y)) <= tol)
 
 
 def _pure_cells(a, b, eps):
@@ -255,12 +227,12 @@ def _pure_cells(a, b, eps):
 
     A cell's payoffs are its two entries, and its regrets are the column
     maximum of ``a`` and the row maximum of ``b`` minus them, clipped at 0.
-    Returns the (m, n, ...) regrets and three masks: the cells that certify
-    (both regrets within eps, in a finite game), those of them that pass
-    enumeration's pure-cell test too (no pure deviation gains more than
-    eps), and the degenerate cells.  Each value is what ``verify_equilibrium``
-    gives the unit profile, whose products multiply the entries by ones and
-    zeros, bar the sign of a zero payoff; a non-finite entry makes one NaN.
+    Returns the (m, n, ...) regrets and two masks: the cells enumeration
+    finds (both regrets within eps in a finite game, and no pure deviation
+    gains more than eps) and the degenerate cells.  Each value is what
+    ``verify_equilibrium`` gives the unit profile, whose products multiply
+    the entries by ones and zeros, bar the sign of a zero payoff; a
+    non-finite entry makes one NaN.
     """
     with np.errstate(all="ignore"):  # inf - inf is NaN, which never certifies
         col_best = a.max(axis=0, keepdims=True)
@@ -277,7 +249,7 @@ def _pure_cells(a, b, eps):
         degenerate = ((a >= col_best - eps).sum(axis=0, keepdims=True) > support) | (
             (b >= row_best - eps).sum(axis=1, keepdims=True) > support
         )
-    return regret_p, regret_r, certified, found, degenerate
+    return regret_p, regret_r, found, degenerate
 
 
 def _slack(a, b):
@@ -289,109 +261,160 @@ def _slack(a, b):
 def support_enumeration(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfile]:
     """Equilibria via enumeration of equal-size support pairs.
 
-    Size-one supports are the pure equilibria, so those are always
-    included; they come from ``pure_equilibria``.  For each larger
-    candidate pair the two indifference systems are solved directly;
-    solutions are kept when they are valid simplex vectors whose on-support
-    value dominates every off-support pure move within eps.  Singular
-    systems are skipped.  Duplicates arising from degenerate games are
-    merged; every returned profile re-verifies at eps, so no profile with a
-    non-finite strategy, payoff or regret comes back.
+    Size-one supports are the pure equilibria, the profiles of
+    ``pure_equilibria``.  For each larger candidate pair the two
+    indifference systems are solved directly; solutions are kept when they
+    are valid simplex vectors whose on-support value dominates every
+    off-support pure move within eps.  Singular systems are skipped,
+    duplicates merged, and every returned profile certifies at eps.  A
+    candidate whose weights fail ``mixed_strategy`` raises its error.
 
     In a finite game, a candidate that fails the off-support test or
-    verification, perhaps by rounding alone, is re-checked exactly.  A pure
+    certification, perhaps by rounding alone, is re-checked exactly.  A pure
     cell needs no such re-check: its regret is one float subtraction, and
     rounding is monotone, so a float regret above eps is above it exactly.
 
     Pairs are visited by support size, then lexicographically by rows and
-    by columns.  Pairs in which some support move is beaten on the whole
-    opposing support are dropped before any system is solved (see
-    ``_support_pairs``); they could not pass the tests above.  The kept
-    pairs of one size are solved together as stacks of up to
-    ``STACK_PAIRS`` pairs (see ``_solve_stack``): the proposer's systems
-    first, then the responder's systems of the pairs the proposer's side
-    of the test keeps.
+    by columns.  This is the one-game case of ``_enumerate``.
     """
     a, b = game_matrices(game)
     m, n = a.shape
     if max(m, n) > 12:
         raise TooLargeError(f"support enumeration limited to 12 moves per side, got {m}x{n}")
-    slack = _slack(a, b)
-    found = pure_equilibria((a, b), eps)
-    found_x = np.array([p.proposer_strategy for p in found]).reshape(-1, m)
-    found_y = np.array([p.responder_strategy for p in found]).reshape(-1, n)
-    for k in range(2, min(m, n) + 1):
-        for candidate, support in _support_candidates(a, b, k, eps, slack):
-            if candidate is not None and _same_profile(found_x, found_y, *candidate).any():
-                continue
-            profile = None if candidate is None else verify_equilibrium(game, candidate, eps)
-            if (profile is None or not profile.certified) and np.isfinite(a).all() and np.isfinite(b).all():
-                profile = _exact_profile(a, b, *support, eps, found_x, found_y)
-            if profile is not None and profile.certified:
-                found.append(profile)
-                found_x = np.vstack([found_x, profile.proposer_strategy])
-                found_y = np.vstack([found_y, profile.responder_strategy])
-    return found
+    (_, x, y, payoffs, regrets, degenerate), (stopped, stop_x, stop_y) = _enumerate(a, b, eps)
+    if stopped[0]:
+        mixed_strategy(stop_x[0]), mixed_strategy(stop_y[0])  # raise where verify_equilibrium would
+    fields = zip(x, y, payoffs.tolist(), regrets.tolist(), _is_pure(x, y).tolist(), degenerate.tolist())
+    return [
+        EquilibriumProfile(_freeze(p), _freeze(q), tuple(pay), tuple(reg), "pure" if pure else "mixed", True, flag)
+        for p, q, pay, reg, pure, flag in fields
+    ]
 
 
-def equilibria_2x2(a: np.ndarray, b: np.ndarray, eps: float = EPS_DEFAULT):
-    """``support_enumeration`` on a stack of 2x2 games, (B, 2, 2) per player.
+def _enumerate(a, b, eps):
+    """``support_enumeration`` on B games stacked on a trailing axis, (m, n,
+    B) per player, or on one game, (m, n).  Nothing here raises.  Returns
+    the profiles found as flat arrays, by game and in each game's
+    enumeration order: the game index, the (P, m) and (P, n) strategies,
+    the (P, 2) payoffs and regrets and the (P,) degenerate flags.  Then the
+    (B,) mask of games whose enumeration stops at a candidate that fails
+    ``mixed_strategy``, and that candidate's (B, m) and (B, n) strategies.
 
-    A 2x2 game has five candidates in enumeration order: the four pure
-    cells, row by row, then the full-support mix.  Returns their (B, 5, 2)
-    strategies ``x`` and ``y``, their (B, 5) payoffs, the (B, 5) mask of
-    the profiles ``support_enumeration`` returns, and the (B,) mask of
-    games it leaves unsettled: their mix fails ``mixed_strategy``, where
-    ``support_enumeration`` raises, or is valid but fails certification,
-    where it re-checks exactly.  Their row of the first mask means nothing.
-
-    The pure cells come from ``_pure_cells`` on the whole stack.  The mix
-    is solved and certified only in the games that ``_support_pairs``
-    keeps; in the others it is singular or has an invalid weight, its
-    strategies and payoffs stay 0, and it is neither found nor unsettled.
-    Each step runs the single-game code on the stack, whose values do not
-    depend on the stack's width, so every value and decision equals the
-    single-game one.
+    For each support size k >= 2, the pairs ``_support_pairs`` keeps are
+    solved in stacks by ``_candidates`` and certified by ``_certify``, whose
+    values do not depend on the stack.  The steps that depend on what a
+    game has found so far (the duplicate test, the exact re-check and the
+    stop) run in rounds: round t takes the t-th candidate of every game.
     """
-    count = len(a)
-    x, y = np.zeros((count, 5, 2)), np.zeros((count, 5, 2))
-    x[:, :4] = np.eye(2)[[0, 0, 1, 1]]
-    y[:, :4] = np.eye(2)[[0, 1, 0, 1]]
-    pay_p, pay_r = np.zeros((count, 5)), np.zeros((count, 5))
-    pay_p[:, :4], pay_r[:, :4] = a.reshape(count, 4), b.reshape(count, 4)
-    # the rules below take the games on the last axis
-    last_a, last_b = np.ascontiguousarray(a.transpose(1, 2, 0)), np.ascontiguousarray(b.transpose(1, 2, 0))
-    found = np.zeros((count, 5), dtype=bool)
-    found[:, :4] = _pure_cells(last_a, last_b, eps)[3].reshape(4, count).T
-    unsettled = np.zeros(count, dtype=bool)
-    with np.errstate(all="ignore"):  # the mix of a singular game is garbage until masked
-        # a 2x2 game has one support pair of size 2, so the kept flat indices are games
-        kept = _support_pairs(last_a, last_b, 2, eps, _slack(last_a, last_b))[2]
-        size = len(kept)
-        # the block the proposer is made indifferent on is a, the responder's is b transposed
-        blocks = np.concatenate([last_a[..., kept], last_b[..., kept].transpose(1, 0, 2)], axis=-1)
-        weights, _, ok = _indifference(blocks)
-        x[kept, 4], y[kept, 4] = weights[:, size:].T, weights[:, :size].T
-        mix_x, mix_y = x[kept, 4], y[kept, 4]
-        pay_p[kept, 4], pay_r[kept, 4], _, _, certified = _certify(a[kept], b[kept], mix_x, mix_y, eps)
-        pure = _same_profile(x[kept, :4], y[kept, :4], mix_x[:, None], mix_y[:, None]) & found[kept, :4]
-        mixed = ok[:size] & ok[size:] & ~pure.any(axis=1)
-        # mixed_strategy's sum test; the weights are clamped to nonnegative already
-        sums_ok = np.abs(np.stack([mix_x, mix_y]).sum(axis=-1) - 1.0) <= SIMPLEX_SUM_TOL
-    found[kept, 4] = mixed & certified
-    unsettled[kept] = mixed & ~(sums_ok.all(axis=0) & certified)
-    return x, y, pay_p, pay_r, found, unsettled
+    m, n, count = *a.shape[:2], a[0, 0].size
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)  # the games run along contiguous rows
+    with np.errstate(all="ignore"):  # a non-finite game gives NaNs, which never certify
+        # each game's matrices in C order, and the responder's transposed, a row per their move
+        ga, gb = (np.ascontiguousarray(v.reshape(m, n, count).transpose(2, 0, 1)) for v in (a, b))
+        gbt = np.ascontiguousarray(gb.transpose(0, 2, 1))
+        slack = _slack(a, b)
+        regret_p, regret_r, cells, degenerate = (v.reshape(m, n, -1).transpose(2, 0, 1) for v in _pure_cells(a, b, eps))
+        cell = np.nonzero(cells)  # (game, row, column), by game
+        payoffs, regrets = np.array([ga[cell], gb[cell]]).T, np.array([regret_p[cell], regret_r[cell]]).T
+        pure = cell[0], np.eye(m)[cell[1]], np.eye(n)[cell[2]], payoffs, regrets, degenerate[cell]
+        finds = None  # made at the first candidate
+        stopped, stop_x, stop_y = np.zeros(count, dtype=bool), np.zeros((count, m)), np.zeros((count, n))
+        for k in range(2, min(m, n) + 1):
+            row_sets, col_sets, kept = _support_pairs(a, b, k, eps, slack)
+            size = max(STACK_PAIRS, count)  # a stack of games takes a pair of each at once
+            for start in range(0, len(kept), size):
+                pair, games = np.divmod(kept[start : start + size], count)
+                r, c = np.divmod(pair, len(col_sets))
+                off_rows, off_cols = _subsets(m, k)[1][r], _subsets(n, k)[1][c]
+                pick, x, y, passed = _candidates(
+                    ga, gbt, games, row_sets[r], col_sets[c], off_rows, off_cols, eps, np.reshape(slack, count)[games]
+                )
+                if not len(pick):
+                    continue
+                if finds is None:
+                    finds = _Finds(count, *pure)
+                    finite = np.reshape(np.isfinite(a).all(axis=(0, 1)) & np.isfinite(b).all(axis=(0, 1)), count)
+                games, rows, cols = games[pick], row_sets[r[pick]], col_sets[c[pick]]
+                pay_p, pay_r, reg_p, reg_r, certified, degen = _certify(ga[games], gb[games], x, y, eps)
+                payoffs, regrets = np.array([pay_p, pay_r]).T, np.array([reg_p, reg_r]).T
+                # mixed_strategy's sum test; the weights are clamped to nonnegative already
+                summed = (np.abs(np.array([x.sum(axis=-1), y.sum(axis=-1)]) - 1.0) <= SIMPLEX_SUM_TOL).all(axis=0)
+                # what a candidate that is no duplicate does: fail mixed_strategy, certify,
+                # or, failing the off-support test or certification, get re-checked exactly
+                wrong, good = passed & ~summed, passed & summed & certified
+                retry = (~passed | summed & ~certified) & finite[games]
+                for part in _rounds(games):
+                    part = part[~stopped[games[part]]] if stopped.any() else part
+                    fresh = ~passed[part] | ~finds.seen(games[part], x[part], y[part])  # a duplicate is skipped
+                    if wrong.any():
+                        stop = part[fresh & wrong[part]]
+                        stopped[games[stop]] = True
+                        stop_x[games[stop]], stop_y[games[stop]] = x[stop], y[stop]
+                    take = part[fresh & good[part]]
+                    finds.add(games[take], x[take], y[take], payoffs[take], regrets[take], degen[take])
+                    exact = []
+                    for s in part[fresh & retry[part]].tolist():
+                        g = games[s]
+                        profile = _exact_profile(ga[g], gb[g], rows[s].tolist(), cols[s].tolist(), eps, *finds.of(g))
+                        if profile is not None:
+                            exact.append((g, *profile))
+                    if exact:
+                        finds.add(*map(np.array, zip(*exact)))
+    return (finds.flat() if finds else pure), (stopped, stop_x, stop_y)
 
 
-def _support_candidates(a, b, k, eps, slack):
-    """Yield the candidates of size k >= 2 of the pairs ``_support_pairs`` keeps, in enumeration
-    order: (x, y), or None when it fails the off-support test, and the support (rows, cols) as lists."""
-    row_sets, col_sets, kept = _support_pairs(a, b, k, eps, slack)
-    for start in range(0, len(kept), STACK_PAIRS):
-        index = kept[start : start + STACK_PAIRS]
-        rows = row_sets[index // len(col_sets)]
-        cols = col_sets[index % len(col_sets)]
-        yield from _solve_stack(a, b, rows, cols, eps, slack)
+def _rounds(games):
+    """The candidate indices of each round: the t-th candidate of each game, by game."""
+    if (np.diff(games) > 0).all():  # at most one candidate per game
+        return [np.arange(len(games))]
+    if (games == games[0]).all():  # one game
+        return np.arange(len(games))[:, None]
+    by_game = np.argsort(games, kind="stable")
+    rank = np.empty_like(games)
+    rank[by_game] = np.arange(len(games)) - np.searchsorted(games[by_game], games[by_game])
+    order = np.lexsort((games, rank))
+    return np.split(order, np.flatnonzero(np.diff(rank[order])) + 1)
+
+
+class _Finds:
+    """The profiles ``_enumerate`` has found, per game of a stack of count
+    games, in the order found, starting from the pure ones, sorted by game."""
+
+    def __init__(self, count: int, games, x, y, payoffs, regrets, degenerate):
+        self.size = np.bincount(games, minlength=count)
+        # the strategies of each game, padded with NaN, which is close to nothing
+        self.x, self.y = (np.full((count, max(4, self.size.max()), v.shape[1]), np.nan) for v in (x, y))
+        slot = np.arange(len(games)) - np.searchsorted(games, games)
+        self.x[games, slot], self.y[games, slot] = x, y
+        self.parts = [(games, x, y, payoffs, regrets, degenerate)]
+
+    def add(self, games, x, y, payoffs, regrets, degenerate):
+        """Append a profile to each of the distinct ``games``."""
+        slot = self.size[games]
+        if len(slot) and slot.max() >= self.x.shape[1]:  # double the slots
+            self.x, self.y = (np.concatenate([v, np.full_like(v, np.nan)], axis=1) for v in (self.x, self.y))
+        self.x[games, slot], self.y[games, slot] = x, y
+        self.size[games] += 1
+        self.parts.append((games, x, y, payoffs, regrets, degenerate))
+
+    def seen(self, games, x, y):
+        """Whether each profile (x[i], y[i]) lies within tol of one found in game games[i]."""
+        used = self.size[games].max(initial=0)  # the slots any of these games fills
+        if not used:
+            return np.zeros(len(games), dtype=bool)
+        return _across(np.logical_or, _same_profile(self.x[games, :used], self.y[games, :used], x[:, None], y[:, None]))
+
+    def of(self, game):
+        """The strategies found in one game."""
+        return self.x[game, : self.size[game]], self.y[game, : self.size[game]]
+
+    def flat(self):
+        """The profiles as flat arrays (game, x, y, payoffs, regrets, degenerate), by game."""
+        fields = [np.concatenate(field) for field in zip(*self.parts)]
+        if len(self.size) == 1:  # one game, in order already
+            return tuple(fields)
+        order = np.argsort(fields[0], kind="stable")
+        return tuple(field[order] for field in fields)
 
 
 def _support_pairs(a, b, k, eps, slack):
@@ -409,15 +432,11 @@ def _support_pairs(a, b, k, eps, slack):
     payoff, plus rounding, make up less than 2 k slack.  A non-finite payoff
     makes the slack non-finite, so such a game drops nothing.
     """
-    m, n = a.shape[:2]
-    row_sets = np.array(list(itertools.combinations(range(m), k)))
-    col_sets = np.array(list(itertools.combinations(range(n), k)))
+    row_sets, col_sets = _subsets(a.shape[0], k)[0], _subsets(a.shape[1], k)[0]
     threshold = eps + 2 * k * slack
     beaten_rows = _beaten(a, col_sets, threshold)
     beaten_cols = _beaten(np.swapaxes(b, 0, 1), row_sets, threshold)
-    dropped = np.zeros((len(row_sets), len(col_sets)) + np.shape(slack), dtype=bool)
-    for t in range(k):
-        dropped |= beaten_rows[row_sets[:, t]] | np.swapaxes(beaten_cols[col_sets[:, t]], 0, 1)
+    dropped = beaten_rows[row_sets].any(axis=1) | np.swapaxes(beaten_cols[col_sets].any(axis=1), 0, 1)
     return row_sets, col_sets, np.flatnonzero(~dropped)
 
 
@@ -429,40 +448,70 @@ def _beaten(a, col_sets, threshold) -> np.ndarray:
     return beats[:, :, col_sets].all(axis=3).any(axis=0)
 
 
-def _solve_stack(a, b, rows, cols, eps, slack):
-    """Yield the candidates among a stack of support pairs: rows and cols are (N, k).
+@functools.lru_cache(maxsize=None)
+def _subsets(size: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k-subsets of range(size) in lexicographic order, and the moves
+    each leaves out: the (size - k)-subsets in reverse order.  Read-only."""
+    sets, rest = ([*itertools.combinations(range(size), t)] for t in (k, size - k))
+    return tuple(_freeze(np.array(v, dtype=int).reshape(len(v), t)) for v, t in ((sets, k), (rest[::-1], size - k)))
 
-    Phase 1 solves the proposer's systems and drops the pairs the
-    proposer-side test rejects; phase 2 solves the responder's systems of
-    the survivors only.  A stack of at most ``TWO_PHASE_MIN_PAIRS`` pairs
-    solves both players' systems in one call instead.
+
+def _candidates(ga, gbt, games, rows, cols, off_rows, off_cols, eps, slack):
+    """The candidates of a stack of support pairs: pair i is game games[i]
+    (proposer ga[games[i]], responder transposed gbt[games[i]]) on rows[i] x
+    cols[i], leaving off_rows[i] and off_cols[i] out, with margin slack[i].
+    Phase 1 solves the proposer's systems, which give the responder's mix
+    y; phase 2 solves the responder's systems, which give x, for the pairs
+    phase 1 keeps.  A stack of at most ``TWO_PHASE_MIN_PAIRS`` pairs, or
+    one leaving no row out, where phase 1 could drop only invalid weights,
+    solves both in one call.  After each phase a pair whose best
+    off-support move beats the support's value by more than eps + slack is
+    dropped, as it could not pass even exactly; one beaten by more than eps
+    fails the off-support test.  Those payoffs are ``a[off_rows] @ y`` and
+    ``x @ b[:, off_cols]``, each one kernel call per pair on the layout a
+    single pair's indexing gives (C, then Fortran order).  Returns the pairs
+    kept with valid weights, their (x, y) mixes, and which pass the test.
     """
-    count = len(rows)
-    one_call = count <= TWO_PHASE_MIN_PAIRS
-    blocks = _blocks(a, rows, cols)
+    count = len(games)
+    one_call = count <= TWO_PHASE_MIN_PAIRS or not off_rows.shape[1]
+    blocks = _blocks(ga, games, rows, cols)
     if one_call:  # the responder's systems follow the proposer's in one stack
-        blocks = np.concatenate([blocks, _blocks(b, rows, cols).transpose(1, 0, 2)], axis=-1)
+        blocks = np.concatenate([blocks, _blocks(gbt, games, cols, rows)], axis=-1)
     weights, value, ok = _indifference(blocks)
-    kept, y = _undominated(a, rows, cols, weights[:, :count], value[:count], ok[:count], eps, slack)
-    value_p = value[:count]
+    pairs = np.flatnonzero(ok[:count] & ok[count:] if one_call else ok)
+    y, value_p, passed = _spread(weights[:, pairs], cols[pairs], ga.shape[2]), value[pairs], np.ones(len(pairs), bool)
+    if off_rows.shape[1]:
+        best = _across(np.maximum, (ga[games[pairs, None], off_rows[pairs]] @ y[..., None])[..., 0])
+        kept, passed = ~(best > value_p + eps + slack[pairs]), ~(best > value_p + eps)
+        pairs, y, passed = pairs[kept], y[kept], passed[kept]
     if one_call:
-        pairs = np.arange(count)
-        weights, value, ok = weights[:, count:], value[count:], ok[count:] & kept
+        weights, value = weights[:, count + pairs], value[count + pairs]
     else:
-        pairs = np.flatnonzero(kept)
-        # the responder is made indifferent on the transposed blocks of b
-        weights, value, ok = _indifference(_blocks(b, rows[pairs], cols[pairs]).transpose(1, 0, 2))
-    kept, x = _undominated(b.T, cols[pairs], rows[pairs], weights, value, ok, eps, slack)
-    for i in np.flatnonzero(kept):
-        j = pairs[i]
-        support = rows[j].tolist(), cols[j].tolist()
-        ok = _off_support_ok(a, b, *support, x[i], y[j], value_p[j], value[i], eps)
-        yield ((x[i], y[j]) if ok else None), support
+        weights, value, ok = _indifference(_blocks(gbt, games[pairs], cols[pairs], rows[pairs]))
+        pairs, y, passed, weights, value = pairs[ok], y[ok], passed[ok], weights[:, ok], value[ok]
+    x = _spread(weights, rows[pairs], ga.shape[1])
+    if off_cols.shape[1]:
+        best = _across(np.maximum, (x[:, None] @ gbt[games[pairs, None], off_cols[pairs]].transpose(0, 2, 1))[:, 0])
+        kept, passed = ~(best > value + eps + slack[pairs]), passed & ~(best > value + eps)
+        pairs, x, y, passed = pairs[kept], x[kept], y[kept], passed[kept]
+    return pairs, x, y, passed
 
 
-def _blocks(a, rows, cols) -> np.ndarray:
-    """The (k, k, N) blocks ``a[rows[i]][:, cols[i]]`` of a stack of support pairs."""
-    return np.take(a, rows.T[:, None] * a.shape[1] + cols.T[None])
+def _blocks(ga, games, rows, cols) -> np.ndarray:
+    """The (k, k, N) blocks ``ga[games[i]][rows[i]][:, cols[i]]`` of a stack of support pairs.
+
+    A block has one row per pure move of the player made indifferent, so
+    the responder's blocks come from their transposed payoffs.
+    """
+    _, m, n = ga.shape
+    return np.take(ga, games * (m * n) + rows.T[:, None] * n + cols.T[None])
+
+
+def _spread(weights, support, size) -> np.ndarray:
+    """The (N, size) mixes that put the (k, N) weights on the (N, k) supports."""
+    mix = np.zeros((len(support), size))
+    mix[np.arange(len(support))[:, None], support] = weights.T
+    return mix
 
 
 def _indifference(blocks: np.ndarray):
@@ -486,44 +535,12 @@ def _indifference(blocks: np.ndarray):
     return np.where(solution[:k] < 0.0, 0.0, solution[:k]), solution[k], ok
 
 
-def _undominated(a, rows, cols, weights, value, ok, eps, slack):
-    """One player's side of the off-support prefilter on a stack of support pairs.
-
-    ``a`` holds the payoffs of the player made indifferent, one row per
-    their move, and ``weights``, ``value`` and ``ok`` come from
-    ``_indifference`` on its blocks.  Returns the (N,) mask of the pairs
-    with valid weights that no off-support row beats by more than
-    eps + slack, and the (N, columns) opponent mixes.
-    """
-    stack = np.arange(len(rows))[:, None]
-    mix = np.zeros((len(rows), a.shape[1]))
-    mix[stack, cols] = weights.T
-    # These products round differently from _off_support_ok's, so this test
-    # only drops pairs beaten by more than any rounding could account for;
-    # _off_support_ok then decides the rest exactly.
-    with np.errstate(all="ignore"):  # 0 * inf off the support; garbage where not ok
-        best = mix @ a.T
-        best[stack, rows] = -np.inf
-        return ok & ~(best.max(axis=1) > value + eps + slack), mix
-
-
-def _off_support_ok(a, b, rows, cols, x, y, value_p, value_r, eps) -> bool:
-    """No off-support pure move beats either player's support value by more than eps."""
-    m, n = a.shape
-    off_rows = [i for i in range(m) if i not in rows]
-    if off_rows and float((a[off_rows] @ y).max()) > value_p + eps:
-        return False
-    off_cols = [j for j in range(n) if j not in cols]
-    if off_cols and float((x @ b[:, off_cols]).max()) > value_r + eps:
-        return False
-    return True
-
-
-def _exact_profile(a, b, rows, cols, eps, found_x, found_y) -> EquilibriumProfile | None:
+def _exact_profile(a, b, rows, cols, eps, found_x, found_y):
     """A support pair re-solved and re-certified in exact rationals, from the
     float payoffs, which are exact rationals.  Returns the floats of its exact
-    values, or None when a system is singular, a weight negative, a regret
-    above eps or the profile already found."""
+    strategies, payoffs and regrets, with the degenerate flag of those
+    strategies, or None when a system is singular, a weight negative, a
+    regret above eps or the profile already found."""
     a_cols = [[Fraction(v) for v in row] for row in a[:, cols].tolist()]  # m x k
     b_rows = [[Fraction(v) for v in row] for row in b[rows].T.tolist()]  # n x k
     y = _exact_mix([a_cols[i] for i in rows])
@@ -536,9 +553,7 @@ def _exact_profile(a, b, rows, cols, eps, found_x, found_y) -> EquilibriumProfil
     xs, ys = np.bincount(rows, x[:-1], a.shape[0]), np.bincount(cols, y[:-1], a.shape[1])
     if max(regret) > eps or _same_profile(found_x, found_y, xs, ys).any():
         return None
-    profile = verify_equilibrium((a, b), (xs, ys), eps)
-    payoffs, regret = (float(y[-1]), float(x[-1])), tuple(map(float, regret))
-    return replace(profile, payoffs=payoffs, regret=regret, certified=True)
+    return xs, ys, (float(y[-1]), float(x[-1])), tuple(map(float, regret)), bool(_certify(a, b, xs, ys, eps)[5])
 
 
 def _exact_mix(block):

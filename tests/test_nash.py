@@ -1,22 +1,24 @@
 """Best responses, certification, pure/support enumeration and the grid oracle."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rqgames import nash
 from rqgames import (
     DimensionMismatchError,
     InvalidProbabilityError,
     TooLargeError,
     bell_like,
-    best_response_value,
     default_move_set,
     grid_oracle,
     induce_game,
     mixed_strategy,
     pure_equilibria,
-    solve_pivoting,
     state_from_amplitudes,
     support_enumeration,
     ultimatum_2x2,
@@ -28,13 +30,13 @@ from rqgames.nash import (
     EPS_DEFAULT,
     STACK_PAIRS,
     TWO_PHASE_MIN_PAIRS,
+    _enumerate,
     _exact_profile,
     _indifference,
     _pure_cells,
     _solve_stacked,
     _same_profile,
     _support_pairs,
-    equilibria_2x2,
 )
 
 from helpers import loop_solve_pivoting, pairwise_support, pairwise_support_enumeration, random_bimatrix
@@ -72,22 +74,29 @@ def test_mixed_strategy_validation():
             mixed_strategy(weights)
 
 
+def best_response_values(game, x, y):
+    """Each player's best pure payoff against the other's mix: payoff plus regret."""
+    profile = verify_equilibrium(game, (x, y))
+    return profile.payoffs[0] + profile.regret[0], profile.payoffs[1] + profile.regret[1]
+
+
 def test_best_response_examples():
-    value = best_response_value(entangled_game(), "responder", [0.5, 0.5])
+    value = best_response_values(entangled_game(), [0.5, 0.5], [1.0, 0.0])[1]
     assert abs(value - 12.75) <= 1e-12
     a = np.array([[3.0, 7.0], [5.0, 2.0]])
     b = np.zeros((2, 2))
-    assert best_response_value((a, b), "proposer", [0.0, 1.0]) == 7.0
+    assert best_response_values((a, b), [1.0, 0.0], [0.0, 1.0])[0] == 7.0
     single_row = (np.array([[1.0, 2.0, 3.0]]), np.zeros((1, 3)))
-    value = best_response_value(single_row, "proposer", [1 / 3, 1 / 3, 1 / 3])
+    value = best_response_values(single_row, [1.0], [1 / 3, 1 / 3, 1 / 3])[0]
     assert abs(value - 2.0) <= 1e-12
 
 
 def test_best_response_validation():
+    # an opponent mix of the wrong length is rejected
     with pytest.raises(DimensionMismatchError):
-        best_response_value(entangled_game(), "proposer", [1.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        best_response_value(entangled_game(), "referee", [1.0, 0.0])
+        best_response_values(entangled_game(), [1.0, 0.0], [1.0, 0.0, 0.0])
+    with pytest.raises(DimensionMismatchError):
+        best_response_values(entangled_game(), [1.0, 0.0, 0.0], [1.0, 0.0])
 
 
 def test_verify_certifies_the_mixed_point():
@@ -330,21 +339,27 @@ def test_row_permutation_permutes_proposer_supports():
             )
 
 
+def solve_one(a, rhs):
+    """One system through the stacked elimination: its solution, or None when singular."""
+    solution, singular = _solve_stacked(np.concatenate([a, rhs[:, None]], axis=1)[..., None].copy())
+    return None if singular[0] else solution[:, 0]
+
+
 def test_solve_pivoting_matches_reference_solver():
     rng = np.random.default_rng(22)
     for _ in range(50):
         n = int(rng.integers(1, 6))
         a = rng.normal(size=(n, n))
         rhs = rng.normal(size=n)
-        x = solve_pivoting(a, rhs)
+        x = solve_one(a, rhs)
         assert x is not None
         assert np.allclose(x, np.linalg.solve(a, rhs), atol=1e-9)
 
 
 def test_solve_pivoting_reports_singular_systems():
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
-    assert solve_pivoting(singular, np.array([1.0, 2.0])) is None
-    assert solve_pivoting(np.zeros((2, 2)), np.zeros(2)) is None
+    assert solve_one(singular, np.array([1.0, 2.0])) is None
+    assert solve_one(np.zeros((2, 2)), np.zeros(2)) is None
 
 
 def test_support_enumeration_certifies_nothing_in_a_nan_game():
@@ -576,39 +591,62 @@ def test_verify_keeps_the_single_profile_arithmetic_bit_for_bit():
         assert profile.certified == (regret_p <= eps and regret_r <= eps)
 
 
-def _random_2x2_games(rng, count):
-    uniform = rng.uniform(-10.0, 10.0, (count, 2, 2, 2))
-    integer = rng.integers(0, 3, (count, 2, 2, 2)).astype(float)
-    states = [bell_like(float(t), (1, 1), (0, 0)) for t in rng.uniform(0.0, 2.0 * np.pi, count)]
-    induced = [induce_game(s, ultimatum_2x2(99, 50, 1), MOVES2, MOVES2) for s in states]
-    ultimatum = np.array([[g.proposer, g.responder] for g in induced])
-    nan = np.where(rng.random((count, 2, 2, 2)) < 0.3, np.nan, uniform)
-    # integer ties: equal entries, duplicate profiles and singular blocks
-    ties = rng.integers(0, 2, (count, 2, 2, 2)).astype(float)
-    wide = rng.integers(0, 4, (count, 2, 2, 2)).astype(float)
-    return np.concatenate([uniform, integer, ultimatum, nan, ties, wide])
+def _stacked_games(rng, shape, count):
+    """count games of each kind, (m, n, B) per player: uniform, 0..3-integer,
+    0/1 ties (equal entries, duplicate profiles, singular blocks) and NaN entries."""
+    uniform = rng.uniform(-10.0, 10.0, (count, 2, *shape))
+    integer = rng.integers(0, 4, (count, 2, *shape)).astype(float)
+    ties = rng.integers(0, 2, (count, 2, *shape)).astype(float)
+    nan = np.where(rng.random((count, 2, *shape)) < 0.2, np.nan, rng.uniform(-10.0, 10.0, (count, 2, *shape)))
+    return np.ascontiguousarray(np.concatenate([uniform, integer, ties, nan]).transpose(1, 2, 3, 0))
 
 
 @pytest.mark.parametrize("eps", (1e-9, 0.0, 1e-300, 5.0))
-def test_stacked_2x2_solve_matches_support_enumeration(eps):
-    games = _random_2x2_games(np.random.default_rng(17), 300)
-    x, y, pay_p, pay_r, found, unsettled = equilibria_2x2(games[:, 0], games[:, 1], eps)
+def test_stacked_enumeration_matches_support_enumeration(monkeypatch, eps):
+    # Each game of a stack gets the profiles, or the error, that support_enumeration
+    # gives it alone and that the pairwise loop gives it
+    exact_found = []
+    exact_profile = nash._exact_profile
+
+    def recording(*args):
+        profile = exact_profile(*args)
+        exact_found.append(profile is not None)
+        return profile
+
+    monkeypatch.setattr(nash, "_exact_profile", recording)
+    rng = np.random.default_rng(17)
+    # with no tolerance on the weights' sum, many games stop at a candidate and raise
+    for shape, sum_tol in itertools.product([(2, 2), (2, 3), (3, 3), (4, 2)], [nash.SIMPLEX_SUM_TOL, 0.0]):
+        monkeypatch.setattr(nash, "SIMPLEX_SUM_TOL", sum_tol)
+        a, b = _stacked_games(rng, shape, 30)
+        (games, x, y, payoffs, regrets, degenerate), (stopped, stop_x, stop_y) = _enumerate(a, b, eps)
+        assert np.all(np.diff(games) >= 0)
+        assert stopped.any() == (sum_tol == 0.0)
+        for g in range(a.shape[-1]):
+            game = (a[..., g], b[..., g])
+            # the pairwise loop takes NaN weights as valid, so NaN games skip it
+            reference = pairwise_support_enumeration if not np.isnan(game).any() else None
+            try:
+                expected = support_enumeration(game, eps)
+            except InvalidProbabilityError as error:
+                assert stopped[g]
+                message = f"^{re.escape(str(error))}$"
+                with pytest.raises(InvalidProbabilityError, match=message):
+                    mixed_strategy(stop_x[g]), mixed_strategy(stop_y[g])
+                if reference is not None:
+                    with pytest.raises(InvalidProbabilityError, match=message):
+                        reference(game, eps)
+                continue
+            assert not stopped[g]
+            if reference is not None:
+                _assert_same_profiles(expected, reference(game, eps))
+            mine = games == g
+            fields = [x[mine].tolist(), y[mine].tolist(), payoffs[mine].tolist(), regrets[mine].tolist()]
+            assert [profile_fields(p)[:4] + (p.degenerate,) for p in expected] == [
+                (p, q, tuple(pay), tuple(reg), d) for p, q, pay, reg, d in zip(*fields, degenerate[mine].tolist())
+            ]
     # at eps 0 and 1e-300 some valid mixes certify only in exact rationals
-    assert unsettled.any() == (eps in (0.0, 1e-300))
-    for g, (a, b) in enumerate(games):
-        try:
-            expected = support_enumeration((a, b), eps)
-        except InvalidProbabilityError:
-            assert unsettled[g]
-            continue
-        same = len(expected) == found[g].sum() and all(
-            np.array_equal(profile.proposer_strategy, x[g, c])
-            and np.array_equal(profile.responder_strategy, y[g, c])
-            and profile.payoffs == (pay_p[g, c], pay_r[g, c])
-            for profile, c in zip(expected, np.flatnonzero(found[g]))
-        )
-        # unflagged rows equal support_enumeration; flagged rows are the ones that differ
-        assert same != unsettled[g]
+    assert any(exact_found) == (eps in (0.0, 1e-300))
 
 
 PURE_EPS = (0.0, 1e-300, 1e-9, 0.5, 1.0, 3.0)
@@ -635,7 +673,7 @@ def test_pure_cells_equal_verify_on_the_unit_profiles(kind):
         for eps in PURE_EPS:
             # one call on the stack, whose games run along the last axis
             stack = games.transpose(1, 2, 3, 0)
-            regret_p, regret_r, certified, found, degenerate = _pure_cells(stack[0], stack[1], eps)
+            regret_p, regret_r, found, degenerate = _pure_cells(stack[0], stack[1], eps)
             for g, (a, b) in enumerate(games):
                 expected = []
                 for i in range(m):
@@ -643,9 +681,7 @@ def test_pure_cells_equal_verify_on_the_unit_profiles(kind):
                         unit = verify_equilibrium((a, b), (_unit_vector(m, i), _unit_vector(n, j)), eps)
                         assert unit.payoffs == (a[i, j], b[i, j])  # equal, bar the sign of a zero
                         assert unit.regret == (regret_p[i, j, g], regret_r[i, j, g])
-                        assert (unit.kind, unit.certified, unit.degenerate) == (
-                            "pure", certified[i, j, g], degenerate[i, j, g]
-                        )
+                        assert (unit.kind, unit.degenerate) == ("pure", degenerate[i, j, g])
                         if found[i, j, g]:
                             expected.append(profile_fields(unit))
                         # the pure-cell test of the pairwise reference, on top of certification
@@ -660,7 +696,7 @@ def test_pure_cells_of_a_non_finite_game_never_certify(value):
         for eps in PURE_EPS + (np.inf,):
             a, b = rng.uniform(0.0, 100.0, (2, m, n))
             (a, b)[rng.integers(2)][rng.integers(m), rng.integers(n)] = value
-            assert not _pure_cells(a, b, eps)[2].any()
+            assert not _pure_cells(a, b, eps)[2].any()  # no cell is found
             assert pure_equilibria((a, b), eps) == []
 
 

@@ -3,7 +3,10 @@
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -104,20 +107,23 @@ def test_special_rows_in_several_chunks_match_the_row_by_row_sweep(monkeypatch, 
     # "grid fallback" names the rows that once took the grid; they now get one
     # exact re-check of their mix each
     chunks = []  # per chunk: rows with two equilibria, rows whose mix is re-checked exactly
-    sweep_rows, exact_profile = cli._sweep_rows, cli._exact_profile
+    inside = []  # the row-by-row reference re-checks too; only the chunks' re-checks count
+    sweep_rows, exact_profile = cli._sweep_rows, nash._exact_profile
 
     def counting_rows(*args):
         chunks.append([0, 0])
+        inside.append(True)
         lines = sweep_rows(*args)
+        inside.pop()
         chunks[-1][0] = sum(";mu=" in line for line in lines)
         return lines
 
     def counting_exact_profile(*args):
-        chunks[-1][1] += 1
+        chunks[-1][1] += bool(inside)
         return exact_profile(*args)
 
     monkeypatch.setattr(cli, "_sweep_rows", counting_rows)
-    monkeypatch.setattr(cli, "_exact_profile", counting_exact_profile)
+    monkeypatch.setattr(nash, "_exact_profile", counting_exact_profile)
     assert_same_lines(text, eps, out_format=out_format)
     column = 0 if special == "two equilibria" else 1
     assert sum(chunk[column] > 0 for chunk in chunks) >= 2
@@ -188,3 +194,27 @@ def test_rows_failing_a_check_raise_the_row_by_row_error(monkeypatch, module, na
         rowwise_run_sweep(sweep, 1e-9, "csv")
     with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
         run_sweep(sweep, 1e-9, "csv")
+
+
+def test_sweep_raises_at_the_first_overflowing_row(tmp_path):
+    # Row 5 (theta = 0.98...) is the first whose induced game overflows to infinity;
+    # it raises the error nash gives that single state, with no numpy warning.
+    doc = json.loads(sweep_doc([0, 0], [1, 1], 9, stop="pi/2"))
+    doc["payoffs"] = {"matrices": {"proposer": [[1.7976931348623157e308] * 2] * 2, "responder": [[1, 0], [0, 1]]}}
+    # the reference's sum overflows with a warning on its way to the same error
+    with pytest.raises(GameError, match="^payoff entries must be finite$"), np.errstate(over="ignore"):
+        rowwise_run_sweep(parse_sweep_spec(json.dumps(doc)), 1e-9, "csv")
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    process = subprocess.run(
+        [sys.executable, "-m", "rqgames.cli", "sweep", "--spec", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+        check=False,
+    )
+    assert (process.returncode, process.stdout, process.stderr) == (3, "", "error: payoff entries must be finite\n")
+    # without the equilibria the rows have no game to overflow
+    doc["sweep"]["outputs"] = ["probs", "label"]
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--spec", str(path)]) == 0
