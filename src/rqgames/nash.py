@@ -307,7 +307,7 @@ def _enumerate(a, b, eps):
     stop) run in rounds: round t takes the t-th candidate of every game.
     """
     m, n, count = *a.shape[:2], a[0, 0].size
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)  # the games run along contiguous rows
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)  # C order, the games on the last axis
     with np.errstate(all="ignore"):  # a non-finite game gives NaNs, which never certify
         # each game's matrices in C order, and the responder's transposed, a row per their move
         ga, gb = (np.ascontiguousarray(v.reshape(m, n, count).transpose(2, 0, 1)) for v in (a, b))
@@ -325,10 +325,7 @@ def _enumerate(a, b, eps):
             for start in range(0, len(kept), size):
                 pair, games = np.divmod(kept[start : start + size], count)
                 r, c = np.divmod(pair, len(col_sets))
-                off_rows, off_cols = _subsets(m, k)[1][r], _subsets(n, k)[1][c]
-                pick, x, y, passed = _candidates(
-                    ga, gbt, games, row_sets[r], col_sets[c], off_rows, off_cols, eps, np.reshape(slack, count)[games]
-                )
+                pick, x, y, passed = _candidates(ga, gbt, games, k, r, c, eps, np.reshape(slack, count)[games])
                 if not len(pick):
                     continue
                 if finds is None:
@@ -456,10 +453,10 @@ def _subsets(size: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_freeze(np.array(v, dtype=int).reshape(len(v), t)) for v, t in ((sets, k), (rest[::-1], size - k)))
 
 
-def _candidates(ga, gbt, games, rows, cols, off_rows, off_cols, eps, slack):
+def _candidates(ga, gbt, games, k, r, c, eps, slack):
     """The candidates of a stack of support pairs: pair i is game games[i]
-    (proposer ga[games[i]], responder transposed gbt[games[i]]) on rows[i] x
-    cols[i], leaving off_rows[i] and off_cols[i] out, with margin slack[i].
+    (proposer ga[games[i]], responder transposed gbt[games[i]]) on the k-row
+    set r[i] and k-column set c[i] of ``_subsets``, with margin slack[i].
     Phase 1 solves the proposer's systems, which give the responder's mix
     y; phase 2 solves the responder's systems, which give x, for the pairs
     phase 1 keeps.  A stack of at most ``TWO_PHASE_MIN_PAIRS`` pairs, or
@@ -472,16 +469,18 @@ def _candidates(ga, gbt, games, rows, cols, off_rows, off_cols, eps, slack):
     single pair's indexing gives (C, then Fortran order).  Returns the pairs
     kept with valid weights, their (x, y) mixes, and which pass the test.
     """
-    count = len(games)
-    one_call = count <= TWO_PHASE_MIN_PAIRS or not off_rows.shape[1]
+    count, (_, m, n) = len(games), ga.shape
+    (rows, off_rows), (cols, off_cols) = _subsets(m, k), _subsets(n, k)  # the sets, and the moves they leave out
+    rows, cols = rows[r], cols[c]
+    one_call = count <= TWO_PHASE_MIN_PAIRS or k == m
     blocks = _blocks(ga, games, rows, cols)
     if one_call:  # the responder's systems follow the proposer's in one stack
         blocks = np.concatenate([blocks, _blocks(gbt, games, cols, rows)], axis=-1)
     weights, value, ok = _indifference(blocks)
     pairs = np.flatnonzero(ok[:count] & ok[count:] if one_call else ok)
-    y, value_p, passed = _spread(weights[:, pairs], cols[pairs], ga.shape[2]), value[pairs], np.ones(len(pairs), bool)
-    if off_rows.shape[1]:
-        best = _across(np.maximum, (ga[games[pairs, None], off_rows[pairs]] @ y[..., None])[..., 0])
+    y, value_p, passed = _spread(weights[:, pairs], cols[pairs], n), value[pairs], np.ones(len(pairs), bool)
+    if k < m:
+        best = _across(np.maximum, (ga[games[pairs, None], off_rows[r[pairs]]] @ y[..., None])[..., 0])
         kept, passed = ~(best > value_p + eps + slack[pairs]), ~(best > value_p + eps)
         pairs, y, passed = pairs[kept], y[kept], passed[kept]
     if one_call:
@@ -489,9 +488,9 @@ def _candidates(ga, gbt, games, rows, cols, off_rows, off_cols, eps, slack):
     else:
         weights, value, ok = _indifference(_blocks(gbt, games[pairs], cols[pairs], rows[pairs]))
         pairs, y, passed, weights, value = pairs[ok], y[ok], passed[ok], weights[:, ok], value[ok]
-    x = _spread(weights, rows[pairs], ga.shape[1])
-    if off_cols.shape[1]:
-        best = _across(np.maximum, (x[:, None] @ gbt[games[pairs, None], off_cols[pairs]].transpose(0, 2, 1))[:, 0])
+    x = _spread(weights, rows[pairs], m)
+    if k < n:
+        best = _across(np.maximum, (x[:, None] @ gbt[games[pairs, None], off_cols[c[pairs]]].transpose(0, 2, 1))[:, 0])
         kept, passed = ~(best > value + eps + slack[pairs]), passed & ~(best > value + eps)
         pairs, x, y, passed = pairs[kept], x[kept], y[kept], passed[kept]
     return pairs, x, y, passed
@@ -503,8 +502,7 @@ def _blocks(ga, games, rows, cols) -> np.ndarray:
     A block has one row per pure move of the player made indifferent, so
     the responder's blocks come from their transposed payoffs.
     """
-    _, m, n = ga.shape
-    return np.take(ga, games * (m * n) + rows.T[:, None] * n + cols.T[None])
+    return ga[games[:, None, None], rows[:, :, None], cols[:, None, :]].transpose(1, 2, 0)
 
 
 def _spread(weights, support, size) -> np.ndarray:
