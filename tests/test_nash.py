@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqgames import nash
 from rqgames import (
     DimensionMismatchError,
     InvalidProbabilityError,
@@ -18,6 +17,7 @@ from rqgames import (
     grid_oracle,
     induce_game,
     mixed_strategy,
+    nash,
     pure_equilibria,
     state_from_amplitudes,
     support_enumeration,
