@@ -260,8 +260,9 @@ def _build_moves(block, payoff_dims: tuple[int, int]) -> tuple[MoveSet, MoveSet]
         for key, perms in _object(block, "moves", set(moves)).items():
             if not isinstance(perms, list) or any(not isinstance(p, list) for p in perms):
                 raise ValidationError(f"moves.{key}", "expected a list of permutations")
-            for v in (v for p in perms for v in p if not _whole(v)):
-                raise ValidationError(f"moves.{key}", f"permutation entries must be integers, got {v!r}")
+            bad = [v for p in perms for v in p if not _whole(v)]
+            if bad:
+                raise ValidationError(f"moves.{key}", f"permutation entries must be integers, got {bad[0]!r}")
             try:
                 moves[key] = MoveSet(tuple(tuple(p) for p in perms))
             except GameError as exc:
