@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GameError, ParseError, ValidationError
+from .errors import GameError, ParseError, TooLargeError, ValidationError
 from .games import Bimatrix, PayoffTable, UltimatumParams, _finite, _whole, ultimatum_2x2, ultimatum_general
 from .hilbert import QuantumState, bell_like, bell_like_probs, probability_table, state_from_amplitudes
 from .induce import (
@@ -45,7 +45,6 @@ from .nash import (
     EquilibriumProfile,
     _enumerate,
     grid_oracle,  # unused here; bench/spans.py wraps cli.grid_oracle, so a traced run needs it
-    mixed_strategy,
     support_enumeration,
     verify_equilibrium,
 )
@@ -54,6 +53,10 @@ SWEEP_OUTPUTS = ("probs", "label", "equilibria")
 # Thetas per pass of ``run_sweep`` through the layers; it bounds the memory
 # one pass takes.
 SWEEP_CHUNK = 2048
+# The most thetas one sweep may have; a larger count exits 3 before any row
+# is computed.  A million ultimatum rows take about 8 s and 190 MB peak
+# memory in process (2-vCPU Xeon, numpy 2.4).
+SWEEP_MAX_ROWS = 1_000_000
 
 _PI_PATTERN = re.compile(
     r"^\s*([+-]?)\s*(?:(\d+(?:\.\d+)?)\s*\*\s*)?pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$",
@@ -494,6 +497,8 @@ def run_verify(doc: GameSpecDocument, profile_text: str, eps: float, out_format:
 
 
 def run_sweep(sweep: SweepSpec, eps: float, out_format: str) -> list[str]:
+    if sweep.count > SWEEP_MAX_ROWS:
+        raise TooLargeError(f"sweep limited to {SWEEP_MAX_ROWS} thetas, got {sweep.count}")
     step = (sweep.stop - sweep.start) / (sweep.count - 1)
     columns = ["theta"]
     if "probs" in sweep.outputs:
@@ -539,9 +544,8 @@ def _sweep_rows(sweep: SweepSpec, thetas: np.ndarray, eps: float, columns: list[
     if "equilibria" in sweep.outputs:
         moves = default_move_set(2)
         a, b = induce_stack(probs, sweep.payoffs, moves, moves)
-        found, (stopped, stop_x, stop_y) = _enumerate(a.transpose(1, 2, 0), b.transpose(1, 2, 0), eps)
-        games, x, y, payoffs = found[:4]
-        failed = failed | ~(np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))) | stopped
+        games, x, y, payoffs = _enumerate(a.transpose(1, 2, 0), b.transpose(1, 2, 0), eps)[:4]
+        failed = failed | ~(np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2)))
         groups = np.bincount(games, minlength=count)
         profiles = np.column_stack([x[:, 0], y[:, 0], payoffs])
     if failed.any():
@@ -549,7 +553,6 @@ def _sweep_rows(sweep: SweepSpec, thetas: np.ndarray, eps: float, columns: list[
         # the checks of a single state, in order; the first that fails raises
         probability_table(bell_like(float(thetas[r]), sweep.basis_a, sweep.basis_b, sweep.payoffs.dims))
         Bimatrix(a[r], b[r])  # the induced game's finite-payoff check
-        mixed_strategy(stop_x[r]), mixed_strategy(stop_y[r])  # where support_enumeration raises
     # each row prints its head, then mu, nu and the payoffs of each equilibrium
     width = head.shape[1] + 4 * groups
     starts = np.cumsum(width) - width

@@ -131,14 +131,15 @@ def _certify(a, b, x, y, eps):
     pay_r = np.matmul(xb, y_col)[..., 0, 0]
     regret_p, regret_r = (np.where(gap <= 0.0, 0.0, gap) for gap in (best_p - pay_p, best_r - pay_r))
     certified = (regret_p <= eps) & (regret_r <= eps) & np.isfinite(pay_p) & np.isfinite(pay_r)
-    degenerate = _degenerate(row_values >= best_p[..., None] - eps, col_values >= best_r[..., None] - eps, x, y, eps)
+    degenerate = _degenerate(row_values >= best_p[..., None] - eps, col_values >= best_r[..., None] - eps, x, y)
     return pay_p, pay_r, regret_p, regret_r, certified, degenerate
 
 
-def _degenerate(row_best, col_best, x, y, eps):
-    """Whether some player has more best responses (masks) than weights above eps."""
-    more_p = _across(np.add, row_best) > _across(np.add, x > eps)
-    return more_p | (_across(np.add, col_best) > _across(np.add, y > eps))
+def _degenerate(row_best, col_best, x, y):
+    """Whether some player has more best responses (masks) than support moves,
+    the weights above WEIGHT_CLAMP_TOL."""
+    more_p = _across(np.add, row_best) > _across(np.add, x > WEIGHT_CLAMP_TOL)
+    return more_p | (_across(np.add, col_best) > _across(np.add, y > WEIGHT_CLAMP_TOL))
 
 
 def _across(ufunc, v):
@@ -175,7 +176,7 @@ def _valid_weights(solution: np.ndarray, k: int) -> np.ndarray:
     return np.isfinite(solution).all(axis=0) & (solution[:k] >= -WEIGHT_CLAMP_TOL).all(axis=0)
 
 
-def _solve_stacked(ab: np.ndarray, pivot_tol: float = PIVOT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def _solve_stacked(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian elimination with partial pivoting on a stack of systems in one pass.
 
     ``ab`` is a C-contiguous (s, s + 1, N) float array, overwritten (row
@@ -188,7 +189,7 @@ def _solve_stacked(ab: np.ndarray, pivot_tol: float = PIVOT_TOL) -> tuple[np.nda
     floating-point operations of a textbook row-by-row elimination, so its
     solution does not depend on the width of the stack it is solved in.
     Returns the (s, N) solutions and the (N,) mask of singular systems,
-    those with a pivot magnitude at or below pivot_tol; their solution
+    those with a pivot magnitude at or below PIVOT_TOL; their solution
     columns are meaningless.
     """
     n, _, count = ab.shape
@@ -206,7 +207,7 @@ def _solve_stacked(ab: np.ndarray, pivot_tol: float = PIVOT_TOL) -> tuple[np.nda
             lam = below / ab[k, k]
             np.subtract(ab[k + 1 :, k:], lam[:, None] * ab[k, k:], out=ab[k + 1 :, k:], where=below[:, None] != 0.0)
         # a step never changes the rows above it, so the diagonal holds every pivot
-        singular = (np.abs(np.diagonal(ab, axis1=0, axis2=1)) <= pivot_tol).any(axis=1)
+        singular = (np.abs(np.diagonal(ab, axis1=0, axis2=1)) <= PIVOT_TOL).any(axis=1)
         for k in range(n - 1, -1, -1):
             # np.matmul on unit-stride rows reaches the same dot routine as a
             # 1-D ``@`` of one row, so the products round alike at any width
@@ -216,9 +217,9 @@ def _solve_stacked(ab: np.ndarray, pivot_tol: float = PIVOT_TOL) -> tuple[np.nda
     return x.T, singular
 
 
-def _same_profile(found_x, found_y, x, y, tol: float = 1e-9) -> np.ndarray:
-    """Which found profiles (strategies stacked on axis -2) lie within tol of (x, y)."""
-    return (_across(np.maximum, np.abs(found_x - x)) <= tol) & (_across(np.maximum, np.abs(found_y - y)) <= tol)
+def _same_profile(found_x, found_y, x, y) -> np.ndarray:
+    """Which found profiles (strategies stacked on axis -2) lie within 1e-9 of (x, y)."""
+    return (_across(np.maximum, np.abs(found_x - x)) <= 1e-9) & (_across(np.maximum, np.abs(found_y - y)) <= 1e-9)
 
 
 def _pure_cells(a, b, eps):
@@ -243,11 +244,9 @@ def _pure_cells(a, b, eps):
         finite = np.isfinite(a).all(axis=(0, 1)) & np.isfinite(b).all(axis=(0, 1))
         certified = (regret_p <= eps) & (regret_r <= eps) & finite
         found = certified & ~((col_best > a + eps) | (row_best > b + eps))
-        # _degenerate's test: more best responses than weights above eps, and
-        # a unit strategy has one such weight below eps = 1, none from there up
-        support = 1.0 > eps
-        degenerate = ((a >= col_best - eps).sum(axis=0, keepdims=True) > support) | (
-            (b >= row_best - eps).sum(axis=1, keepdims=True) > support
+        # _degenerate's test: more best responses than the one support move
+        degenerate = ((a >= col_best - eps).sum(axis=0, keepdims=True) > 1) | (
+            (b >= row_best - eps).sum(axis=1, keepdims=True) > 1
         )
     return regret_p, regret_r, found, degenerate
 
@@ -266,13 +265,14 @@ def support_enumeration(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfi
     indifference systems are solved directly; solutions are kept when they
     are valid simplex vectors whose on-support value dominates every
     off-support pure move within eps.  Singular systems are skipped,
-    duplicates merged, and every returned profile certifies at eps.  A
-    candidate whose weights fail ``mixed_strategy`` raises its error.
+    duplicates merged, and every returned profile certifies at eps.
 
-    In a finite game, a candidate that fails the off-support test or
-    certification, perhaps by rounding alone, is re-checked exactly.  A pure
-    cell needs no such re-check: its regret is one float subtraction, and
-    rounding is monotone, so a float regret above eps is above it exactly.
+    In a finite game, a candidate whose weights miss the sum test of
+    ``mixed_strategy``, or that fails the off-support test or certification,
+    perhaps by rounding alone, is re-checked exactly; in a non-finite game
+    it is dropped.  A pure cell needs no such re-check: its regret is one
+    float subtraction, and rounding is monotone, so a float regret above
+    eps is above it exactly.
 
     Pairs are visited by support size, then lexicographically by rows and
     by columns.  This is the one-game case of ``_enumerate``.
@@ -281,9 +281,7 @@ def support_enumeration(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfi
     m, n = a.shape
     if max(m, n) > 12:
         raise TooLargeError(f"support enumeration limited to 12 moves per side, got {m}x{n}")
-    (_, x, y, payoffs, regrets, degenerate), (stopped, stop_x, stop_y) = _enumerate(a, b, eps)
-    if stopped[0]:
-        mixed_strategy(stop_x[0]), mixed_strategy(stop_y[0])  # raise where verify_equilibrium would
+    _, x, y, payoffs, regrets, degenerate = _enumerate(a, b, eps)
     fields = zip(x, y, payoffs.tolist(), regrets.tolist(), _is_pure(x, y).tolist(), degenerate.tolist())
     return [
         EquilibriumProfile(_freeze(p), _freeze(q), tuple(pay), tuple(reg), "pure" if pure else "mixed", True, flag)
@@ -296,15 +294,13 @@ def _enumerate(a, b, eps):
     B) per player, or on one game, (m, n).  Nothing here raises.  Returns
     the profiles found as flat arrays, by game and in each game's
     enumeration order: the game index, the (P, m) and (P, n) strategies,
-    the (P, 2) payoffs and regrets and the (P,) degenerate flags.  Then the
-    (B,) mask of games whose enumeration stops at a candidate that fails
-    ``mixed_strategy``, and that candidate's (B, m) and (B, n) strategies.
+    the (P, 2) payoffs and regrets and the (P,) degenerate flags.
 
     For each support size k >= 2, the pairs ``_support_pairs`` keeps are
     solved in stacks by ``_candidates`` and certified by ``_certify``, whose
     values do not depend on the stack.  The steps that depend on what a
-    game has found so far (the duplicate test, the exact re-check and the
-    stop) run in rounds: round t takes the t-th candidate of every game.
+    game has found so far (the duplicate test and the exact re-check) run
+    in rounds: round t takes the t-th candidate of every game.
     """
     m, n, count = *a.shape[:2], a[0, 0].size
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)  # C order, the games on the last axis
@@ -318,14 +314,13 @@ def _enumerate(a, b, eps):
         payoffs, regrets = np.array([ga[cell], gb[cell]]).T, np.array([regret_p[cell], regret_r[cell]]).T
         pure = cell[0], np.eye(m)[cell[1]], np.eye(n)[cell[2]], payoffs, regrets, degenerate[cell]
         finds = None  # made at the first candidate
-        stopped, stop_x, stop_y = np.zeros(count, dtype=bool), np.zeros((count, m)), np.zeros((count, n))
         for k in range(2, min(m, n) + 1):
             row_sets, col_sets, kept = _support_pairs(a, b, k, eps, slack)
             size = max(STACK_PAIRS, count)  # a stack of games takes a pair of each at once
             for start in range(0, len(kept), size):
                 pair, games = np.divmod(kept[start : start + size], count)
                 r, c = np.divmod(pair, len(col_sets))
-                pick, x, y, passed = _candidates(ga, gbt, games, k, r, c, eps, np.reshape(slack, count)[games])
+                pick, x, y, valid = _candidates(ga, gbt, games, k, r, c, eps, np.reshape(slack, count)[games])
                 if not len(pick):
                     continue
                 if finds is None:
@@ -334,19 +329,13 @@ def _enumerate(a, b, eps):
                 games, rows, cols = games[pick], row_sets[r[pick]], col_sets[c[pick]]
                 pay_p, pay_r, reg_p, reg_r, certified, degen = _certify(ga[games], gb[games], x, y, eps)
                 payoffs, regrets = np.array([pay_p, pay_r]).T, np.array([reg_p, reg_r]).T
-                # mixed_strategy's sum test; the weights are clamped to nonnegative already
-                summed = (np.abs(np.array([x.sum(axis=-1), y.sum(axis=-1)]) - 1.0) <= SIMPLEX_SUM_TOL).all(axis=0)
-                # what a candidate that is no duplicate does: fail mixed_strategy, certify,
-                # or, failing the off-support test or certification, get re-checked exactly
-                wrong, good = passed & ~summed, passed & summed & certified
-                retry = (~passed | summed & ~certified) & finite[games]
+                # a candidate that is no duplicate certifies or, in a finite game, gets re-checked exactly
+                good = valid & certified
+                retry = ~good & finite[games]
                 for part in _rounds(games):
-                    part = part[~stopped[games[part]]] if stopped.any() else part
-                    fresh = ~passed[part] | ~finds.seen(games[part], x[part], y[part])  # a duplicate is skipped
-                    if wrong.any():
-                        stop = part[fresh & wrong[part]]
-                        stopped[games[stop]] = True
-                        stop_x[games[stop]], stop_y[games[stop]] = x[stop], y[stop]
+                    # a valid float profile is a duplicate by its float strategies, any
+                    # other candidate by its exact ones, which _exact_profile tests
+                    fresh = ~valid[part] | ~finds.seen(games[part], x[part], y[part])
                     take = part[fresh & good[part]]
                     finds.add(games[take], x[take], y[take], payoffs[take], regrets[take], degen[take])
                     exact = []
@@ -357,7 +346,7 @@ def _enumerate(a, b, eps):
                             exact.append((g, *profile))
                     if exact:
                         finds.add(*map(np.array, zip(*exact)))
-    return (finds.flat() if finds else pure), (stopped, stop_x, stop_y)
+    return finds.flat() if finds else pure
 
 
 def _rounds(games):
@@ -467,7 +456,9 @@ def _candidates(ga, gbt, games, k, r, c, eps, slack):
     fails the off-support test.  Those payoffs are ``a[off_rows] @ y`` and
     ``x @ b[:, off_cols]``, each one kernel call per pair on the layout a
     single pair's indexing gives (C, then Fortran order).  Returns the pairs
-    kept with valid weights, their (x, y) mixes, and which pass the test.
+    kept with valid weights, their (x, y) mixes, and which are valid float
+    profiles: mixes that pass the sum test of ``mixed_strategy`` and the
+    off-support test.
     """
     count, (_, m, n) = len(games), ga.shape
     (rows, off_rows), (cols, off_cols) = _subsets(m, k), _subsets(n, k)  # the sets, and the moves they leave out
@@ -493,7 +484,9 @@ def _candidates(ga, gbt, games, k, r, c, eps, slack):
         best = _across(np.maximum, (x[:, None] @ gbt[games[pairs, None], off_cols[c[pairs]]].transpose(0, 2, 1))[:, 0])
         kept, passed = ~(best > value + eps + slack[pairs]), passed & ~(best > value + eps)
         pairs, x, y, passed = pairs[kept], x[kept], y[kept], passed[kept]
-    return pairs, x, y, passed
+    # mixed_strategy's sum test; the weights are clamped to nonnegative already
+    summed = (np.abs(np.array([x.sum(axis=-1), y.sum(axis=-1)]) - 1.0) <= SIMPLEX_SUM_TOL).all(axis=0)
+    return pairs, x, y, passed & summed
 
 
 def _blocks(ga, games, rows, cols) -> np.ndarray:

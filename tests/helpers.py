@@ -19,6 +19,7 @@ from rqgames import (
     support_enumeration,
     verify_equilibrium,
 )
+from rqgames import nash
 from rqgames.cli import fmt
 from rqgames.nash import PIVOT_TOL, WEIGHT_CLAMP_TOL, game_matrices
 
@@ -116,9 +117,9 @@ def pairwise_support_enumeration(game, eps=EPS_DEFAULT):
     Plain loops over the pairs in the order ``support_enumeration``
     promises, each solved with ``loop_solve_pivoting``; tests require the
     same profiles in the same order from both.  In a finite game, a pair
-    with valid float weights whose candidate fails the off-support test or
-    verification is re-solved by Cramer's rule in exact rationals
-    (``exact_pairwise_profile``).
+    with valid float weights whose candidate misses the weights' sum test,
+    the off-support test or verification is re-solved by Cramer's rule in
+    exact rationals (``exact_pairwise_profile``).
     """
     a, b = game_matrices(game)
     m, n = a.shape
@@ -140,7 +141,7 @@ def pairwise_support_enumeration(game, eps=EPS_DEFAULT):
                     continue
                 x, y = mixes[:2]
                 profile = None
-                if _pairwise_off_support_ok(a, b, rows, cols, *mixes, eps):
+                if _pairwise_off_support_ok(a, b, rows, cols, *mixes, eps) and _sums_to_one(x, y):
                     if seen(x, y):
                         continue
                     profile = verify_equilibrium(game, (x, y), eps)
@@ -162,7 +163,7 @@ def _pairwise_mix(values, axis_size, support):
     rhs = np.zeros(k + 1)
     rhs[k] = 1.0
     solution = loop_solve_pivoting(system, rhs)
-    if solution is None:
+    if solution is None or not np.isfinite(solution).all():
         return None
     weights = solution[:k]
     if np.any(weights < -WEIGHT_CLAMP_TOL):
@@ -203,6 +204,11 @@ def _pairwise_off_support_ok(a, b, rows, cols, x, y, value_p, value_r, eps):
     if off_cols and float((x @ b[:, off_cols]).max()) > value_r + eps:
         return False
     return True
+
+
+def _sums_to_one(x, y):
+    """The sum test of ``mixed_strategy``, its tolerance read from ``rqgames.nash`` at each call."""
+    return abs(float(x.sum()) - 1.0) <= nash.SIMPLEX_SUM_TOL and abs(float(y.sum()) - 1.0) <= nash.SIMPLEX_SUM_TOL
 
 
 def pairwise_support(a, b, rows, cols, eps):

@@ -507,6 +507,56 @@ def test_tiny_eps_prints_the_mix_that_certifies_exactly(tmp_path, capsys):
     assert run(argv, capsys) == (0, expected, "")
 
 
+# a strict pure equilibrium at cell (2, 0), with other candidates whose float
+# weights are garbled by payoffs 1e300 apart; with these moves and the state
+# |00> the induced game is the payoff table itself
+GARBLED_3X3 = {
+    "payoffs": {
+        "matrices": {
+            "proposer": [[-2e300, -6e8, 0], [5e200, 2e200, 0], [8e300, -1e300, 1e8]],
+            "responder": [[-6, 8e200, -3e200], [1, -9e300, -8e100], [-8e8, -6e300, -2e200]],
+        }
+    },
+    "state": {"amplitudes": {"matrix": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}},
+    "moves": {"proposer": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "responder": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
+}
+
+
+def test_nash_prints_the_equilibrium_of_a_game_with_garbled_float_mixes(tmp_path, capsys):
+    # a candidate whose float weights sum to 7e-85 goes to the exact re-check
+    # like any other float miss, and the game's one equilibrium prints
+    expected = (
+        "equilibria: 1\n"
+        "equilibrium 1: kind=pure certified=true degenerate=false\n"
+        "  proposer strategy: 0 0 1\n"
+        "  responder strategy: 1 0 0\n"
+        "  payoffs: 8e+300 -800000000\n"
+        "  regrets: 0 0\n"
+    )
+    assert run(["nash", "--spec", write(tmp_path, json.dumps(GARBLED_3X3))], capsys) == (0, expected, "")
+
+
+@pytest.mark.parametrize("eps", ("0.5", "1e-9"))
+def test_degenerate_flag_counts_support_by_weight_not_by_eps(tmp_path, capsys, eps):
+    # the mix puts 0.0099 on move 0, below eps 0.5; it is still on the support
+    doc = {
+        "payoffs": {"matrices": {"proposer": [[100, 0], [0, 1]], "responder": [[100, 0], [0, 1]]}},
+        "state": {"amplitudes": {"matrix": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}},
+    }
+    code, out, _ = run(["nash", "--spec", write(tmp_path, json.dumps(doc)), "--eps", eps], capsys)
+    assert code == 0
+    assert "equilibrium 3: kind=mixed certified=true degenerate=false\n  proposer strategy: 0.0099009901 0.99009901\n" in out
+
+
+@pytest.mark.parametrize("count", (10**6 + 1, 2**63))
+def test_sweep_above_the_row_budget_exits_3(tmp_path, capsys, count):
+    doc = json.loads(SWEEP_DOC)
+    doc["sweep"]["theta"]["count"] = count
+    code, out, err = run(["sweep", "--spec", write(tmp_path, json.dumps(doc))], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: sweep limited to 1000000 thetas, got {count}\n"
+
+
 def test_bad_flags_are_rejected_before_the_document_is_read(capsys):
     code, _, err = run(["nash", "--spec", "/nonexistent/spec.json", "--eps", "nan"], capsys)
     assert code == 2 and err.startswith("error: --eps: ")

@@ -186,10 +186,20 @@ def test_golden_csv_byte_for_byte(tmp_path, capsys, name, text, flags):
 
 @pytest.mark.parametrize("module, name", [(hilbert, "NORM_TOL"), (nash, "SIMPLEX_SUM_TOL")])
 def test_rows_failing_a_check_raise_the_row_by_row_error(monkeypatch, module, name):
-    # With a zero tolerance, rows whose norm or mix weights are off by one
-    # rounding fail the state check or mixed_strategy, as single states do.
+    # With a zero tolerance, rows whose norm is off by one rounding fail the
+    # state check, as single states do.  Rows whose mix weights sum to 1 only
+    # within rounding go to the exact re-check, as single games do, and the
+    # sweep prints what the row-by-row reference prints.
     monkeypatch.setattr(module, name, 0.0)
     sweep = parse_sweep_spec(sweep_doc([1, 1], [0, 0], SWEEP_CHUNK + 500, start=0.1, stop=3))
+    if module is nash:
+        exact = []
+        exact_profile = nash._exact_profile
+        monkeypatch.setattr(nash, "_exact_profile", lambda *args: exact.append(args) or exact_profile(*args))
+        lines = run_sweep(sweep, 1e-9, "csv")
+        assert exact  # at the default sum tolerance no row of this sweep is re-checked
+        assert lines == rowwise_run_sweep(sweep, 1e-9, "csv")
+        return
     with pytest.raises(GameError) as expected:
         rowwise_run_sweep(sweep, 1e-9, "csv")
     with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
