@@ -204,6 +204,8 @@ def _build_payoffs(block, field: str = "payoffs") -> PayoffTable:
         return PayoffTable(np.array(sub["proposer"], dtype=float), np.array(sub["responder"], dtype=float))
     except TypeError:  # an object where a number belongs
         raise ValidationError(field, "expected matrices of numbers") from None
+    except OverflowError:  # an integer beyond float range
+        raise ValidationError(field, "payoff entries must be finite") from None
     except (GameError, ValueError) as exc:
         raise ValidationError(field, str(exc)) from exc
 
@@ -213,6 +215,8 @@ def _complex_entry(value, field: str) -> complex:
     for v in parts:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ValidationError(field, f"expected a number or [re, im] pair, got {value!r}")
+        if not _finite(v):
+            raise ValidationError(field, f"expected a finite number, got {value!r}")
     return complex(*parts)
 
 

@@ -9,6 +9,7 @@ rather than an assumption.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,8 @@ class QuantumState:
             raise DimensionMismatchError(
                 f"amplitude matrix must be at least 2x2, got shape {amps.shape}"
             )
-        total, off = _unit_sum(np.abs(amps) ** 2)
+        with np.errstate(over="ignore"):  # an overflow makes the sum infinite, which misses 1
+            total, off = _unit_sum(np.abs(amps) ** 2)
         if off:
             raise NotNormalizedError(
                 f"squared amplitudes sum to {float(total)}, expected 1 within {NORM_TOL}"
@@ -104,7 +106,15 @@ def state_from_amplitudes(raw, normalize: bool = False) -> QuantumState:
     if not np.any(amps):
         raise ZeroStateError("amplitude matrix is identically zero")
     if normalize:
-        amps = amps / np.linalg.norm(amps)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(amps)
+        if not 2.0**-500 < norm < 2.0**500:  # the squares may have underflowed or overflowed
+            # a power of two scales the real and imaginary parts exactly into (-1, 1)
+            exponent = math.frexp(max(np.abs(amps.real).max(), np.abs(amps.imag).max()))[1]
+            for part in (amps.real, amps.imag):
+                np.ldexp(part, -exponent, out=part)
+            norm = np.linalg.norm(amps)
+        amps = amps / norm
     return QuantumState(amps)
 
 

@@ -14,6 +14,7 @@ below ``eps`` certifies an eps-equilibrium.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,10 +38,12 @@ DOMINANCE_SLACK = 1e-12
 # memory one stack takes.
 STACK_PAIRS = 1024
 # Stacks of up to this many pairs solve both players' systems in one call
-# instead of two phases.  A second _solve_stacked call costs about 60 us
-# however few systems it solves; on random 4x4 to 10x10 levels (2-vCPU Xeon,
-# numpy 2.4) two phases took 1.24x the one-call time at 64 pairs, 1.0x at
-# 256 and 0.81x at 384.
+# instead of two phases, and all such stacks of one enumeration (at most one
+# per support level) share that call.  Alone, on random 4x4 to
+# 10x10 levels (2-vCPU Xeon, numpy 2.4), two phases took 0.77x the one-call
+# time at 64 pairs, 0.74x at 256 and 0.65x at 384; over the games of two
+# nash_large cycles, limits of 32 to 256 pairs were within the run-to-run
+# noise of about 5%.
 TWO_PHASE_MIN_PAIRS = 256
 
 
@@ -191,6 +194,15 @@ def _solve_stacked(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the (s, N) solutions and the (N,) mask of singular systems,
     those with a pivot magnitude at or below PIVOT_TOL; their solution
     columns are meaningless.
+
+    Step k swaps only the columns from k on, and updates the rows below the
+    pivot only right of it: nothing reads the other entries again.  A row
+    with a zero multiplier is updated too, where the textbook skips it:
+    x - 0 y is x for a finite y but for the sign of a zero x, and a pivot
+    row with a non-finite entry, or a zero or NaN pivot, leaves the system
+    singular or its solution non-finite either way.  So every solution that
+    is finite and not singular equals the textbook's, and only the singular
+    flag of a system with a non-finite solution may differ.
     """
     n, _, count = ab.shape
     flat = ab.reshape(-1)
@@ -199,13 +211,12 @@ def _solve_stacked(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(all="ignore"):  # singular systems run on with tiny or zero pivots
         for k in range(n - 1):  # the last row has no rows below to pivot with
             p = k + np.abs(ab[k:, k]).argmax(axis=0)
-            at = p * ((n + 1) * count) + row
+            at = p * ((n + 1) * count) + row[k:]
             pivot_row = flat[at]
-            flat[at] = ab[k]
-            ab[k] = pivot_row
-            below = ab[k + 1 :, k]
-            lam = below / ab[k, k]
-            np.subtract(ab[k + 1 :, k:], lam[:, None] * ab[k, k:], out=ab[k + 1 :, k:], where=below[:, None] != 0.0)
+            flat[at] = ab[k, k:]
+            ab[k, k:] = pivot_row
+            lam = ab[k + 1 :, k] / ab[k, k]
+            ab[k + 1 :, k + 1 :] -= lam[:, None] * ab[k, k + 1 :]
         # a step never changes the rows above it, so the diagonal holds every pivot
         singular = (np.abs(np.diagonal(ab, axis1=0, axis2=1)) <= PIVOT_TOL).any(axis=1)
         for k in range(n - 1, -1, -1):
@@ -298,9 +309,11 @@ def _enumerate(a, b, eps):
 
     For each support size k >= 2, the pairs ``_support_pairs`` keeps are
     solved in stacks by ``_candidates`` and certified by ``_certify``, whose
-    values do not depend on the stack.  The steps that depend on what a
-    game has found so far (the duplicate test and the exact re-check) run
-    in rounds: round t takes the t-th candidate of every game.
+    values do not depend on the stack; the stacks of at most
+    TWO_PHASE_MIN_PAIRS pairs have their systems solved in one call up
+    front.  The steps that depend on what a game has found so far (the
+    duplicate test and the exact re-check) run in ``_Finds.add_stack``, one
+    pass per stack.
     """
     m, n, count = *a.shape[:2], a[0, 0].size
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)  # C order, the games on the last axis
@@ -314,52 +327,37 @@ def _enumerate(a, b, eps):
         payoffs, regrets = np.array([ga[cell], gb[cell]]).T, np.array([regret_p[cell], regret_r[cell]]).T
         pure = cell[0], np.eye(m)[cell[1]], np.eye(n)[cell[2]], payoffs, regrets, degenerate[cell]
         finds = None  # made at the first candidate
+        size = max(STACK_PAIRS, count)  # a stack of games takes a pair of each at once
+        stacks = []  # (k, the number of column sets, flat pair indices) per stack of support pairs
         for k in range(2, min(m, n) + 1):
-            row_sets, col_sets, kept = _support_pairs(a, b, k, eps, slack)
-            size = max(STACK_PAIRS, count)  # a stack of games takes a pair of each at once
-            for start in range(0, len(kept), size):
-                pair, games = np.divmod(kept[start : start + size], count)
-                r, c = np.divmod(pair, len(col_sets))
-                pick, x, y, valid = _candidates(ga, gbt, games, k, r, c, eps, np.reshape(slack, count)[games])
-                if not len(pick):
-                    continue
-                if finds is None:
-                    finds = _Finds(count, *pure)
-                    finite = np.reshape(np.isfinite(a).all(axis=(0, 1)) & np.isfinite(b).all(axis=(0, 1)), count)
-                games, rows, cols = games[pick], row_sets[r[pick]], col_sets[c[pick]]
-                pay_p, pay_r, reg_p, reg_r, certified, degen = _certify(ga[games], gb[games], x, y, eps)
-                payoffs, regrets = np.array([pay_p, pay_r]).T, np.array([reg_p, reg_r]).T
-                # a candidate that is no duplicate certifies or, in a finite game, gets re-checked exactly
-                good = valid & certified
-                retry = ~good & finite[games]
-                for part in _rounds(games):
-                    # a valid float profile is a duplicate by its float strategies, any
-                    # other candidate by its exact ones, which _exact_profile tests
-                    fresh = ~valid[part] | ~finds.seen(games[part], x[part], y[part])
-                    take = part[fresh & good[part]]
-                    finds.add(games[take], x[take], y[take], payoffs[take], regrets[take], degen[take])
-                    exact = []
-                    for s in part[fresh & retry[part]].tolist():
-                        g = games[s]
-                        profile = _exact_profile(ga[g], gb[g], rows[s].tolist(), cols[s].tolist(), eps, *finds.of(g))
-                        if profile is not None:
-                            exact.append((g, *profile))
-                    if exact:
-                        finds.add(*map(np.array, zip(*exact)))
+            _, col_sets, kept = _support_pairs(a, b, k, eps, slack)
+            stacks += [(k, len(col_sets), kept[start : start + size]) for start in range(0, len(kept), size)]
+        # the stacks of up to TWO_PHASE_MIN_PAIRS pairs, at most one per level, are solved in one call
+        small = [i for i, stack in enumerate(stacks) if len(stack[2]) <= TWO_PHASE_MIN_PAIRS]
+        blocks = [_both_blocks(ga, gbt, stacks[i][0], *_pairs(count, *stacks[i][1:])) for i in small]
+        solved = dict(zip(small, _solve_indifference(blocks))) if small else {}
+        for i, (k, col_count, kept) in enumerate(stacks):
+            games, r, c = _pairs(count, col_count, kept)
+            pick, x, y, valid = _candidates(ga, gbt, games, k, r, c, eps, np.reshape(slack, count)[games], solved.get(i))
+            if not len(pick):
+                continue
+            if finds is None:
+                finds = _Finds(count, *pure)
+                finite = np.reshape(np.isfinite(a).all(axis=(0, 1)) & np.isfinite(b).all(axis=(0, 1)), count)
+            games, rows, cols = games[pick], _subsets(m, k)[0][r[pick]], _subsets(n, k)[0][c[pick]]
+            pay_p, pay_r, reg_p, reg_r, certified, degen = _certify(ga[games], gb[games], x, y, eps)
+            payoffs, regrets = np.array([pay_p, pay_r]).T, np.array([reg_p, reg_r]).T
+            # a candidate that is no duplicate certifies or, in a finite game, gets re-checked exactly;
+            # a valid float profile is a duplicate by its float strategies, any other candidate by
+            # its exact ones, which _exact_profile tests
+            good = valid & certified
+
+            def recheck(s, found_x, found_y):
+                g = games[s]
+                return _exact_profile(ga[g], gb[g], rows[s].tolist(), cols[s].tolist(), eps, found_x, found_y)
+
+            finds.add_stack(games, x, y, payoffs, regrets, degen, valid, good, ~good & finite[games], recheck)
     return finds.flat() if finds else pure
-
-
-def _rounds(games):
-    """The candidate indices of each round: the t-th candidate of each game, by game."""
-    if (np.diff(games) > 0).all():  # at most one candidate per game
-        return [np.arange(len(games))]
-    if (games == games[0]).all():  # one game
-        return np.arange(len(games))[:, None]
-    by_game = np.argsort(games, kind="stable")
-    rank = np.empty_like(games)
-    rank[by_game] = np.arange(len(games)) - np.searchsorted(games[by_game], games[by_game])
-    order = np.lexsort((games, rank))
-    return np.split(order, np.flatnonzero(np.diff(rank[order])) + 1)
 
 
 class _Finds:
@@ -367,32 +365,67 @@ class _Finds:
     games, in the order found, starting from the pure ones, sorted by game."""
 
     def __init__(self, count: int, games, x, y, payoffs, regrets, degenerate):
-        self.size = np.bincount(games, minlength=count)
+        self.size = np.zeros(count, dtype=int)
         # the strategies of each game, padded with NaN, which is close to nothing
-        self.x, self.y = (np.full((count, max(4, self.size.max()), v.shape[1]), np.nan) for v in (x, y))
-        slot = np.arange(len(games)) - np.searchsorted(games, games)
-        self.x[games, slot], self.y[games, slot] = x, y
-        self.parts = [(games, x, y, payoffs, regrets, degenerate)]
+        self.x, self.y = (np.full((count, 4, v.shape[1]), np.nan) for v in (x, y))
+        self.parts = []
+        self.add(games, x, y, payoffs, regrets, degenerate)
 
     def add(self, games, x, y, payoffs, regrets, degenerate):
-        """Append a profile to each of the distinct ``games``."""
-        slot = self.size[games]
-        if len(slot) and slot.max() >= self.x.shape[1]:  # double the slots
+        """Append profiles, each to its game's, in order."""
+        slot = self.size[games] + _rank(games)
+        while len(slot) and slot.max() >= self.x.shape[1]:  # double the slots
             self.x, self.y = (np.concatenate([v, np.full_like(v, np.nan)], axis=1) for v in (self.x, self.y))
         self.x[games, slot], self.y[games, slot] = x, y
-        self.size[games] += 1
+        self.size += np.bincount(games, minlength=len(self.size))
         self.parts.append((games, x, y, payoffs, regrets, degenerate))
 
     def seen(self, games, x, y):
-        """Whether each profile (x[i], y[i]) lies within tol of one found in game games[i]."""
+        """Whether each profile (x[i], y[i]) lies within 1e-9 of one found in game games[i]."""
         used = self.size[games].max(initial=0)  # the slots any of these games fills
         if not used:
             return np.zeros(len(games), dtype=bool)
         return _across(np.logical_or, _same_profile(self.x[games, :used], self.y[games, :used], x[:, None], y[:, None]))
 
-    def of(self, game):
-        """The strategies found in one game."""
-        return self.x[game, : self.size[game]], self.y[game, : self.size[game]]
+    def add_stack(self, games, x, y, payoffs, regrets, degenerate, valid, good, retry, recheck):
+        """Add the candidates of a stack, as if each game took its own in order.
+
+        A valid candidate (a valid float profile) within 1e-9 of a profile
+        its game found before it is a duplicate.  Any other candidate is
+        found when it is good, and when it is a retry and
+        ``recheck(s, found_x, found_y)`` returns its exact (x, y, payoffs,
+        regrets, degenerate flag), which then overwrite row s of the arrays;
+        ``recheck`` tests duplicates itself.  One ``seen`` call tests the
+        stack against the profiles found before it.  Then only the
+        candidates whose verdict depends on an earlier one of their game
+        are decided one by one, in order: good ones within 1e-9 of an
+        earlier good one, retries, and good ones after an exact find.
+        """
+        fresh = ~(valid & self.seen(games, x, y))
+        good, retry = good & fresh, retry & fresh
+        queue = np.flatnonzero(retry | (good & _near_earlier(games, x, y, good))).tolist()  # sorted: a heap
+        take = good.copy()
+        take[queue] = False
+        while queue:
+            s = heapq.heappop(queue)
+            g = games[s]
+            before = np.flatnonzero(take[:s] & (games[:s] == g))
+            if valid[s] and _same_profile(x[before], y[before], x[s], y[s]).any():
+                continue
+            if good[s]:
+                take[s] = True
+                continue
+            found_x, found_y = (np.concatenate([v[g, : self.size[g]], w[before]]) for v, w in ((self.x, x), (self.y, y)))
+            profile = recheck(s, found_x, found_y)
+            if profile is None:
+                continue
+            x[s], y[s], payoffs[s], regrets[s], degenerate[s] = profile
+            take[s] = True
+            later = s + 1 + np.flatnonzero(take[s + 1 :] & (games[s + 1 :] == g))  # may duplicate the exact find
+            take[later] = False
+            for t in later.tolist():
+                heapq.heappush(queue, t)
+        self.add(games[take], x[take], y[take], payoffs[take], regrets[take], degenerate[take])
 
     def flat(self):
         """The profiles as flat arrays (game, x, y, payoffs, regrets, degenerate), by game."""
@@ -401,6 +434,42 @@ class _Finds:
             return tuple(fields)
         order = np.argsort(fields[0], kind="stable")
         return tuple(field[order] for field in fields)
+
+
+def _pairs(count, col_count, kept):
+    """The games, row set indices and column set indices of flat pair indices
+    over (row set, column set, game)."""
+    pair, games = np.divmod(kept, count)
+    return games, *np.divmod(pair, col_count)
+
+
+def _rank(games) -> np.ndarray:
+    """How many entries before each of ``games`` name the same game."""
+    if (np.diff(games) > 0).all():  # each game once
+        return np.zeros(len(games), dtype=int)
+    order = np.argsort(games, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(games)) - np.searchsorted(games[order], games[order])
+    return rank
+
+
+def _near_earlier(games, x, y, mask) -> np.ndarray:
+    """Which candidates in ``mask`` lie within 1e-9 of an earlier one in
+    ``mask`` of the same game; STACK_PAIRS pairs are compared at a time."""
+    near = np.zeros(len(games), dtype=bool)
+    order = np.flatnonzero(mask)
+    if (np.diff(games[order]) > 0).all():  # at most one per game, as in a sweep
+        return near
+    order = order[np.argsort(games[order], kind="stable")]  # by game, then in stack order
+    by_game = games[order]
+    first = np.searchsorted(by_game, by_game)
+    earlier = np.arange(len(order)) - first  # how many of its game come before each
+    later = np.repeat(np.arange(len(order)), earlier)
+    before = first[later] + np.arange(len(later)) - np.repeat(np.cumsum(earlier) - earlier, earlier)
+    for start in range(0, len(later), STACK_PAIRS):
+        i, j = (order[v[start : start + STACK_PAIRS]] for v in (later, before))
+        near[i[_same_profile(x[j], y[j], x[i], y[i])]] = True
+    return near
 
 
 def _support_pairs(a, b, k, eps, slack):
@@ -442,7 +511,7 @@ def _subsets(size: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_freeze(np.array(v, dtype=int).reshape(len(v), t)) for v, t in ((sets, k), (rest[::-1], size - k)))
 
 
-def _candidates(ga, gbt, games, k, r, c, eps, slack):
+def _candidates(ga, gbt, games, k, r, c, eps, slack, solved=None):
     """The candidates of a stack of support pairs: pair i is game games[i]
     (proposer ga[games[i]], responder transposed gbt[games[i]]) on the k-row
     set r[i] and k-column set c[i] of ``_subsets``, with margin slack[i].
@@ -458,22 +527,24 @@ def _candidates(ga, gbt, games, k, r, c, eps, slack):
     single pair's indexing gives (C, then Fortran order).  Returns the pairs
     kept with valid weights, their (x, y) mixes, and which are valid float
     profiles: mixes that pass the sum test of ``mixed_strategy`` and the
-    off-support test.
+    off-support test.  ``solved`` gives the ``_indifference`` of a one-call
+    stack's ``_both_blocks`` when they are solved already.
     """
     count, (_, m, n) = len(games), ga.shape
     (rows, off_rows), (cols, off_cols) = _subsets(m, k), _subsets(n, k)  # the sets, and the moves they leave out
     rows, cols = rows[r], cols[c]
     one_call = count <= TWO_PHASE_MIN_PAIRS or k == m
-    blocks = _blocks(ga, games, rows, cols)
-    if one_call:  # the responder's systems follow the proposer's in one stack
-        blocks = np.concatenate([blocks, _blocks(gbt, games, cols, rows)], axis=-1)
-    weights, value, ok = _indifference(blocks)
+    if solved is None:
+        solved = _indifference(_both_blocks(ga, gbt, k, games, r, c) if one_call else _blocks(ga, games, rows, cols))
+    weights, value, ok = solved
     pairs = np.flatnonzero(ok[:count] & ok[count:] if one_call else ok)
     y, value_p, passed = _spread(weights[:, pairs], cols[pairs], n), value[pairs], np.ones(len(pairs), bool)
     if k < m:
         best = _across(np.maximum, (ga[games[pairs, None], off_rows[r[pairs]]] @ y[..., None])[..., 0])
         kept, passed = ~(best > value_p + eps + slack[pairs]), ~(best > value_p + eps)
         pairs, y, passed = pairs[kept], y[kept], passed[kept]
+    if not len(pairs):
+        return pairs, np.zeros((0, m)), y, passed
     if one_call:
         weights, value = weights[:, count + pairs], value[count + pairs]
     else:
@@ -498,6 +569,12 @@ def _blocks(ga, games, rows, cols) -> np.ndarray:
     return ga[games[:, None, None], rows[:, :, None], cols[:, None, :]].transpose(1, 2, 0)
 
 
+def _both_blocks(ga, gbt, k, games, r, c) -> np.ndarray:
+    """Both players' blocks of a stack of support pairs, the responder's after the proposer's."""
+    rows, cols = _subsets(ga.shape[1], k)[0][r], _subsets(ga.shape[2], k)[0][c]
+    return np.concatenate([_blocks(ga, games, rows, cols), _blocks(gbt, games, cols, rows)], axis=-1)
+
+
 def _spread(weights, support, size) -> np.ndarray:
     """The (N, size) mixes that put the (k, N) weights on the (N, k) supports."""
     mix = np.zeros((len(support), size))
@@ -513,17 +590,39 @@ def _indifference(blocks: np.ndarray):
     Returns the clamped (k, N) weights, the (N,) values and the (N,) mask
     of the systems that are non-singular with valid weights.
     """
-    k, _, count = blocks.shape
-    # Systems [[block, -1], [1, 0]] with right-hand side (0, ..., 0, 1): the
-    # weights, then the common value; all solved together by _solve_stacked.
-    ab = np.zeros((k + 1, k + 2, count))
-    ab[:k, :k] = blocks
-    ab[:k, k] = -1.0
-    ab[k, :k] = 1.0
-    ab[k, k + 1] = 1.0
+    return _solve_indifference([blocks])[0]
+
+
+def _solve_indifference(stacks: list) -> list:
+    """``_indifference`` of each of a list of block stacks, of any k, in one
+    ``_solve_stacked`` call.
+
+    The systems are [[block, -1], [1, 0]] with right-hand side (0, ..., 0,
+    1): the weights, then the common value.  A system smaller than the
+    largest is padded with an identity block at its top-left.  Elimination
+    pivots on its ones in place, with zero multipliers on zero rows, and
+    back-substitution takes dot products of unchanged lengths, so every
+    system gets the pivots and the arithmetic it gets alone.
+    """
+    size = max(len(blocks) for blocks in stacks) + 1
+    ab = np.zeros((size, size + 1, sum(blocks.shape[2] for blocks in stacks)))
+    ab[-1, -1] = 1.0
+    spans, start = [], 0
+    for blocks in stacks:
+        k, _, count = blocks.shape
+        pad, span = size - k - 1, slice(start, start + count)
+        ab[range(pad), range(pad), span] = 1.0
+        ab[pad:-1, pad:-2, span] = blocks
+        ab[pad:-1, -2, span] = -1.0
+        ab[-1, pad:-2, span] = 1.0
+        spans.append((k, span))
+        start += count
     solution, singular = _solve_stacked(ab)
-    ok = ~singular & _valid_weights(solution, k)
-    return np.where(solution[:k] < 0.0, 0.0, solution[:k]), solution[k], ok
+    found = []
+    for k, span in spans:
+        part = solution[size - 1 - k :, span]  # the weights, then the value
+        found.append((np.where(part[:k] < 0.0, 0.0, part[:k]), part[k], ~singular[span] & _valid_weights(part, k)))
+    return found
 
 
 def _exact_profile(a, b, rows, cols, eps, found_x, found_y):

@@ -111,6 +111,35 @@ def loop_solve_pivoting(a, rhs, pivot_tol=PIVOT_TOL):
     return x
 
 
+def masked_solve_stacked(ab):
+    """Reference: the stacked elimination that skips, as the textbook does,
+    every row whose multiplier is zero, and swaps and updates whole rows.
+
+    Same layout and results as ``rqgames.nash._solve_stacked``; the
+    unmasked step must give the same solutions wherever they are finite.
+    """
+    n, _, count = ab.shape
+    flat = ab.reshape(-1)
+    row = np.arange((n + 1) * count).reshape(n + 1, count)
+    x = np.empty((count, n))
+    with np.errstate(all="ignore"):
+        for k in range(n - 1):
+            p = k + np.abs(ab[k:, k]).argmax(axis=0)
+            at = p * ((n + 1) * count) + row
+            pivot_row = flat[at]
+            flat[at] = ab[k]
+            ab[k] = pivot_row
+            below = ab[k + 1 :, k]
+            lam = below / ab[k, k]
+            np.subtract(ab[k + 1 :, k:], lam[:, None] * ab[k, k:], out=ab[k + 1 :, k:], where=below[:, None] != 0.0)
+        singular = (np.abs(np.diagonal(ab, axis1=0, axis2=1)) <= PIVOT_TOL).any(axis=1)
+        for k in range(n - 1, -1, -1):
+            upper = np.ascontiguousarray(ab[k, k + 1 : n].T)
+            done = np.matmul(upper[:, None, :], x[:, k + 1 :, None])[:, 0, 0]
+            x[:, k] = (ab[k, n] - done) / ab[k, k]
+    return x.T, singular
+
+
 def pairwise_support_enumeration(game, eps=EPS_DEFAULT):
     """Reference: support enumeration one support pair at a time.
 

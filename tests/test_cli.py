@@ -1,5 +1,6 @@
 """Document parsing, rendering and the command-line surface."""
 
+import contextlib
 import io
 import itertools
 import json
@@ -10,6 +11,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqgames import ParseError, ValidationError, cli
 from rqgames.cli import main, parse_angle, parse_spec, parse_sweep_spec
@@ -741,6 +744,32 @@ def test_golden_validation_errors(tmp_path, capsys, command, path, value, line):
         ),
         # the decoder's recursion limit
         ("nash", (), "[" * 100_000 + "]" * 100_000, "arrays or objects nested too deeply"),
+        # an amplitude entry or part, or a payoff entry, beyond float range: once an
+        # OverflowError traceback, or "squared amplitudes sum to nan" after a warning
+        (
+            "nash",
+            ("state",),
+            f'{{"amplitudes": {{"matrix": [[1, 0], [0, {10**400}]]}}}}',
+            f"state.amplitudes.matrix[1][1]: expected a finite number, got {10**400}",
+        ),
+        (
+            "nash",
+            ("state",),
+            '{"amplitudes": {"matrix": [[1e309, 0], [0, 1]]}}',
+            "state.amplitudes.matrix[0][0]: expected a finite number, got inf",
+        ),
+        (
+            "nash",
+            ("state",),
+            '{"amplitudes": {"matrix": [[1, [0, -1e309]], [0, 1]]}}',
+            "state.amplitudes.matrix[0][1]: expected a finite number, got [0, -inf]",
+        ),
+        (
+            "nash",
+            ("payoffs",),
+            f'{{"matrices": {{"proposer": [[{10**400}, 0], [0, 1]], "responder": [[1, 0], [0, 1]]}}}}',
+            "payoffs.matrices: payoff entries must be finite",
+        ),
     ],
     ids=[
         "theta-1e400",
@@ -756,6 +785,10 @@ def test_golden_validation_errors(tmp_path, capsys, command, path, value, line):
         "total-401-digits",
         "offers-401-digits",
         "nested-100000-deep",
+        "amplitude-10**400",
+        "amplitude-1e309",
+        "amplitude-imaginary-1e309",
+        "payoff-10**400",
     ],
 )
 def test_non_finite_numbers_exit_2(tmp_path, capsys, command, path, literal, line):
@@ -807,3 +840,89 @@ def test_nash_on_an_overflowing_induced_game_exits_3():
     )
     # no numpy overflow warning beside the error line
     assert (process.returncode, process.stdout, process.stderr) == (3, "", "error: payoff entries must be finite\n")
+
+
+@pytest.mark.parametrize(
+    "matrix, line",
+    [([[3e-170, 0], [0, 4e-170]], "opposed,0.64,-0.36"), ([[1e300, 0], [0, 1e300]], "opposed,0.5,-0.5")],
+    ids=["3e-170", "1e300"],
+)
+def test_normalize_accepts_states_at_extreme_scales(tmp_path, capsys, matrix, line):
+    # the squared norm once underflowed to 0 or overflowed to infinity
+    doc = {**GAME, "state": {"amplitudes": {"matrix": matrix}}}
+    code, out, err = run(["classify", "--spec", write(tmp_path, json.dumps(doc)), "--format", "csv"], capsys)
+    assert (code, out, err) == (0, f"label,diff1,diff2\n{line}\n", "")
+
+
+def test_unnormalized_amplitudes_that_overflow_exit_2_without_a_warning(tmp_path, capsys):
+    doc = {**GAME, "state": {"amplitudes": {"matrix": [[1e300, 0], [0, 0]], "normalize": False}}}
+    code, out, err = run(["nash", "--spec", write(tmp_path, json.dumps(doc))], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: state.amplitudes: squared amplitudes sum to inf, expected 1 within 1e-09\n"
+
+
+# valid documents of all five commands, whose leaves the fuzz test mutates
+FUZZ_DOCUMENTS = {
+    "induce": GAME,
+    "classify": {**GAME, "state": {"amplitudes": {"matrix": [[[0.6, 0], 0], [0, [0, 0.8]]], "normalize": True}}},
+    "nash": {
+        "payoffs": {"matrices": {"proposer": [[3, 0, 1], [1, 2, 0], [0, 1, 3]], "responder": [[1, 2, 0], [0, 1, 3], [3, 0, 1]]}},
+        "state": {"amplitudes": {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+        "moves": {"proposer": [[0, 1, 2], [1, 2, 0]], "responder": [[2, 0, 1], [0, 1, 2]]},
+        "solver": {"eps": 1e-9},
+    },
+    "verify": GAME,
+    "sweep": {**SWEEP, "sweep": {**SWEEP["sweep"], "theta": {"start": "-pi/3", "stop": "pi", "count": 9}}},
+}
+LEAF_VALUES = st.one_of(
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 3e-170, 1e300, 1.7976931348623157e308, 10**308, "pi/2", "-pi/0"]),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-2, 3), max_size=3),
+    st.just(DROP),
+)
+
+
+def _leaves(doc, path=()):
+    """The paths of the scalar leaves of a document."""
+    if isinstance(doc, dict):
+        return [leaf for key, value in doc.items() for leaf in _leaves(value, (*path, key))]
+    if isinstance(doc, list):
+        return [leaf for i, value in enumerate(doc) for leaf in _leaves(value, (*path, i))]
+    return [path]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.data())
+def test_mutated_documents_exit_cleanly(data):
+    # a document with one leaf changed or dropped exits 0, 2 or 3, with no
+    # traceback and no numpy warning; pytest raises either as an exception
+    command = data.draw(st.sampled_from(sorted(FUZZ_DOCUMENTS)))
+    doc = json.loads(json.dumps(FUZZ_DOCUMENTS[command]))
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(_leaves(doc) or [()]))
+        value = data.draw(LEAF_VALUES)
+        if path == ("sweep", "theta", "count") and isinstance(value, int) and value > 1000:
+            value = 1000  # a valid row count that keeps the test fast
+        if not path:
+            break
+        block = doc
+        for key in path[:-1]:
+            block = block[key]
+        if value is DROP:
+            del block[path[-1]]
+        else:
+            block[path[-1]] = value
+    argv = [command, "--spec", "-"] + (["--profile", "0.5,0.5;0.5,0.5"] if command == "verify" else [])
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue() and "encountered in" not in err.getvalue()

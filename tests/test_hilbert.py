@@ -186,3 +186,23 @@ def test_non_finite_states_and_tables_rejected():
         ProbabilityTable([[np.nan, 0.0], [0.0, 1.0]])
     _, failed = bell_like_probs(np.array([0.5, np.inf, np.nan]), (1, 1), (0, 0))
     assert failed.tolist() == [False, True, True]
+
+
+def test_normalizing_states_at_extreme_scales():
+    # Where the squared norm would underflow or overflow, the parts are first
+    # scaled by a power of two, which is exact; in range the state is the
+    # plain quotient bit for bit.
+    rng = np.random.default_rng(60)
+    for _ in range(2000):
+        shape = tuple(rng.integers(2, 5, 2))
+        raw = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** rng.integers(-150, 150)
+        assert state_from_amplitudes(raw, normalize=True).amps.tobytes() == (raw / np.linalg.norm(raw)).tobytes()
+    tiny = state_from_amplitudes([[3e-170, 0], [0, 4e-170]], normalize=True).amps
+    assert np.allclose(tiny, [[0.6, 0], [0, 0.8]], rtol=0, atol=1e-15)
+    huge = state_from_amplitudes([[1.7e308, 1.7e308], [1.7e308, -1.7e308j]], normalize=True).amps
+    assert huge.tolist() == [[0.5, 0.5], [0.5, -0.5j]]
+
+
+def test_an_overflowing_unnormalized_state_is_rejected_without_a_warning():
+    with pytest.raises(NotNormalizedError, match="sum to inf"):
+        state_from_amplitudes([[1e300, 0], [0, 0]])

@@ -35,10 +35,17 @@ from rqgames.nash import (
     _pure_cells,
     _solve_stacked,
     _same_profile,
+    _solve_indifference,
     _support_pairs,
 )
 
-from helpers import loop_solve_pivoting, pairwise_support, pairwise_support_enumeration, random_bimatrix
+from helpers import (
+    loop_solve_pivoting,
+    masked_solve_stacked,
+    pairwise_support,
+    pairwise_support_enumeration,
+    random_bimatrix,
+)
 
 MOVES2 = default_move_set(2)
 
@@ -402,6 +409,108 @@ def test_stacked_elimination_matches_solve_pivoting_bit_for_bit():
                 else:
                     assert np.array_equal(solutions[:, i], expected)
     assert singular_seen > 100
+
+
+def _extreme_blocks(rng, k, count):
+    """k x k blocks that overflow, span the float range, hold NaN or infinite
+    entries, or hold zeros of both signs: count of each kind."""
+    shape = (k, k, count)
+    return np.concatenate(
+        [
+            rng.uniform(-1.0, 1.0, shape) * 1e300,
+            rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-300, 300, shape),
+            rng.choice([0.0, -0.0, 1.0, -1.0, 2.0, 1e300, -1e300, np.inf, -np.inf, np.nan], shape),
+            rng.integers(-2, 3, shape) * rng.choice([1.0, -0.0, 0.0], shape),
+        ],
+        axis=-1,
+    )
+
+
+def test_unmasked_elimination_keeps_the_masked_steps_solutions():
+    # The elimination once skipped the rows with a zero multiplier, as the
+    # textbook does; that masked step is the reference.  Where its solution
+    # is valid the unmasked step gives the same mask and the same bits.
+    rng = np.random.default_rng(46)
+    ok_seen = failed_seen = 0
+    for k in range(1, 8):
+        blocks = _extreme_blocks(rng, k, 200)
+        weights, value, ok = _indifference(blocks)
+        ab = np.zeros((k + 1, k + 2, blocks.shape[2]))
+        ab[:k, :k], ab[:k, k], ab[k, :k], ab[k, k + 1] = blocks, -1.0, 1.0, 1.0
+        solution, singular = masked_solve_stacked(ab)
+        expected = ~singular & np.isfinite(solution).all(axis=0) & (solution[:k] >= -nash.WEIGHT_CLAMP_TOL).all(axis=0)
+        assert np.array_equal(ok, expected)
+        assert weights[:, ok].tobytes() == np.where(solution[:k] < 0.0, 0.0, solution[:k])[:, ok].tobytes()
+        assert value[ok].tobytes() == solution[k, ok].tobytes()
+        ok_seen, failed_seen = ok_seen + ok.sum(), failed_seen + (~ok).sum()
+    assert ok_seen > 500 and failed_seen > 500
+
+
+def test_levels_solved_in_one_call_get_the_bits_they_get_alone():
+    # smaller systems are padded with an identity block at their top-left
+    rng = np.random.default_rng(47)
+    for trial in range(30):
+        sizes = rng.choice(np.arange(1, 10), size=int(rng.integers(2, 5)), replace=False)
+        if trial % 2:
+            stacks = [_extreme_blocks(rng, int(k), 10) for k in sizes]
+        else:
+            stacks = [rng.integers(0, 4, (k, k, 50)).astype(float) for k in sizes]
+        for blocks, (weights, value, ok) in zip(stacks, _solve_indifference(stacks)):
+            alone_weights, alone_value, alone_ok = _indifference(blocks)
+            assert np.array_equal(ok, alone_ok)
+            assert weights[:, ok].tobytes() == alone_weights[:, ok].tobytes()
+            assert value[ok].tobytes() == alone_value[ok].tobytes()
+
+
+def _near_duplicates(monkeypatch):
+    """A list that counts the candidates ``_near_earlier`` finds near an earlier one."""
+    found = []
+    near_earlier = nash._near_earlier
+
+    def recording(*args):
+        near = near_earlier(*args)
+        found.append(int(near.sum()))
+        return near
+
+    monkeypatch.setattr(nash, "_near_earlier", recording)
+    return found
+
+
+def test_stacked_copies_of_a_degenerate_game_each_get_its_profiles(monkeypatch):
+    # five copies put duplicate candidates of several games in each stack
+    rng = np.random.default_rng(48)
+    a, b = rng.integers(0, 2, (2, 6, 6)).astype(float)
+    expected = [profile_fields(p)[:4] + (p.degenerate,) for p in support_enumeration((a, b))]
+    near = _near_duplicates(monkeypatch)
+    games, x, y, payoffs, regrets, degenerate = _enumerate(*(np.repeat(v[..., None], 5, axis=-1) for v in (a, b)), EPS_DEFAULT)
+    assert sum(near) > 0
+    assert games.tolist() == sorted(list(range(5)) * len(expected))
+    for g in range(5):
+        mine = games == g
+        fields = [x[mine].tolist(), y[mine].tolist(), payoffs[mine].tolist(), regrets[mine].tolist()]
+        assert expected == [(p, q, tuple(pay), tuple(reg), d) for p, q, pay, reg, d in zip(*fields, degenerate[mine].tolist())]
+
+
+def test_float_duplicates_and_exact_finds_in_one_stack_match_the_pairwise_loop(monkeypatch):
+    # At a zero sum tolerance this 0/1 game sends candidates to the exact
+    # re-check, which finds two profiles, among float candidates that
+    # duplicate earlier ones of the same stack.
+    rng = np.random.default_rng([2, 8])
+    a, b = rng.integers(0, 2, (2, 8, 8)).astype(float)
+    monkeypatch.setattr(nash, "SIMPLEX_SUM_TOL", 0.0)
+    exact = []  # whether each exact re-check found a profile
+    exact_profile = nash._exact_profile
+
+    def recording(*args):
+        profile = exact_profile(*args)
+        exact.append(profile is not None)
+        return profile
+
+    monkeypatch.setattr(nash, "_exact_profile", recording)
+    near = _near_duplicates(monkeypatch)
+    found = support_enumeration((a, b))
+    assert sum(near) > 0 and sum(exact) == 2 and len(exact) > 2
+    _assert_same_profiles(found, pairwise_support_enumeration((a, b)))
 
 
 def _assert_same_profiles(found, expected):
