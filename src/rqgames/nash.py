@@ -38,12 +38,11 @@ DOMINANCE_SLACK = 1e-12
 # memory one stack takes.
 STACK_PAIRS = 1024
 # Stacks of up to this many pairs solve both players' systems in one call
-# instead of two phases, and all such stacks of one enumeration (at most one
-# per support level) share that call.  Alone, on random 4x4 to
-# 10x10 levels (2-vCPU Xeon, numpy 2.4), two phases took 0.77x the one-call
-# time at 64 pairs, 0.74x at 256 and 0.65x at 384; over the games of two
-# nash_large cycles, limits of 32 to 256 pairs were within the run-to-run
-# noise of about 5%.
+# instead of two phases.  On random uniform 4x4 to 10x10 levels alone
+# (2-vCPU Xeon, numpy 2.4), two phases took 0.77x the one-call time at 64
+# pairs, 0.74x at 256 and 0.65x at 384.  But on the nash_large workload a
+# limit of 0 (one call only for a stack that leaves no row out) gave a median
+# of 174 documents/s against 183 at 256, and won 2 of 10 alternating runs.
 TWO_PHASE_MIN_PAIRS = 256
 
 
@@ -309,11 +308,9 @@ def _enumerate(a, b, eps):
 
     For each support size k >= 2, the pairs ``_support_pairs`` keeps are
     solved in stacks by ``_candidates`` and certified by ``_certify``, whose
-    values do not depend on the stack; the stacks of at most
-    TWO_PHASE_MIN_PAIRS pairs have their systems solved in one call up
-    front.  The steps that depend on what a game has found so far (the
-    duplicate test and the exact re-check) run in ``_Finds.add_stack``, one
-    pass per stack.
+    values do not depend on the stack.  The steps that depend on what a
+    game has found so far (the duplicate test and the exact re-check) run
+    in ``_Finds.add_stack``, one pass per stack.
     """
     m, n, count = *a.shape[:2], a[0, 0].size
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)  # C order, the games on the last axis
@@ -327,36 +324,31 @@ def _enumerate(a, b, eps):
         payoffs, regrets = np.array([ga[cell], gb[cell]]).T, np.array([regret_p[cell], regret_r[cell]]).T
         pure = cell[0], np.eye(m)[cell[1]], np.eye(n)[cell[2]], payoffs, regrets, degenerate[cell]
         finds = None  # made at the first candidate
-        size = max(STACK_PAIRS, count)  # a stack of games takes a pair of each at once
-        stacks = []  # (k, the number of column sets, flat pair indices) per stack of support pairs
         for k in range(2, min(m, n) + 1):
-            _, col_sets, kept = _support_pairs(a, b, k, eps, slack)
-            stacks += [(k, len(col_sets), kept[start : start + size]) for start in range(0, len(kept), size)]
-        # the stacks of up to TWO_PHASE_MIN_PAIRS pairs, at most one per level, are solved in one call
-        small = [i for i, stack in enumerate(stacks) if len(stack[2]) <= TWO_PHASE_MIN_PAIRS]
-        blocks = [_both_blocks(ga, gbt, stacks[i][0], *_pairs(count, *stacks[i][1:])) for i in small]
-        solved = dict(zip(small, _solve_indifference(blocks))) if small else {}
-        for i, (k, col_count, kept) in enumerate(stacks):
-            games, r, c = _pairs(count, col_count, kept)
-            pick, x, y, valid = _candidates(ga, gbt, games, k, r, c, eps, np.reshape(slack, count)[games], solved.get(i))
-            if not len(pick):
-                continue
-            if finds is None:
-                finds = _Finds(count, *pure)
-                finite = np.reshape(np.isfinite(a).all(axis=(0, 1)) & np.isfinite(b).all(axis=(0, 1)), count)
-            games, rows, cols = games[pick], _subsets(m, k)[0][r[pick]], _subsets(n, k)[0][c[pick]]
-            pay_p, pay_r, reg_p, reg_r, certified, degen = _certify(ga[games], gb[games], x, y, eps)
-            payoffs, regrets = np.array([pay_p, pay_r]).T, np.array([reg_p, reg_r]).T
-            # a candidate that is no duplicate certifies or, in a finite game, gets re-checked exactly;
-            # a valid float profile is a duplicate by its float strategies, any other candidate by
-            # its exact ones, which _exact_profile tests
-            good = valid & certified
+            row_sets, col_sets, kept = _support_pairs(a, b, k, eps, slack)
+            size = max(STACK_PAIRS, count)  # a stack of games takes a pair of each at once
+            for start in range(0, len(kept), size):
+                pair, games = np.divmod(kept[start : start + size], count)
+                r, c = np.divmod(pair, len(col_sets))
+                pick, x, y, valid = _candidates(ga, gbt, games, k, r, c, eps, np.reshape(slack, count)[games])
+                if not len(pick):
+                    continue
+                if finds is None:
+                    finds = _Finds(count, *pure)
+                    finite = np.reshape(np.isfinite(a).all(axis=(0, 1)) & np.isfinite(b).all(axis=(0, 1)), count)
+                games, rows, cols = games[pick], row_sets[r[pick]], col_sets[c[pick]]
+                pay_p, pay_r, reg_p, reg_r, certified, degen = _certify(ga[games], gb[games], x, y, eps)
+                payoffs, regrets = np.array([pay_p, pay_r]).T, np.array([reg_p, reg_r]).T
+                # a candidate that is no duplicate certifies or, in a finite game, gets re-checked exactly;
+                # a valid float profile is a duplicate by its float strategies, any other candidate by
+                # its exact ones, which _exact_profile tests
+                good = valid & certified
 
-            def recheck(s, found_x, found_y):
-                g = games[s]
-                return _exact_profile(ga[g], gb[g], rows[s].tolist(), cols[s].tolist(), eps, found_x, found_y)
+                def recheck(s, found_x, found_y):
+                    g = games[s]
+                    return _exact_profile(ga[g], gb[g], rows[s].tolist(), cols[s].tolist(), eps, found_x, found_y)
 
-            finds.add_stack(games, x, y, payoffs, regrets, degen, valid, good, ~good & finite[games], recheck)
+                finds.add_stack(games, x, y, payoffs, regrets, degen, valid, good, ~good & finite[games], recheck)
     return finds.flat() if finds else pure
 
 
@@ -436,13 +428,6 @@ class _Finds:
         return tuple(field[order] for field in fields)
 
 
-def _pairs(count, col_count, kept):
-    """The games, row set indices and column set indices of flat pair indices
-    over (row set, column set, game)."""
-    pair, games = np.divmod(kept, count)
-    return games, *np.divmod(pair, col_count)
-
-
 def _rank(games) -> np.ndarray:
     """How many entries before each of ``games`` name the same game."""
     if (np.diff(games) > 0).all():  # each game once
@@ -511,7 +496,7 @@ def _subsets(size: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_freeze(np.array(v, dtype=int).reshape(len(v), t)) for v, t in ((sets, k), (rest[::-1], size - k)))
 
 
-def _candidates(ga, gbt, games, k, r, c, eps, slack, solved=None):
+def _candidates(ga, gbt, games, k, r, c, eps, slack):
     """The candidates of a stack of support pairs: pair i is game games[i]
     (proposer ga[games[i]], responder transposed gbt[games[i]]) on the k-row
     set r[i] and k-column set c[i] of ``_subsets``, with margin slack[i].
@@ -527,16 +512,16 @@ def _candidates(ga, gbt, games, k, r, c, eps, slack, solved=None):
     single pair's indexing gives (C, then Fortran order).  Returns the pairs
     kept with valid weights, their (x, y) mixes, and which are valid float
     profiles: mixes that pass the sum test of ``mixed_strategy`` and the
-    off-support test.  ``solved`` gives the ``_indifference`` of a one-call
-    stack's ``_both_blocks`` when they are solved already.
+    off-support test.
     """
     count, (_, m, n) = len(games), ga.shape
     (rows, off_rows), (cols, off_cols) = _subsets(m, k), _subsets(n, k)  # the sets, and the moves they leave out
     rows, cols = rows[r], cols[c]
     one_call = count <= TWO_PHASE_MIN_PAIRS or k == m
-    if solved is None:
-        solved = _indifference(_both_blocks(ga, gbt, k, games, r, c) if one_call else _blocks(ga, games, rows, cols))
-    weights, value, ok = solved
+    blocks = _blocks(ga, games, rows, cols)
+    if one_call:  # the responder's systems follow the proposer's in one stack
+        blocks = np.concatenate([blocks, _blocks(gbt, games, cols, rows)], axis=-1)
+    weights, value, ok = _indifference(blocks)
     pairs = np.flatnonzero(ok[:count] & ok[count:] if one_call else ok)
     y, value_p, passed = _spread(weights[:, pairs], cols[pairs], n), value[pairs], np.ones(len(pairs), bool)
     if k < m:
@@ -569,12 +554,6 @@ def _blocks(ga, games, rows, cols) -> np.ndarray:
     return ga[games[:, None, None], rows[:, :, None], cols[:, None, :]].transpose(1, 2, 0)
 
 
-def _both_blocks(ga, gbt, k, games, r, c) -> np.ndarray:
-    """Both players' blocks of a stack of support pairs, the responder's after the proposer's."""
-    rows, cols = _subsets(ga.shape[1], k)[0][r], _subsets(ga.shape[2], k)[0][c]
-    return np.concatenate([_blocks(ga, games, rows, cols), _blocks(gbt, games, cols, rows)], axis=-1)
-
-
 def _spread(weights, support, size) -> np.ndarray:
     """The (N, size) mixes that put the (k, N) weights on the (N, k) supports."""
     mix = np.zeros((len(support), size))
@@ -590,39 +569,17 @@ def _indifference(blocks: np.ndarray):
     Returns the clamped (k, N) weights, the (N,) values and the (N,) mask
     of the systems that are non-singular with valid weights.
     """
-    return _solve_indifference([blocks])[0]
-
-
-def _solve_indifference(stacks: list) -> list:
-    """``_indifference`` of each of a list of block stacks, of any k, in one
-    ``_solve_stacked`` call.
-
-    The systems are [[block, -1], [1, 0]] with right-hand side (0, ..., 0,
-    1): the weights, then the common value.  A system smaller than the
-    largest is padded with an identity block at its top-left.  Elimination
-    pivots on its ones in place, with zero multipliers on zero rows, and
-    back-substitution takes dot products of unchanged lengths, so every
-    system gets the pivots and the arithmetic it gets alone.
-    """
-    size = max(len(blocks) for blocks in stacks) + 1
-    ab = np.zeros((size, size + 1, sum(blocks.shape[2] for blocks in stacks)))
-    ab[-1, -1] = 1.0
-    spans, start = [], 0
-    for blocks in stacks:
-        k, _, count = blocks.shape
-        pad, span = size - k - 1, slice(start, start + count)
-        ab[range(pad), range(pad), span] = 1.0
-        ab[pad:-1, pad:-2, span] = blocks
-        ab[pad:-1, -2, span] = -1.0
-        ab[-1, pad:-2, span] = 1.0
-        spans.append((k, span))
-        start += count
+    k, _, count = blocks.shape
+    # Systems [[block, -1], [1, 0]] with right-hand side (0, ..., 0, 1): the
+    # weights, then the common value; all solved together by _solve_stacked.
+    ab = np.zeros((k + 1, k + 2, count))
+    ab[:k, :k] = blocks
+    ab[:k, k] = -1.0
+    ab[k, :k] = 1.0
+    ab[k, k + 1] = 1.0
     solution, singular = _solve_stacked(ab)
-    found = []
-    for k, span in spans:
-        part = solution[size - 1 - k :, span]  # the weights, then the value
-        found.append((np.where(part[:k] < 0.0, 0.0, part[:k]), part[k], ~singular[span] & _valid_weights(part, k)))
-    return found
+    ok = ~singular & _valid_weights(solution, k)
+    return np.where(solution[:k] < 0.0, 0.0, solution[:k]), solution[k], ok
 
 
 def _exact_profile(a, b, rows, cols, eps, found_x, found_y):

@@ -35,7 +35,6 @@ from rqgames.nash import (
     _pure_cells,
     _solve_stacked,
     _same_profile,
-    _solve_indifference,
     _support_pairs,
 )
 
@@ -444,22 +443,6 @@ def test_unmasked_elimination_keeps_the_masked_steps_solutions():
         assert value[ok].tobytes() == solution[k, ok].tobytes()
         ok_seen, failed_seen = ok_seen + ok.sum(), failed_seen + (~ok).sum()
     assert ok_seen > 500 and failed_seen > 500
-
-
-def test_levels_solved_in_one_call_get_the_bits_they_get_alone():
-    # smaller systems are padded with an identity block at their top-left
-    rng = np.random.default_rng(47)
-    for trial in range(30):
-        sizes = rng.choice(np.arange(1, 10), size=int(rng.integers(2, 5)), replace=False)
-        if trial % 2:
-            stacks = [_extreme_blocks(rng, int(k), 10) for k in sizes]
-        else:
-            stacks = [rng.integers(0, 4, (k, k, 50)).astype(float) for k in sizes]
-        for blocks, (weights, value, ok) in zip(stacks, _solve_indifference(stacks)):
-            alone_weights, alone_value, alone_ok = _indifference(blocks)
-            assert np.array_equal(ok, alone_ok)
-            assert weights[:, ok].tobytes() == alone_weights[:, ok].tobytes()
-            assert value[ok].tobytes() == alone_value[ok].tobytes()
 
 
 def _near_duplicates(monkeypatch):
