@@ -34,15 +34,14 @@ PURE_KIND_TOL = 1e-9
 # terms, within which the off-support prefilter defers to the off-support test.
 DOMINANCE_SLACK = 1e-12
 
-# Support pairs per stacked solve in ``support_enumeration``; it bounds the
-# memory one stack takes.
+# Support pairs per chunk of ``support_enumeration``'s solves; it bounds the
+# memory one chunk takes.
 STACK_PAIRS = 1024
-# Stacks of up to this many pairs solve both players' systems in one call
-# instead of two phases.  On random uniform 4x4 to 10x10 levels alone
-# (2-vCPU Xeon, numpy 2.4), two phases took 0.77x the one-call time at 64
-# pairs, 0.74x at 256 and 0.65x at 384.  But on the nash_large workload a
-# limit of 0 (one call only for a stack that leaves no row out) gave a median
-# of 174 documents/s against 183 at 256, and won 2 of 10 alternating runs.
+# A game (or stack of games) that keeps up to this many support pairs in all
+# solves both players' systems in one call instead of two phases.  Over the
+# games of two nash_large cycles (seeds 3 and 5; 2-vCPU Xeon, numpy 2.4.6;
+# per game the best of 15 alternating runs), enumeration took 70 and 72 ms
+# at a limit of 0, 66 and 69 at 64, 64 and 64 at 256, and 64 and 66 at 1024.
 TWO_PHASE_MIN_PAIRS = 256
 
 
@@ -172,13 +171,7 @@ def pure_equilibria(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfile]:
     ]
 
 
-def _valid_weights(solution: np.ndarray, k: int) -> np.ndarray:
-    """Whether indifference solutions (axis 0: k weights, then the value) are
-    finite with no weight below -WEIGHT_CLAMP_TOL."""
-    return np.isfinite(solution).all(axis=0) & (solution[:k] >= -WEIGHT_CLAMP_TOL).all(axis=0)
-
-
-def _solve_stacked(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _solve_stacked(ab: np.ndarray, sizes=None) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian elimination with partial pivoting on a stack of systems in one pass.
 
     ``ab`` is a C-contiguous (s, s + 1, N) float array, overwritten (row
@@ -194,6 +187,14 @@ def _solve_stacked(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     those with a pivot magnitude at or below PIVOT_TOL; their solution
     columns are meaningless.
 
+    Systems of several sizes share one stack when ``sizes``, nondecreasing,
+    gives each one's: system i then fills the bottom right sizes[i] x
+    (sizes[i] + 1) of its matrix.  Step k acts only on the systems that are
+    real at row k, a suffix of the stack, so each system takes exactly the
+    steps it takes alone: those an identity block above and left of it
+    would add pivot on 1 with multipliers of 0.  Nothing reads the rest of
+    its matrix, and its solution is zero above its own rows.
+
     Step k swaps only the columns from k on, and updates the rows below the
     pivot only right of it: nothing reads the other entries again.  A row
     with a zero multiplier is updated too, where the textbook skips it:
@@ -204,27 +205,32 @@ def _solve_stacked(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     flag of a system with a non-finite solution may differ.
     """
     n, _, count = ab.shape
+    first = [0] * n if sizes is None else np.searchsorted(sizes, n - np.arange(n)).tolist()  # real at row k
     flat = ab.reshape(-1)
     row = np.arange((n + 1) * count).reshape(n + 1, count)
-    x = np.empty((count, n))
+    x = np.zeros((count, n))
     with np.errstate(all="ignore"):  # singular systems run on with tiny or zero pivots
         for k in range(n - 1):  # the last row has no rows below to pivot with
-            p = k + np.abs(ab[k:, k]).argmax(axis=0)
-            at = p * ((n + 1) * count) + row[k:]
+            s = first[k]
+            p = k + np.abs(ab[k:, k, s:]).argmax(axis=0)
+            at = p * ((n + 1) * count) + row[k:, s:]
             pivot_row = flat[at]
-            flat[at] = ab[k, k:]
-            ab[k, k:] = pivot_row
-            lam = ab[k + 1 :, k] / ab[k, k]
-            ab[k + 1 :, k + 1 :] -= lam[:, None] * ab[k, k + 1 :]
+            flat[at] = ab[k, k:, s:]
+            ab[k, k:, s:] = pivot_row
+            lam = ab[k + 1 :, k, s:] / ab[k, k, s:]
+            ab[k + 1 :, k + 1 :, s:] -= lam[:, None] * ab[k, k + 1 :, s:]
         # a step never changes the rows above it, so the diagonal holds every pivot
-        singular = (np.abs(np.diagonal(ab, axis1=0, axis2=1)) <= PIVOT_TOL).any(axis=1)
-        for k in range(n - 1, -1, -1):
+        small = np.abs(np.diagonal(ab, axis1=0, axis2=1)) <= PIVOT_TOL
+        singular = (small if sizes is None else small & (np.arange(n) >= n - sizes[:, None])).any(axis=1)
+        x[:, -1] = (ab[-1, n] - 0.0) / ab[-1, -2]  # an empty dot product is 0
+        for k in range(n - 2, -1, -1):
+            s = first[k]
             # np.matmul on unit-stride rows reaches the same dot routine as a
             # 1-D ``@`` of one row, so the products round alike at any width
-            upper = np.ascontiguousarray(ab[k, k + 1 : n].T)
-            done = np.matmul(upper[:, None, :], x[:, k + 1 :, None])[:, 0, 0]
-            x[:, k] = (ab[k, n] - done) / ab[k, k]
-    return x.T, singular
+            upper = np.ascontiguousarray(ab[k, k + 1 : n, s:].T)
+            done = np.matmul(upper[:, None, :], x[s:, k + 1 :, None])[:, 0, 0]
+            x[s:, k] = (ab[k, n, s:] - done) / ab[k, k, s:]
+    return np.ascontiguousarray(x.T), singular
 
 
 def _same_profile(found_x, found_y, x, y) -> np.ndarray:
@@ -306,11 +312,13 @@ def _enumerate(a, b, eps):
     enumeration order: the game index, the (P, m) and (P, n) strategies,
     the (P, 2) payoffs and regrets and the (P,) degenerate flags.
 
-    For each support size k >= 2, the pairs ``_support_pairs`` keeps are
-    solved in stacks by ``_candidates`` and certified by ``_certify``, whose
-    values do not depend on the stack.  The steps that depend on what a
-    game has found so far (the duplicate test and the exact re-check) run
-    in ``_Finds.add_stack``, one pass per stack.
+    The pairs ``_support_pairs`` keeps at every support size k >= 2 form
+    one list in enumeration order, which ``_candidates`` solves in chunks
+    that may span sizes.  ``_certify``, whose values do not depend on the
+    stack, then certifies the candidates of every chunk at once, and the
+    steps that depend on what a game has found so far (the duplicate test
+    and the exact re-check) run in one ``_take`` pass over the pure
+    profiles and the candidates.
     """
     m, n, count = *a.shape[:2], a[0, 0].size
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)  # C order, the games on the last axis
@@ -323,119 +331,102 @@ def _enumerate(a, b, eps):
         cell = np.nonzero(cells)  # (game, row, column), by game
         payoffs, regrets = np.array([ga[cell], gb[cell]]).T, np.array([regret_p[cell], regret_r[cell]]).T
         pure = cell[0], np.eye(m)[cell[1]], np.eye(n)[cell[2]], payoffs, regrets, degenerate[cell]
-        finds = None  # made at the first candidate
-        for k in range(2, min(m, n) + 1):
-            row_sets, col_sets, kept = _support_pairs(a, b, k, eps, slack)
-            size = max(STACK_PAIRS, count)  # a stack of games takes a pair of each at once
-            for start in range(0, len(kept), size):
-                pair, games = np.divmod(kept[start : start + size], count)
-                r, c = np.divmod(pair, len(col_sets))
-                pick, x, y, valid = _candidates(ga, gbt, games, k, r, c, eps, np.reshape(slack, count)[games])
-                if not len(pick):
-                    continue
-                if finds is None:
-                    finds = _Finds(count, *pure)
-                    finite = np.reshape(np.isfinite(a).all(axis=(0, 1)) & np.isfinite(b).all(axis=(0, 1)), count)
-                games, rows, cols = games[pick], row_sets[r[pick]], col_sets[c[pick]]
-                pay_p, pay_r, reg_p, reg_r, certified, degen = _certify(ga[games], gb[games], x, y, eps)
-                payoffs, regrets = np.array([pay_p, pay_r]).T, np.array([reg_p, reg_r]).T
-                # a candidate that is no duplicate certifies or, in a finite game, gets re-checked exactly;
-                # a valid float profile is a duplicate by its float strategies, any other candidate by
-                # its exact ones, which _exact_profile tests
-                good = valid & certified
+        levels = _support_pairs(a, b, eps, slack)
+        total = sum(map(len, levels))
+        if total:
+            tables = ga, gbt, np.concatenate([ga.reshape(-1), gb.reshape(-1)]), np.reshape(slack, count)
+            found = [_candidates(*tables, chunk, eps, total <= TWO_PHASE_MIN_PAIRS) for chunk in _chunks(levels, n, count)]
+        if not total or not sum(len(v[1]) for v in found):
+            return pure
+        sizes, games, r, c, x, y, valid = (np.concatenate(v) for v in zip(*found))
+        finite = np.reshape(np.isfinite(a).all(axis=(0, 1)) & np.isfinite(b).all(axis=(0, 1)), count)
+        pay_p, pay_r, reg_p, reg_r, certified, degen = _certify(ga[games], gb[games], x, y, eps)
+        candidates = games, x, y, np.array([pay_p, pay_r]).T, np.array([reg_p, reg_r]).T, degen
+        # a candidate that is no duplicate certifies or, in a finite game, gets re-checked exactly;
+        # a valid float profile is a duplicate by its float strategies, any other candidate by
+        # its exact ones, which _exact_profile tests
+        fresh = ~(valid & _near_cell(cells, games, x, y))
+        good = valid & certified
 
-                def recheck(s, found_x, found_y):
-                    g = games[s]
-                    return _exact_profile(ga[g], gb[g], rows[s].tolist(), cols[s].tolist(), eps, found_x, found_y)
+        def recheck(s, found_x, found_y):
+            g, k = games[s], sizes[s]
+            own = pure[0] == g  # the pure profiles come first
+            rows, cols = _subsets(m, k)[0][r[s]].tolist(), _subsets(n, k)[0][c[s]].tolist()
+            found_x, found_y = np.concatenate([pure[1][own], found_x]), np.concatenate([pure[2][own], found_y])
+            return _exact_profile(ga[g], gb[g], rows, cols, eps, found_x, found_y)
 
-                finds.add_stack(games, x, y, payoffs, regrets, degen, valid, good, ~good & finite[games], recheck)
-    return finds.flat() if finds else pure
+        take = _take(*candidates, valid, good & fresh, ~good & finite[games] & fresh, recheck)
+        fields = [np.concatenate([u, v[take]]) for u, v in zip(pure, candidates)]
+    if count == 1:  # one game, in order already
+        return tuple(fields)
+    order = np.argsort(fields[0], kind="stable")
+    return tuple(v[order] for v in fields)
 
 
-class _Finds:
-    """The profiles ``_enumerate`` has found, per game of a stack of count
-    games, in the order found, starting from the pure ones, sorted by game."""
+def _take(games, x, y, payoffs, regrets, degenerate, valid, good, retry, recheck) -> np.ndarray:
+    """Which candidates a pass that takes each game's in order keeps.
 
-    def __init__(self, count: int, games, x, y, payoffs, regrets, degenerate):
-        self.size = np.zeros(count, dtype=int)
-        # the strategies of each game, padded with NaN, which is close to nothing
-        self.x, self.y = (np.full((count, 4, v.shape[1]), np.nan) for v in (x, y))
-        self.parts = []
-        self.add(games, x, y, payoffs, regrets, degenerate)
-
-    def add(self, games, x, y, payoffs, regrets, degenerate):
-        """Append profiles, each to its game's, in order."""
-        slot = self.size[games] + _rank(games)
-        while len(slot) and slot.max() >= self.x.shape[1]:  # double the slots
-            self.x, self.y = (np.concatenate([v, np.full_like(v, np.nan)], axis=1) for v in (self.x, self.y))
-        self.x[games, slot], self.y[games, slot] = x, y
-        self.size += np.bincount(games, minlength=len(self.size))
-        self.parts.append((games, x, y, payoffs, regrets, degenerate))
-
-    def seen(self, games, x, y):
-        """Whether each profile (x[i], y[i]) lies within 1e-9 of one found in game games[i]."""
-        used = self.size[games].max(initial=0)  # the slots any of these games fills
-        if not used:
-            return np.zeros(len(games), dtype=bool)
-        return _across(np.logical_or, _same_profile(self.x[games, :used], self.y[games, :used], x[:, None], y[:, None]))
-
-    def add_stack(self, games, x, y, payoffs, regrets, degenerate, valid, good, retry, recheck):
-        """Add the candidates of a stack, as if each game took its own in order.
-
-        A valid candidate (a valid float profile) within 1e-9 of a profile
-        its game found before it is a duplicate.  Any other candidate is
-        found when it is good, and when it is a retry and
-        ``recheck(s, found_x, found_y)`` returns its exact (x, y, payoffs,
-        regrets, degenerate flag), which then overwrite row s of the arrays;
-        ``recheck`` tests duplicates itself.  One ``seen`` call tests the
-        stack against the profiles found before it.  Then only the
-        candidates whose verdict depends on an earlier one of their game
-        are decided one by one, in order: good ones within 1e-9 of an
-        earlier good one, retries, and good ones after an exact find.
-        """
-        fresh = ~(valid & self.seen(games, x, y))
-        good, retry = good & fresh, retry & fresh
-        queue = np.flatnonzero(retry | (good & _near_earlier(games, x, y, good))).tolist()  # sorted: a heap
-        take = good.copy()
-        take[queue] = False
-        while queue:
-            s = heapq.heappop(queue)
-            g = games[s]
-            before = np.flatnonzero(take[:s] & (games[:s] == g))
-            if valid[s] and _same_profile(x[before], y[before], x[s], y[s]).any():
-                continue
-            if good[s]:
-                take[s] = True
-                continue
-            found_x, found_y = (np.concatenate([v[g, : self.size[g]], w[before]]) for v, w in ((self.x, x), (self.y, y)))
-            profile = recheck(s, found_x, found_y)
-            if profile is None:
-                continue
-            x[s], y[s], payoffs[s], regrets[s], degenerate[s] = profile
+    A valid candidate (a valid float profile) within 1e-9 of one its game
+    took before it is a duplicate.  Any other candidate is taken when it is
+    good, and when it is a retry and ``recheck(s, found_x, found_y)``, given
+    the strategies taken before it in its game, returns its exact (x, y,
+    payoffs, regrets, degenerate flag), which then overwrite row s of the
+    arrays; ``recheck`` tests duplicates itself.  Only the candidates whose
+    verdict depends on an earlier one of their game are decided one by one,
+    in order: good ones within 1e-9 of an earlier good one, retries, and
+    good ones after an exact find.
+    """
+    queue = np.flatnonzero(retry | (good & _near_earlier(games, x, y, good))).tolist()  # sorted: a heap
+    take = good.copy()
+    take[queue] = False
+    while queue:
+        s = heapq.heappop(queue)
+        g = games[s]
+        before = np.flatnonzero(take[:s] & (games[:s] == g))
+        if valid[s] and _same_profile(x[before], y[before], x[s], y[s]).any():
+            continue
+        if good[s]:
             take[s] = True
-            later = s + 1 + np.flatnonzero(take[s + 1 :] & (games[s + 1 :] == g))  # may duplicate the exact find
-            take[later] = False
-            for t in later.tolist():
-                heapq.heappush(queue, t)
-        self.add(games[take], x[take], y[take], payoffs[take], regrets[take], degenerate[take])
-
-    def flat(self):
-        """The profiles as flat arrays (game, x, y, payoffs, regrets, degenerate), by game."""
-        fields = [np.concatenate(field) for field in zip(*self.parts)]
-        if len(self.size) == 1:  # one game, in order already
-            return tuple(fields)
-        order = np.argsort(fields[0], kind="stable")
-        return tuple(field[order] for field in fields)
+            continue
+        profile = recheck(s, x[before], y[before])
+        if profile is None:
+            continue
+        x[s], y[s], payoffs[s], regrets[s], degenerate[s] = profile
+        take[s] = True
+        later = s + 1 + np.flatnonzero(take[s + 1 :] & (games[s + 1 :] == g))  # may duplicate the exact find
+        take[later] = False
+        for t in later.tolist():
+            heapq.heappush(queue, t)
+    return take
 
 
-def _rank(games) -> np.ndarray:
-    """How many entries before each of ``games`` name the same game."""
-    if (np.diff(games) > 0).all():  # each game once
-        return np.zeros(len(games), dtype=int)
-    order = np.argsort(games, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(games)) - np.searchsorted(games[order], games[order])
-    return rank
+def _chunks(levels, n, count):
+    """Cut the kept pairs of every level, in order, into chunks of
+    STACK_PAIRS pairs, or of one pair of each game of a larger stack; a
+    chunk may span levels.  A chunk is a list of pieces (k, games, row set
+    indices, column set indices), one per level, in increasing k."""
+    size = max(STACK_PAIRS, count)
+    chunk, room = [], size
+    for k, kept in enumerate(levels, 2):
+        start = 0
+        while start < len(kept):
+            part = kept[start : start + room]
+            pair, games = np.divmod(part, count)
+            chunk.append((k, games, *np.divmod(pair, len(_subsets(n, k)[0]))))
+            start, room = start + len(part), room - len(part)
+            if not room:
+                yield chunk
+                chunk, room = [], size
+    if chunk:
+        yield chunk
+
+
+def _near_cell(cells, games, x, y) -> np.ndarray:
+    """Whether each profile (x[i], y[i]) lies within 1e-9 of a pure profile
+    of game games[i] that ``cells`` (B, m, n) marks: of the one on its
+    largest weights, as no other can be that close."""
+    rows, cols = x.argmax(axis=1), y.argmax(axis=1)
+    return cells[games, rows, cols] & _same_profile(np.eye(x.shape[1])[rows], np.eye(y.shape[1])[cols], x, y)
 
 
 def _near_earlier(games, x, y, mask) -> np.ndarray:
@@ -457,11 +448,12 @@ def _near_earlier(games, x, y, mask) -> np.ndarray:
     return near
 
 
-def _support_pairs(a, b, k, eps, slack):
-    """The row sets and column sets of size k, and the flat indices, in
-    enumeration order, of the (row set, column set) pairs worth solving.
-    Games may be stacked on trailing axes, (m, n, ...) per player, with a
-    slack each; the flat indices then run over (row set, column set, game).
+def _support_pairs(a, b, eps, slack):
+    """The flat indices, in enumeration order, of the (row set, column set)
+    pairs of ``_subsets`` worth solving at each support size k = 2 .. min(m,
+    n), one array per k.  Games may be stacked on trailing axes, (m, n, ...)
+    per player, with a slack each; the flat indices then run over (row set,
+    column set, game).
 
     A pair is dropped when some move of one player's support is beaten on
     every move of the opponent's support by another move of the same player
@@ -470,22 +462,47 @@ def _support_pairs(a, b, k, eps, slack):
     leaves the system singular or its weights invalid: k - 1 weights down to
     -WEIGHT_CLAMP_TOL (= DOMINANCE_SLACK) on gaps of up to twice the largest
     payoff, plus rounding, make up less than 2 k slack.  A non-finite payoff
-    makes the slack non-finite, so such a game drops nothing.
+    makes the slack non-finite, so such a game drops nothing.  One table of
+    each player's beaten moves, given each opponent set of every size,
+    serves every k.
     """
-    row_sets, col_sets = _subsets(a.shape[0], k)[0], _subsets(a.shape[1], k)[0]
-    threshold = eps + 2 * k * slack
-    beaten_rows = _beaten(a, col_sets, threshold)
-    beaten_cols = _beaten(np.swapaxes(b, 0, 1), row_sets, threshold)
-    dropped = beaten_rows[row_sets].any(axis=1) | np.swapaxes(beaten_cols[col_sets].any(axis=1), 0, 1)
-    return row_sets, col_sets, np.flatnonzero(~dropped)
+    m, n = a.shape[:2]
+    top = min(m, n)
+    if top < 2:
+        return []
+    thresholds = eps + np.multiply.outer(2 * np.arange(2, top + 1).reshape(-1, 1, 1, 1), slack)  # [k, 1, 1, 1, ...]
+    beaten_rows, col_starts = _beaten(np.swapaxes(a, 0, 1), thresholds)
+    beaten_cols, row_starts = _beaten(b, thresholds)
+    kept = []
+    for k in range(2, top + 1):
+        rows, cols = beaten_rows[col_starts[k - 2] : col_starts[k - 1]], beaten_cols[row_starts[k - 2] : row_starts[k - 1]]
+        dropped = np.swapaxes(rows[:, _subsets(m, k)[0]].any(axis=2), 0, 1) | cols[:, _subsets(n, k)[0]].any(axis=2)
+        kept.append(np.flatnonzero(~dropped))
+    return kept
 
 
-def _beaten(a, col_sets, threshold) -> np.ndarray:
-    """(rows, column sets, ...) mask of the rows of ``a`` that some row beats
-    by more than threshold on every column of the set; games may be stacked
-    on trailing axes, with a threshold each."""
-    beats = a[:, None] - a[None] > threshold  # [r, i, j, ...]: row r beats row i in column j
-    return beats[:, :, col_sets].all(axis=3).any(axis=0)
+def _beaten(columns, thresholds) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(column sets, rows, ...) mask of the rows that some row beats by more
+    than the threshold of the set's size on every column of the set, for
+    payoffs given by column, (columns, rows, ...); and where the sets of
+    each size start.  The column sets are those of every size k = 2, 3,
+    ..., one threshold each, by k and then in ``_subsets`` order.  Games may
+    be stacked on trailing axes, with thresholds (sizes, 1, 1, 1, ...)."""
+    beats = columns[:, :, None] - columns[:, None] > thresholds  # [k, j, r, i, ...]
+    index, starts = _set_table(len(columns), len(thresholds) + 1)
+    return beats.reshape(-1, *beats.shape[2:])[index].all(axis=1).any(axis=1), starts
+
+
+@functools.lru_cache(maxsize=None)
+def _set_table(size: int, top: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The k-subsets of range(size) for k = 2 .. top, by k and then in
+    ``_subsets`` order, each led up to top moves by its first move again, as
+    indices into (k - 2, move) flattened; and where each k starts, then the
+    end.  Read-only."""
+    sets = [_subsets(size, k)[0] for k in range(2, top + 1)]
+    starts = (0, *np.cumsum([len(v) for v in sets]).tolist())
+    padded = [np.hstack([np.repeat(v[:, :1], top - v.shape[1], axis=1), v]) + level * size for level, v in enumerate(sets)]
+    return _freeze(np.concatenate(padded)), starts
 
 
 @functools.lru_cache(maxsize=None)
@@ -496,90 +513,135 @@ def _subsets(size: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_freeze(np.array(v, dtype=int).reshape(len(v), t)) for v, t in ((sets, k), (rest[::-1], size - k)))
 
 
-def _candidates(ga, gbt, games, k, r, c, eps, slack):
-    """The candidates of a stack of support pairs: pair i is game games[i]
-    (proposer ga[games[i]], responder transposed gbt[games[i]]) on the k-row
-    set r[i] and k-column set c[i] of ``_subsets``, with margin slack[i].
-    Phase 1 solves the proposer's systems, which give the responder's mix
-    y; phase 2 solves the responder's systems, which give x, for the pairs
-    phase 1 keeps.  A stack of at most ``TWO_PHASE_MIN_PAIRS`` pairs, or
-    one leaving no row out, where phase 1 could drop only invalid weights,
-    solves both in one call.  After each phase a pair whose best
-    off-support move beats the support's value by more than eps + slack is
-    dropped, as it could not pass even exactly; one beaten by more than eps
-    fails the off-support test.  Those payoffs are ``a[off_rows] @ y`` and
-    ``x @ b[:, off_cols]``, each one kernel call per pair on the layout a
-    single pair's indexing gives (C, then Fortran order).  Returns the pairs
-    kept with valid weights, their (x, y) mixes, and which are valid float
-    profiles: mixes that pass the sum test of ``mixed_strategy`` and the
-    off-support test.
+def _candidates(ga, gbt, payoffs, slack, chunk, eps, one_call):
+    """The candidates of a chunk of support pairs, pieces (k, games, r, c)
+    in increasing k: pair i of a piece is game games[i] (proposer ga[games[i]],
+    responder transposed gbt[games[i]]) on the k-row set r[i] and k-column
+    set c[i] of ``_subsets``, with margin slack[games[i]]; ``payoffs`` is
+    ``ga``, then the responder's untransposed, flattened.  Phase 1 solves
+    the proposer's systems, which give the responder's mix y; phase 2 solves
+    the responder's systems, which give x, for the pairs phase 1 keeps.
+    Each phase solves the systems of every piece in one ``_indifference``
+    call.  With ``one_call``, or when no pair leaves a row out, where phase 1
+    could drop only invalid weights, one call solves both.  After each phase
+    a pair whose best off-support move beats the support's value by more
+    than eps + slack is dropped, as it could not pass even exactly; one
+    beaten by more than eps fails the off-support test.  Those payoffs are
+    ``a[off_rows] @ y`` and ``x @ b[:, off_cols]``, one kernel call per
+    piece and phase on the layout a single pair's indexing gives (C, then
+    Fortran order).  Returns, for the pairs kept with valid weights, in
+    order, their k, games, r and c, their (x, y) mixes, and which are valid
+    float profiles: mixes that pass the sum test of ``mixed_strategy`` and
+    the off-support test.
     """
-    count, (_, m, n) = len(games), ga.shape
-    (rows, off_rows), (cols, off_cols) = _subsets(m, k), _subsets(n, k)  # the sets, and the moves they leave out
-    rows, cols = rows[r], cols[c]
-    one_call = count <= TWO_PHASE_MIN_PAIRS or k == m
-    blocks = _blocks(ga, games, rows, cols)
-    if one_call:  # the responder's systems follow the proposer's in one stack
-        blocks = np.concatenate([blocks, _blocks(gbt, games, cols, rows)], axis=-1)
-    weights, value, ok = _indifference(blocks)
-    pairs = np.flatnonzero(ok[:count] & ok[count:] if one_call else ok)
-    y, value_p, passed = _spread(weights[:, pairs], cols[pairs], n), value[pairs], np.ones(len(pairs), bool)
-    if k < m:
-        best = _across(np.maximum, (ga[games[pairs, None], off_rows[r[pairs]]] @ y[..., None])[..., 0])
-        kept, passed = ~(best > value_p + eps + slack[pairs]), ~(best > value_p + eps)
+    _, m, n = ga.shape
+    one_call = one_call or chunk[0][0] == m
+    top, counts = chunk[-1][0], [len(games) for _, games, _, _ in chunk]
+    ends = [*itertools.accumulate(counts)]
+    sizes = np.repeat([k for k, *_ in chunk], counts)
+    games, r, c = (_join(v) for v in [*zip(*chunk)][1:])
+    # each pair's row and column set, led up to the largest k by a move past the last
+    rows = _join([_padded_sets(m, k, top)[v] for k, _, v, _ in chunk])
+    cols = _join([_padded_sets(n, k, top)[v] for k, _, _, v in chunk])
+
+    def by_piece(pairs):  # each piece's k and the span of its pairs in the sorted chunk indices pairs
+        if len(chunk) == 1:
+            return [(top, slice(0, len(pairs)))] if len(pairs) else []
+        edges = np.searchsorted(pairs, [0, *ends]).tolist()
+        return [(k, slice(lo, hi)) for (k, *_), lo, hi in zip(chunk, edges, edges[1:]) if hi > lo]
+
+    def off_support(pairs, value, size, payoffs):  # the pairs that could pass, and those that do
+        best = np.full(len(pairs), -np.inf)
+        for k, span in by_piece(pairs):
+            if k < size:
+                best[span] = _across(np.maximum, payoffs(k, pairs[span], span))
+        return ~(best > value + eps + slack[games[pairs]]), ~(best > value + eps)
+
+    pieces = [(g, rows[end - len(g) : end, -k:], cols[end - len(g) : end, -k:]) for (k, g, _, _), end in zip(chunk, ends)]
+    weights, value, ok = _indifference(payoffs, ga.shape, pieces, (0, 1) if one_call else (0,))
+    pairs = np.flatnonzero(ok.all(axis=0))
+    y, value_p, passed = _spread(weights[:, 0, pairs], cols[pairs], n), value[0, pairs], np.ones(len(pairs), bool)
+    if chunk[0][0] < m:  # some pair leaves a row out
+        ga_off = lambda k, p, span: (ga[games[p, None], _subsets(m, k)[1][r[p]]] @ y[span, :, None])[..., 0]
+        kept, passed = off_support(pairs, value_p, m, ga_off)
         pairs, y, passed = pairs[kept], y[kept], passed[kept]
-    if not len(pairs):
-        return pairs, np.zeros((0, m)), y, passed
     if one_call:
-        weights, value = weights[:, count + pairs], value[count + pairs]
+        weights, value = weights[:, 1, pairs], value[1, pairs]
+    elif len(pairs):
+        pieces = [(games[p], rows[p, -k:], cols[p, -k:]) for k, span in by_piece(pairs) for p in [pairs[span]]]
+        weights, value, ok = _indifference(payoffs, ga.shape, pieces, (1,))
+        pairs, y, passed, weights, value = pairs[ok[0]], y[ok[0]], passed[ok[0]], weights[:, 0, ok[0]], value[0, ok[0]]
     else:
-        weights, value, ok = _indifference(_blocks(gbt, games[pairs], cols[pairs], rows[pairs]))
-        pairs, y, passed, weights, value = pairs[ok], y[ok], passed[ok], weights[:, ok], value[ok]
-    x = _spread(weights, rows[pairs], m)
-    if k < n:
-        best = _across(np.maximum, (x[:, None] @ gbt[games[pairs, None], off_cols[c[pairs]]].transpose(0, 2, 1))[:, 0])
-        kept, passed = ~(best > value + eps + slack[pairs]), passed & ~(best > value + eps)
-        pairs, x, y, passed = pairs[kept], x[kept], y[kept], passed[kept]
+        weights, value = weights[:, 0, pairs], value[0, pairs]
+    x = _spread(weights, rows[pairs, top - len(weights) :], m)
+    if chunk[0][0] < n:  # some pair leaves a column out
+        gb_off = lambda k, p, span: (x[span, None] @ gbt[games[p, None], _subsets(n, k)[1][c[p]]].transpose(0, 2, 1))[:, 0]
+        kept, beaten = off_support(pairs, value, n, gb_off)
+        pairs, x, y, passed = pairs[kept], x[kept], y[kept], (passed & beaten)[kept]
     # mixed_strategy's sum test; the weights are clamped to nonnegative already
     summed = (np.abs(np.array([x.sum(axis=-1), y.sum(axis=-1)]) - 1.0) <= SIMPLEX_SUM_TOL).all(axis=0)
-    return pairs, x, y, passed & summed
+    return sizes[pairs], games[pairs], r[pairs], c[pairs], x, y, passed & summed
 
 
-def _blocks(ga, games, rows, cols) -> np.ndarray:
-    """The (k, k, N) blocks ``ga[games[i]][rows[i]][:, cols[i]]`` of a stack of support pairs.
-
-    A block has one row per pure move of the player made indifferent, so
-    the responder's blocks come from their transposed payoffs.
-    """
-    return ga[games[:, None, None], rows[:, :, None], cols[:, None, :]].transpose(1, 2, 0)
+@functools.lru_cache(maxsize=None)
+def _padded_sets(size: int, k: int, width: int) -> np.ndarray:
+    """The k-subsets of range(size) of ``_subsets``, each led by width - k
+    entries of size.  Read-only."""
+    sets = _subsets(size, k)[0]
+    return _freeze(np.hstack([np.full((len(sets), width - k), size), sets]))
 
 
 def _spread(weights, support, size) -> np.ndarray:
-    """The (N, size) mixes that put the (k, N) weights on the (N, k) supports."""
-    mix = np.zeros((len(support), size))
+    """The (N, size) mixes that put the (w, N) weights on the (N, w)
+    supports; a support entry of size takes nothing."""
+    mix = np.zeros((len(support), size + 1))
     mix[np.arange(len(support))[:, None], support] = weights.T
-    return mix
+    return np.ascontiguousarray(mix[:, :size])
 
 
-def _indifference(blocks: np.ndarray):
-    """The mixes that make one player indifferent on stacks of k x k blocks, (k, k, N).
+def _join(parts) -> np.ndarray:
+    """The arrays of a list end to end; one array as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    A block has one row per pure move of the player made indifferent and
-    one column per support move of the opponent, whose mix is solved for.
-    Returns the clamped (k, N) weights, the (N,) values and the (N,) mask
-    of the systems that are non-singular with valid weights.
+
+def _indifference(payoffs, shape, pieces, players):
+    """The mixes that make each of ``players`` (0, the proposer, or 1)
+    indifferent, for support pairs of several sizes solved in one
+    ``_solve_stacked`` call.
+
+    ``payoffs`` holds each game's proposer payoffs, then each game's
+    responder payoffs, both of a (B, m, n) ``shape``, flattened.
+    ``pieces`` lists (games, rows, cols) in nondecreasing k: pair i is game
+    games[i] on the k-row set rows[i] and the k-column set cols[i].  A
+    player's block is their payoffs on the pair, one row per their support
+    move and one column per the opponent's, whose mix is solved for.  The
+    systems are [[block, -1], [1, 0]] with right-hand side (0, ..., 0, 1):
+    the weights, then the common value.  Each sits at the bottom right of
+    the largest size, so the value's column, the row of ones and the
+    right-hand side are shared.  Returns the clamped (K, players, N)
+    weights, K the largest k, with a system's in its last k rows and zeros
+    above, the (players, N) values and the (players, N) mask of the systems
+    that are non-singular with valid weights.
     """
-    k, _, count = blocks.shape
-    # Systems [[block, -1], [1, 0]] with right-hand side (0, ..., 0, 1): the
-    # weights, then the common value; all solved together by _solve_stacked.
-    ab = np.zeros((k + 1, k + 2, count))
-    ab[:k, :k] = blocks
-    ab[:k, k] = -1.0
-    ab[k, :k] = 1.0
-    ab[k, k + 1] = 1.0
-    solution, singular = _solve_stacked(ab)
-    ok = ~singular & _valid_weights(solution, k)
-    return np.where(solution[:k] < 0.0, 0.0, solution[:k]), solution[k], ok
+    count, m, n = shape
+    top = pieces[-1][1].shape[1]  # the largest k
+    counts = [len(games) * len(players) for games, _, _ in pieces]
+    sizes = np.repeat([rows.shape[1] + 1 for _, rows, _ in pieces], counts) if len(pieces) > 1 else None
+    ab = np.zeros((top + 1, top + 2, sum(counts)))  # a pair's systems side by side
+    ab[:top, top] = -1.0
+    ab[top, :top] = 1.0
+    ab[top, top + 1] = 1.0
+    for (games, rows, cols), at, size in zip(pieces, itertools.accumulate(counts, initial=0), counts):
+        index = (rows.T * n + games * (m * n))[:, None] + cols.T[None]  # the proposer's, (k, k, N)
+        pad = top - rows.shape[1]
+        for i, player in enumerate(players):
+            block = index.swapaxes(0, 1) + count * m * n if player else index
+            ab[pad:top, pad:top, at + i : at + size : len(players)] = payoffs.take(block)
+    solution, singular = _solve_stacked(ab, sizes)
+    # the rows above a system's own solve to zero, which passes both tests
+    ok = ~singular & np.isfinite(solution).all(axis=0) & (solution[:-1] >= -WEIGHT_CLAMP_TOL).all(axis=0)
+    weights = np.where(solution[:-1] < 0.0, 0.0, solution[:-1]).reshape(top, -1, len(players)).transpose(0, 2, 1)
+    return weights, solution[-1].reshape(-1, len(players)).T, ok.reshape(-1, len(players)).T
 
 
 def _exact_profile(a, b, rows, cols, eps, found_x, found_y):

@@ -1,7 +1,6 @@
 """Shared test utilities: random generators and slow independent oracles."""
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,7 +20,8 @@ from rqgames import (
 )
 from rqgames import nash
 from rqgames.cli import fmt
-from rqgames.nash import PIVOT_TOL, WEIGHT_CLAMP_TOL, game_matrices
+from rqgames.hilbert import _freeze
+from rqgames.nash import PIVOT_TOL, WEIGHT_CLAMP_TOL, EquilibriumProfile, game_matrices
 
 
 def random_state(rng, dims=(2, 2)):
@@ -298,8 +298,12 @@ def exact_pairwise_profile(a, b, rows, cols, eps):
     if max(regret) > eps:
         return None
     floats = np.array([float(w) for w in xs]), np.array([float(w) for w in ys])
-    profile = verify_equilibrium((a, b), floats, eps)
-    return replace(profile, payoffs=(float(pay_p), float(pay_r)), regret=tuple(map(float, regret)), certified=True)
+    # the rounded weights need not pass the sum test of verify_equilibrium, so
+    # take the kind and the degenerate flag straight from the certificate
+    degenerate = bool(nash._certify(*game_matrices((a, b)), *floats, eps)[5])
+    kind = "pure" if nash._is_pure(*floats) else "mixed"
+    payoffs, regret = (float(pay_p), float(pay_r)), tuple(map(float, regret))
+    return EquilibriumProfile(*map(_freeze, floats), payoffs, regret, kind, True, degenerate)
 
 
 def loop_induce_game(state, payoffs, moves_p, moves_r):

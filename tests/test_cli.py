@@ -539,6 +539,18 @@ def test_nash_prints_the_equilibrium_of_a_game_with_garbled_float_mixes(tmp_path
     assert run(["nash", "--spec", write(tmp_path, json.dumps(GARBLED_3X3))], capsys) == (0, expected, "")
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize("flags, name", [([], "nash_8x8_integer.txt"), (["--eps", "1e-300"], "nash_8x8_integer_1e-300.txt")])
+def test_nash_on_an_8x8_integer_game_prints_its_golden_output(capsys, flags, name):
+    # a degenerate game whose pairs span several support sizes, with near
+    # duplicates and, at eps 1e-300, exact re-checks
+    spec = os.path.join(DATA, "nash_8x8_integer.json")
+    with open(os.path.join(DATA, name), encoding="utf-8") as handle:
+        assert run(["nash", "--spec", spec] + flags, capsys) == (0, handle.read(), "")
+
+
 @pytest.mark.parametrize("eps", ("0.5", "1e-9"))
 def test_degenerate_flag_counts_support_by_weight_not_by_eps(tmp_path, capsys, eps):
     # the mix puts 0.0099 on move 0, below eps 0.5; it is still on the support

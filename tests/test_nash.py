@@ -35,6 +35,7 @@ from rqgames.nash import (
     _pure_cells,
     _solve_stacked,
     _same_profile,
+    _subsets,
     _support_pairs,
 )
 
@@ -226,6 +227,18 @@ def test_support_enumeration_classical_game():
     assert len(profiles) == 1
     assert profiles[0].payoffs == (99.0, 1.0)
     assert profiles[0].kind == "pure"
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1)])
+def test_one_move_games_have_only_pure_supports(shape):
+    rng = np.random.default_rng([53, *shape])
+    for integer in (False, True):
+        game = _random_game(rng, shape, integer)
+        found = support_enumeration(game)
+        assert found and all(p.kind == "pure" for p in found)
+        _assert_same_profiles(found, pairwise_support_enumeration(game))
+    a, b = (np.repeat(v[..., None], 3, axis=-1) for v in game)
+    assert _enumerate(a, b, EPS_DEFAULT)[0].tolist() == sorted(list(range(3)) * len(found))
 
 
 def test_support_enumeration_size_guard():
@@ -425,6 +438,23 @@ def _extreme_blocks(rng, k, count):
     )
 
 
+def _solve_blocks(blocks):
+    """``_indifference`` of (k, k, N) stacks of blocks, in nondecreasing k,
+    in one call, each block the proposer's top left of its own game: the
+    (K, N) weights, the (N,) values and the (N,) mask."""
+    top = blocks[-1].shape[0]
+    games = np.zeros((sum(v.shape[2] for v in blocks), top, top))
+    pieces, at = [], 0
+    for v in blocks:
+        k, _, count = v.shape
+        games[at : at + count, :k, :k] = v.transpose(2, 0, 1)
+        sets = np.tile(np.arange(k), (count, 1))
+        pieces.append((np.arange(at, at + count), sets, sets))
+        at += count
+    weights, value, ok = _indifference(np.concatenate([games.reshape(-1), np.zeros(games.size)]), games.shape, pieces, (0,))
+    return weights[:, 0], value[0], ok[0]
+
+
 def test_unmasked_elimination_keeps_the_masked_steps_solutions():
     # The elimination once skipped the rows with a zero multiplier, as the
     # textbook does; that masked step is the reference.  Where its solution
@@ -433,7 +463,7 @@ def test_unmasked_elimination_keeps_the_masked_steps_solutions():
     ok_seen = failed_seen = 0
     for k in range(1, 8):
         blocks = _extreme_blocks(rng, k, 200)
-        weights, value, ok = _indifference(blocks)
+        weights, value, ok = _solve_blocks([blocks])
         ab = np.zeros((k + 1, k + 2, blocks.shape[2]))
         ab[:k, :k], ab[:k, k], ab[k, :k], ab[k, k + 1] = blocks, -1.0, 1.0, 1.0
         solution, singular = masked_solve_stacked(ab)
@@ -443,6 +473,51 @@ def test_unmasked_elimination_keeps_the_masked_steps_solutions():
         assert value[ok].tobytes() == solution[k, ok].tobytes()
         ok_seen, failed_seen = ok_seen + ok.sum(), failed_seen + (~ok).sum()
     assert ok_seen > 500 and failed_seen > 500
+
+
+def _padded(stacks):
+    """Augmented (s, s + 1, N) stacks of sizes s, each at the bottom right
+    of one stack of the largest size, and their sizes."""
+    top = max(ab.shape[0] for ab in stacks)
+    padded = np.full((top, top + 1, sum(ab.shape[2] for ab in stacks)), np.nan)  # nothing reads the rest
+    at = 0
+    for ab in stacks:
+        pad, span = top - ab.shape[0], slice(at, at + ab.shape[2])
+        padded[pad:, pad:, span] = ab
+        at += ab.shape[2]
+    return padded, np.repeat([ab.shape[0] for ab in stacks], [ab.shape[2] for ab in stacks])
+
+
+def test_padded_solve_gives_each_size_the_bits_it_gets_alone():
+    # Systems of sizes 3 to 9 (k = 2 to 8), extreme and 0..3-integer blocks,
+    # solved in one padded stack: each gets its own solution bits, singular
+    # flag and valid-weights mask, whatever fills the rest of the stack.
+    rng = np.random.default_rng(49)
+    stacks, blocks = [], []
+    for k in range(2, 9):
+        block = np.concatenate([_extreme_blocks(rng, k, 30), rng.integers(0, 4, (k, k, 40)).astype(float)], axis=-1)
+        ab = np.zeros((k + 1, k + 2, block.shape[2]))
+        ab[:k, :k], ab[:k, k], ab[k, :k], ab[k, k + 1] = block, -1.0, 1.0, 1.0
+        stacks.append(ab)
+        blocks.append(block)
+    alone = [_solve_stacked(ab.copy()) for ab in stacks]
+    padded, sizes = _padded(stacks)
+    solution, singular = _solve_stacked(padded, sizes)
+    weights, value, ok = _solve_blocks(blocks)
+    at, seen = 0, {"ok": 0, "singular": 0, "non-finite": 0}
+    for (own, own_singular), block in zip(alone, blocks):
+        k, span = block.shape[0], slice(at, at + block.shape[2])
+        at += block.shape[2]
+        assert solution[-(k + 1) :, span].tobytes() == own.tobytes()
+        assert not solution[: -(k + 1), span].any()  # zero above a system's own rows
+        assert np.array_equal(singular[span], own_singular)
+        own_weights, own_value, own_ok = _solve_blocks([block])
+        assert np.array_equal(ok[span], own_ok) and not weights[:-k, span].any()
+        assert weights[-k:, span].tobytes() == own_weights.tobytes() and value[span].tobytes() == own_value.tobytes()
+        seen["ok"] += own_ok.sum()
+        seen["singular"] += own_singular.sum()
+        seen["non-finite"] += (~np.isfinite(own).all(axis=0) & ~own_singular).sum()
+    assert min(seen.values()) > 20
 
 
 def _near_duplicates(monkeypatch):
@@ -496,6 +571,18 @@ def test_float_duplicates_and_exact_finds_in_one_stack_match_the_pairwise_loop(m
     _assert_same_profiles(found, pairwise_support_enumeration((a, b)))
 
 
+@pytest.mark.parametrize("seed", [0, 29, 30])
+def test_zero_sum_tolerance_matches_the_exact_pairwise_reference(monkeypatch, seed):
+    # the exact weights of some profiles of these 0/1 games round to floats
+    # that do not sum to exactly 1
+    rng = np.random.default_rng([seed, 8])
+    a, b = rng.integers(0, 2, (2, 8, 8)).astype(float)
+    monkeypatch.setattr(nash, "SIMPLEX_SUM_TOL", 0.0)
+    found = support_enumeration((a, b))
+    assert any(sum(p.proposer_strategy) != 1.0 or sum(p.responder_strategy) != 1.0 for p in found)
+    _assert_same_profiles(found, pairwise_support_enumeration((a, b)))
+
+
 def _assert_same_profiles(found, expected):
     assert len(found) == len(expected)
     for p, q in zip(found, expected):
@@ -533,15 +620,19 @@ def _slack(a, b):
 
 
 def _kept_pairs(game, k, eps):
-    """The row sets, column sets and kept flat pair indices of level k."""
+    """The row sets, column sets and kept flat pair indices of level k of the prefilter table."""
     a, b = game
-    return _support_pairs(a, b, k, eps, _slack(a, b))
+    return _subsets(a.shape[0], k)[0], _subsets(a.shape[1], k)[0], _support_pairs(a, b, eps, _slack(a, b))[k - 2]
 
 
-# Some level of the 0..3-integer 7x7 and 12x4 games keeps more than 256
-# support pairs and takes the two phases; every level of the others keeps
-# fewer and takes one call.
-TWO_PHASE_GAMES = {((7, 7), True), ((12, 4), True)}
+def _kept_total(game, eps):
+    """How many support pairs of every size the prefilter keeps in a game."""
+    return sum(len(kept) for kept in _support_pairs(*game, eps, _slack(*game)))
+
+
+# The 0..3-integer 6x6, 5x8, 7x7 and 12x4 games keep more than 256 support
+# pairs in all and take the two phases; the others keep fewer and take one call.
+TWO_PHASE_GAMES = {((6, 6), True), ((5, 8), True), ((7, 7), True), ((12, 4), True)}
 
 
 @pytest.mark.parametrize("shape", [(6, 6), (5, 8), (7, 7), (12, 4), (4, 12)], ids="{0[0]}x{0[1]}".format)
@@ -549,7 +640,7 @@ TWO_PHASE_GAMES = {((7, 7), True), ((12, 4), True)}
 @pytest.mark.parametrize("eps", [1e-9, 0.0])
 def test_two_phase_levels_match_the_pairwise_loop(shape, integer, eps):
     game = _random_game(np.random.default_rng([*shape, integer]), shape, integer)
-    two_phase = max(len(_kept_pairs(game, k, eps)[2]) for k in range(2, min(shape) + 1)) > TWO_PHASE_MIN_PAIRS
+    two_phase = _kept_total(game, eps) > TWO_PHASE_MIN_PAIRS
     assert two_phase == ((shape, integer) in TWO_PHASE_GAMES)
     _assert_same_profiles(support_enumeration(game, eps), pairwise_support_enumeration(game, eps))
 
@@ -557,25 +648,27 @@ def test_two_phase_levels_match_the_pairwise_loop(shape, integer, eps):
 def test_support_enumeration_splits_large_levels_into_stacks():
     rng = np.random.default_rng(25)
     game = _random_game(rng, (8, 8), integer=True)
-    assert len(_kept_pairs(game, 4, EPS_DEFAULT)[2]) > STACK_PAIRS
+    sizes = [len(_kept_pairs(game, k, EPS_DEFAULT)[2]) for k in range(2, 9)]
+    # level 4 spans two chunks, and the first chunk also holds levels 2 and 3
+    assert sizes[2] > STACK_PAIRS and sizes[0] + sizes[1] < STACK_PAIRS < sum(sizes[:3])
     expected = pairwise_support_enumeration(game)
     assert len(expected) > 1
     _assert_same_profiles(support_enumeration(game), expected)
 
 
-def _two_phase_stack(game, eps, profile):
-    """(k, first kept pair) of the stack that solves a nondegenerate profile's
-    support pair, or None when that stack takes the one-call path."""
+def _two_phase_chunk(game, eps, profile):
+    """(chunk, k) of the chunk that solves a mixed profile's support pair, in
+    the game's one list of kept pairs, or None when the game takes one call."""
+    if _kept_total(game, eps) <= TWO_PHASE_MIN_PAIRS:
+        return None
     rows = tuple(np.flatnonzero(profile.proposer_strategy))
     cols = tuple(np.flatnonzero(profile.responder_strategy))
     row_sets, col_sets, kept = _kept_pairs(game, len(rows), eps)
     pair = row_sets.tolist().index(list(rows)) * len(col_sets) + col_sets.tolist().index(list(cols))
     position = int(np.searchsorted(kept, pair))
     assert kept[position] == pair
-    start = position - position % STACK_PAIRS
-    if min(STACK_PAIRS, len(kept) - start) <= TWO_PHASE_MIN_PAIRS:
-        return None
-    return len(rows), start
+    before = sum(len(_kept_pairs(game, k, eps)[2]) for k in range(2, len(rows)))
+    return (before + position) // STACK_PAIRS, len(rows)
 
 
 def _coordination_game(rng, n):
@@ -588,10 +681,33 @@ def _coordination_game(rng, n):
 def test_phase_two_keeps_the_survivors_of_every_stack(eps):
     game = _coordination_game(np.random.default_rng(1), 8)
     expected = pairwise_support_enumeration(game, eps)
-    stacks = {_two_phase_stack(game, eps, p) for p in expected} - {None}
-    # equilibria in more than one two-phase stack of one level
-    assert len(stacks) > len({k for k, _ in stacks})
+    found = {_two_phase_chunk(game, eps, p) for p in expected if p.kind == "mixed"}
+    # equilibria in several two-phase chunks, of more than one support size in one chunk
+    chunks = [chunk for chunk, _ in found]
+    assert None not in found and len(set(chunks)) > 1 and len(chunks) > len(set(chunks))
     _assert_same_profiles(support_enumeration(game, eps), expected)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 0.0, 1e-300])
+@pytest.mark.parametrize("kind", ["0..3 7x7", "0/1 6x6", "coordination 8x8"])
+def test_chunk_boundaries_leave_the_bits_unchanged(monkeypatch, kind, eps):
+    # chunks of 1, 7 and 64 pairs cross level boundaries and move exact
+    # re-checks and near duplicates into later chunks
+    rng = np.random.default_rng([50, len(kind)])
+    if kind == "0..3 7x7":
+        game = _random_game(rng, (7, 7), integer=True)
+    elif kind == "0/1 6x6":
+        game = tuple(rng.integers(0, 2, (2, 6, 6)).astype(float))
+    else:
+        game = _coordination_game(rng, 8)
+    expected = pairwise_support_enumeration(game, eps)
+    default = support_enumeration(game, eps)
+    _assert_same_profiles(default, expected)
+    for size in (1, 7, 64):
+        monkeypatch.setattr(nash, "STACK_PAIRS", size)
+        found = support_enumeration(game, eps)
+        assert [profile_fields(p) for p in found] == [profile_fields(p) for p in default]
+        _assert_same_profiles(found, expected)
 
 
 def _step_ulps(value, ulps):
@@ -600,11 +716,11 @@ def _step_ulps(value, ulps):
     return value
 
 
-def _near_tie_game(rng, shape, eps):
-    """A 0..3-integer game in which a row of the proposer beats another, and a
-    column of the responder another, on k of the opponent's moves by eps +
-    2 k slack or by eps, give or take two ulps."""
-    a, b = _random_game(rng, shape, integer=True)
+def _near_tie_game(rng, shape, eps, scale=1.0):
+    """A 0..3-integer game, times scale, in which a row of the proposer beats
+    another, and a column of the responder another, on k of the opponent's
+    moves by eps + 2 k slack or by eps, give or take two ulps."""
+    a, b = (v * scale for v in _random_game(rng, shape, integer=True))
     ties = []
     for payoff in (a, b.T):  # b.T is a view, so the second tie is between columns of b
         beater, beaten = rng.choice(payoff.shape[0], 2, replace=False)
@@ -650,6 +766,18 @@ def test_prefilter_drops_only_pairs_the_pairwise_loop_rejects(shape, kind, eps, 
         for index in np.flatnonzero(dropped):
             rows, cols = row_sets[index // len(col_sets)], col_sets[index % len(col_sets)]
             assert pairwise_support(a, b, tuple(rows), tuple(cols), eps) is None
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 5), (6, 2)], ids="{0[0]}x{0[1]}".format)
+def test_a_stack_of_games_drops_each_games_own_pairs(shape):
+    # near ties at each game's own margin, with slacks 2**10 apart
+    rng = np.random.default_rng([52, *shape])
+    games = [_near_tie_game(rng, shape, eps, 2.0 ** (10 * (g % 4))) for g, eps in enumerate([1e-9, 0.0] * 4)]
+    a, b = (np.stack(v, axis=-1) for v in zip(*games))
+    stacked = _support_pairs(a, b, 1e-9, np.array([_slack(*game) for game in games]))
+    for k, kept in enumerate(stacked, 2):
+        expected = [(pair, g) for pair in range(len(_subsets(shape[0], k)[0]) * len(_subsets(shape[1], k)[0])) for g, game in enumerate(games) if pair in _kept_pairs(game, k, 1e-9)[2]]
+        assert kept.tolist() == [pair * len(games) + g for pair, g in expected]
 
 
 def test_nondegenerate_games_have_an_odd_number_of_equilibria():
@@ -818,10 +946,10 @@ def test_the_2x2_prefilter_drops_no_valid_mix(eps):
     for games in (rng.uniform(-10.0, 10.0, (2000, 2, 2, 2)), rng.integers(0, 4, (2000, 2, 2, 2)).astype(float)):
         a, b = games[:, 0].transpose(1, 2, 0), games[:, 1].transpose(1, 2, 0)  # the games on the last axis
         slack = np.array([_slack(*game) for game in games])
-        kept = _support_pairs(a, b, 2, eps, slack)[2]  # one pair per game: the games kept
+        [kept] = _support_pairs(a, b, eps, slack)  # one pair per game: the games kept
         # the stacked rule is support_enumeration's rule of one game
         assert kept.tolist() == [g for g, game in enumerate(games) if len(_kept_pairs(game, 2, eps)[2]) == 1]
-        _, _, ok = _indifference(np.concatenate([a, b.transpose(1, 0, 2)], axis=-1))
+        _, _, ok = _solve_blocks([np.concatenate([a, b.transpose(1, 0, 2)], axis=-1)])
         mixed = ok[: len(games)] & ok[len(games) :]
         dropped = np.setdiff1d(np.arange(len(games)), kept)
         assert len(dropped) and not mixed[dropped].any()
