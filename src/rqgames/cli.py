@@ -242,16 +242,13 @@ def _build_state(block, payoff_dims: tuple[int, int], field: str = "state") -> Q
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValidationError(f"{field}.matrix", "ragged rows")
-    amps = np.array(
-        [
-            [
+    # the whole matrix in one pass; the entry by entry check names the first bad entry
+    parts = [p for row in rows for v in row for p in (v if type(v) is list and len(v) == 2 else (v, 0.0))]
+    if not {type(p) for p in parts} <= {int, float} or not all(map(_finite, parts)):
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
                 _complex_entry(v, f"{field}.matrix[{i}][{j}]")
-                for j, v in enumerate(row)
-            ]
-            for i, row in enumerate(rows)
-        ],
-        dtype=complex,
-    )
+    amps = np.array(parts, dtype=float).view(complex).reshape(len(rows), width)
     normalize = sub.get("normalize", True)
     if not isinstance(normalize, bool):
         raise ValidationError(f"{field}.normalize", "expected true or false")

@@ -23,6 +23,7 @@ which the test suite pins by exhaustive outcome enumeration.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,12 +74,14 @@ class MoveSet:
         return self.perms[move][basis_index]
 
 
+@functools.lru_cache(maxsize=16)
 def default_move_set(d: int) -> MoveSet:
     """The d cyclic shifts of the basis, ordered so the identity comes last.
 
     For d = 2 this is [swap, identity], the labeling the induced-game
     entries above assume.  Pass explicit permutation lists to any consumer
-    of MoveSet for other conventions.
+    of MoveSet for other conventions.  A MoveSet is frozen, so each d's
+    is built once and shared.
     """
     if d < 2:
         raise InvalidMoveSetError(f"basis size must be at least 2, got {d}")

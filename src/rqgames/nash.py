@@ -205,7 +205,7 @@ def _solve_stacked(ab: np.ndarray, sizes=None) -> tuple[np.ndarray, np.ndarray]:
     flag of a system with a non-finite solution may differ.
     """
     n, _, count = ab.shape
-    first = [0] * n if sizes is None else np.searchsorted(sizes, n - np.arange(n)).tolist()  # real at row k
+    first = [0] * n if sizes is None else sizes.searchsorted(n - np.arange(n)).tolist()  # real at row k
     flat = ab.reshape(-1)
     row = np.arange((n + 1) * count).reshape(n + 1, count)
     x = np.zeros((count, n))
@@ -220,7 +220,7 @@ def _solve_stacked(ab: np.ndarray, sizes=None) -> tuple[np.ndarray, np.ndarray]:
             lam = ab[k + 1 :, k, s:] / ab[k, k, s:]
             ab[k + 1 :, k + 1 :, s:] -= lam[:, None] * ab[k, k + 1 :, s:]
         # a step never changes the rows above it, so the diagonal holds every pivot
-        small = np.abs(np.diagonal(ab, axis1=0, axis2=1)) <= PIVOT_TOL
+        small = np.abs(ab.diagonal(axis1=0, axis2=1)) <= PIVOT_TOL
         singular = (small if sizes is None else small & (np.arange(n) >= n - sizes[:, None])).any(axis=1)
         x[:, -1] = (ab[-1, n] - 0.0) / ab[-1, -2]  # an empty dot product is 0
         for k in range(n - 2, -1, -1):
@@ -321,25 +321,25 @@ def _enumerate(a, b, eps):
     profiles and the candidates.
     """
     m, n, count = *a.shape[:2], a[0, 0].size
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)  # C order, the games on the last axis
+    a, b = np.ascontiguousarray(a).reshape(m, n, count), np.ascontiguousarray(b).reshape(m, n, count)  # the games last
     with np.errstate(all="ignore"):  # a non-finite game gives NaNs, which never certify
-        # each game's matrices in C order, and the responder's transposed, a row per their move
-        ga, gb = (np.ascontiguousarray(v.reshape(m, n, count).transpose(2, 0, 1)) for v in (a, b))
-        gbt = np.ascontiguousarray(gb.transpose(0, 2, 1))
+        regret_p, regret_r, cells, degenerate = _pure_cells(a, b, eps)
+        cell = cells.transpose(2, 0, 1).nonzero()  # (game, row, column), by game
+        at = cell[1:] + cell[:1]  # (row, column, game)
+        values = np.array([a, b, regret_p, regret_r])[(slice(None), *at)].T  # payoffs, then regrets
+        pure = cell[0], np.eye(m)[cell[1]], np.eye(n)[cell[2]], values[:, :2], values[:, 2:], degenerate[at]
         slack = _slack(a, b)
-        regret_p, regret_r, cells, degenerate = (v.reshape(m, n, -1).transpose(2, 0, 1) for v in _pure_cells(a, b, eps))
-        cell = np.nonzero(cells)  # (game, row, column), by game
-        payoffs, regrets = np.array([ga[cell], gb[cell]]).T, np.array([regret_p[cell], regret_r[cell]]).T
-        pure = cell[0], np.eye(m)[cell[1]], np.eye(n)[cell[2]], payoffs, regrets, degenerate[cell]
-        levels = _support_pairs(a, b, eps, slack)
-        total = sum(map(len, levels))
-        if total:
-            tables = ga, gbt, np.concatenate([ga.reshape(-1), gb.reshape(-1)]), np.reshape(slack, count)
-            found = [_candidates(*tables, chunk, eps, total <= TWO_PHASE_MIN_PAIRS) for chunk in _chunks(levels, n, count)]
-        if not total or not sum(len(v[1]) for v in found):
+        kept = _support_pairs(a, b, eps, slack)
+        if not len(kept):
             return pure
-        sizes, games, r, c, x, y, valid = (np.concatenate(v) for v in zip(*found))
-        finite = np.reshape(np.isfinite(a).all(axis=(0, 1)) & np.isfinite(b).all(axis=(0, 1)), count)
+        # each game's matrices in C order, and the responder's transposed, a row per their move
+        both = np.ascontiguousarray(np.array([a, b]).transpose(0, 3, 1, 2))
+        (ga, gb), gbt = both, np.ascontiguousarray(b.transpose(2, 1, 0))
+        size, tables = max(STACK_PAIRS, count), (both.reshape(-1), ga, gbt, slack, eps, len(kept) <= TWO_PHASE_MIN_PAIRS)
+        found = [_candidates(*tables, kept[s : s + size]) for s in range(0, len(kept), size)]
+        games, row_sets, col_sets, x, y, valid = map(_join, zip(*found))
+        if not len(games):
+            return pure
         pay_p, pay_r, reg_p, reg_r, certified, degen = _certify(ga[games], gb[games], x, y, eps)
         candidates = games, x, y, np.array([pay_p, pay_r]).T, np.array([reg_p, reg_r]).T, degen
         # a candidate that is no duplicate certifies or, in a finite game, gets re-checked exactly;
@@ -349,17 +349,21 @@ def _enumerate(a, b, eps):
         good = valid & certified
 
         def recheck(s, found_x, found_y):
-            g, k = games[s], sizes[s]
+            g = games[s]
             own = pure[0] == g  # the pure profiles come first
-            rows, cols = _subsets(m, k)[0][r[s]].tolist(), _subsets(n, k)[0][c[s]].tolist()
+            rows, cols = _set_table(m, min(m, n))[1][row_sets[s]], _set_table(n, min(m, n))[1][col_sets[s]]
+            rows, cols = rows[rows < m].tolist(), cols[cols < n].tolist()  # without the moves that lead them
             found_x, found_y = np.concatenate([pure[1][own], found_x]), np.concatenate([pure[2][own], found_y])
             return _exact_profile(ga[g], gb[g], rows, cols, eps, found_x, found_y)
 
-        take = _take(*candidates, valid, good & fresh, ~good & finite[games] & fresh, recheck)
+        retry = ~good & fresh
+        if retry.any():  # in a finite game
+            retry &= (np.isfinite(a).all(axis=(0, 1)) & np.isfinite(b).all(axis=(0, 1)))[games]
+        take = _take(*candidates, valid, good & fresh, retry, recheck)
         fields = [np.concatenate([u, v[take]]) for u, v in zip(pure, candidates)]
     if count == 1:  # one game, in order already
         return tuple(fields)
-    order = np.argsort(fields[0], kind="stable")
+    order = fields[0].argsort(kind="stable")
     return tuple(v[order] for v in fields)
 
 
@@ -376,13 +380,15 @@ def _take(games, x, y, payoffs, regrets, degenerate, valid, good, retry, recheck
     in order: good ones within 1e-9 of an earlier good one, retries, and
     good ones after an exact find.
     """
-    queue = np.flatnonzero(retry | (good & _near_earlier(games, x, y, good))).tolist()  # sorted: a heap
+    queue = (retry | (good & _near_earlier(games, x, y, good))).nonzero()[0].tolist()  # sorted: a heap
+    if not queue:
+        return good
     take = good.copy()
     take[queue] = False
     while queue:
         s = heapq.heappop(queue)
         g = games[s]
-        before = np.flatnonzero(take[:s] & (games[:s] == g))
+        before = (take[:s] & (games[:s] == g)).nonzero()[0]
         if valid[s] and _same_profile(x[before], y[before], x[s], y[s]).any():
             continue
         if good[s]:
@@ -393,67 +399,54 @@ def _take(games, x, y, payoffs, regrets, degenerate, valid, good, retry, recheck
             continue
         x[s], y[s], payoffs[s], regrets[s], degenerate[s] = profile
         take[s] = True
-        later = s + 1 + np.flatnonzero(take[s + 1 :] & (games[s + 1 :] == g))  # may duplicate the exact find
+        later = s + 1 + (take[s + 1 :] & (games[s + 1 :] == g)).nonzero()[0]  # may duplicate the exact find
         take[later] = False
         for t in later.tolist():
             heapq.heappush(queue, t)
     return take
 
 
-def _chunks(levels, n, count):
-    """Cut the kept pairs of every level, in order, into chunks of
-    STACK_PAIRS pairs, or of one pair of each game of a larger stack; a
-    chunk may span levels.  A chunk is a list of pieces (k, games, row set
-    indices, column set indices), one per level, in increasing k."""
-    size = max(STACK_PAIRS, count)
-    chunk, room = [], size
-    for k, kept in enumerate(levels, 2):
-        start = 0
-        while start < len(kept):
-            part = kept[start : start + room]
-            pair, games = np.divmod(part, count)
-            chunk.append((k, games, *np.divmod(pair, len(_subsets(n, k)[0]))))
-            start, room = start + len(part), room - len(part)
-            if not room:
-                yield chunk
-                chunk, room = [], size
-    if chunk:
-        yield chunk
-
-
 def _near_cell(cells, games, x, y) -> np.ndarray:
     """Whether each profile (x[i], y[i]) lies within 1e-9 of a pure profile
-    of game games[i] that ``cells`` (B, m, n) marks: of the one on its
+    of game games[i] that ``cells`` (m, n, B) marks: of the one on its
     largest weights, as no other can be that close."""
     rows, cols = x.argmax(axis=1), y.argmax(axis=1)
-    return cells[games, rows, cols] & _same_profile(np.eye(x.shape[1])[rows], np.eye(y.shape[1])[cols], x, y)
+    near = cells[rows, cols, games]
+    if near.any():
+        near[near] = _same_profile(np.eye(x.shape[1])[rows[near]], np.eye(y.shape[1])[cols[near]], x[near], y[near])
+    return near
 
 
 def _near_earlier(games, x, y, mask) -> np.ndarray:
     """Which candidates in ``mask`` lie within 1e-9 of an earlier one in
-    ``mask`` of the same game; STACK_PAIRS pairs are compared at a time."""
+    ``mask`` of the same game.  Candidates are sorted by game and by a key,
+    their weights times the move indices summed, and only pairs whose keys
+    lie within (m^2 + n^2) 1e-9 / 2, as those of any two profiles within
+    1e-9 do, are compared, STACK_PAIRS pairs at a time."""
     near = np.zeros(len(games), dtype=bool)
-    order = np.flatnonzero(mask)
-    if (np.diff(games[order]) > 0).all():  # at most one per game, as in a sweep
+    order = mask.nonzero()[0]
+    if (games[order[1:]] > games[order[:-1]]).all():  # at most one per game, as in a sweep
         return near
-    order = order[np.argsort(games[order], kind="stable")]  # by game, then in stack order
-    by_game = games[order]
-    first = np.searchsorted(by_game, by_game)
-    earlier = np.arange(len(order)) - first  # how many of its game come before each
-    later = np.repeat(np.arange(len(order)), earlier)
-    before = first[later] + np.arange(len(later)) - np.repeat(np.cumsum(earlier) - earlier, earlier)
-    for start in range(0, len(later), STACK_PAIRS):
-        i, j = (order[v[start : start + STACK_PAIRS]] for v in (later, before))
-        near[i[_same_profile(x[j], y[j], x[i], y[i])]] = True
+    m, n = x.shape[1], y.shape[1]
+    key = games[order] + 1j * (x[order] @ np.arange(m) + y[order] @ np.arange(n))  # sorts by game, then key
+    by_key = key.argsort(kind="stable")
+    order, key, at = order[by_key], key[by_key], np.arange(len(order))
+    window = key.searchsorted(key + 0.5j * (m * m + n * n) * 1e-9, side="right") - at - 1  # how many follow each
+    if not window.any():
+        return near
+    first = at.repeat(window)
+    second = np.arange(len(first)) + (at + 1 - (window.cumsum() - window)).repeat(window)
+    for start in range(0, len(first), STACK_PAIRS):
+        i, j = order[first[start : start + STACK_PAIRS]], order[second[start : start + STACK_PAIRS]]
+        near[np.maximum(i, j)[_same_profile(x[i], y[i], x[j], y[j])]] = True
     return near
 
 
 def _support_pairs(a, b, eps, slack):
-    """The flat indices, in enumeration order, of the (row set, column set)
-    pairs of ``_subsets`` worth solving at each support size k = 2 .. min(m,
-    n), one array per k.  Games may be stacked on trailing axes, (m, n, ...)
-    per player, with a slack each; the flat indices then run over (row set,
-    column set, game).
+    """The flat indices, in enumeration order, of the support pairs worth
+    solving, over (pair, game): the (row set, column set) pairs of every
+    size k = 2 .. min(m, n), numbered as in ``_pair_table``.  Games may be
+    stacked on trailing axes, (m, n, ...) per player, with a slack each.
 
     A pair is dropped when some move of one player's support is beaten on
     every move of the opponent's support by another move of the same player
@@ -462,47 +455,65 @@ def _support_pairs(a, b, eps, slack):
     leaves the system singular or its weights invalid: k - 1 weights down to
     -WEIGHT_CLAMP_TOL (= DOMINANCE_SLACK) on gaps of up to twice the largest
     payoff, plus rounding, make up less than 2 k slack.  A non-finite payoff
-    makes the slack non-finite, so such a game drops nothing.  One table of
-    each player's beaten moves, given each opponent set of every size,
+    makes the slack non-finite, so such a game drops nothing.  One bitmask
+    of each player's beaten moves, given each opponent set of every size,
     serves every k.
     """
     m, n = a.shape[:2]
     top = min(m, n)
     if top < 2:
-        return []
-    thresholds = eps + np.multiply.outer(2 * np.arange(2, top + 1).reshape(-1, 1, 1, 1), slack)  # [k, 1, 1, 1, ...]
-    beaten_rows, col_starts = _beaten(np.swapaxes(a, 0, 1), thresholds)
-    beaten_cols, row_starts = _beaten(b, thresholds)
-    kept = []
-    for k in range(2, top + 1):
-        rows, cols = beaten_rows[col_starts[k - 2] : col_starts[k - 1]], beaten_cols[row_starts[k - 2] : row_starts[k - 1]]
-        dropped = np.swapaxes(rows[:, _subsets(m, k)[0]].any(axis=2), 0, 1) | cols[:, _subsets(n, k)[0]].any(axis=2)
-        kept.append(np.flatnonzero(~dropped))
-    return kept
+        return np.zeros(0, dtype=int)
+    a, b, slack = a.reshape(m, n, -1), b.reshape(m, n, -1), np.asarray(slack).reshape(-1)
+    thresholds = eps + np.multiply.outer(2 * np.arange(2, top + 1).reshape(-1, 1, 1, 1), slack)  # [k, 1, 1, 1, game]
+    beaten_rows, beaten_cols = _beaten(a.swapaxes(0, 1), thresholds), _beaten(b, thresholds)
+    (rows, cols, starts, _), games = _pair_table(m, n).tolist(), len(slack)
+    row_masks, col_masks = _set_table(m, top)[2][:, None, None], _set_table(n, top)[2][:, None]
+    keep = np.empty(starts[-1] * games, dtype=bool)
+    for r0, r1, c0, c1, at, end in zip(rows, rows[1:], cols, cols[1:], starts, starts[1:]):  # by k
+        dropped = beaten_rows[None, c0:c1] & row_masks[r0:r1]  # [row set, column set, game]
+        dropped |= beaten_cols[r0:r1, None] & col_masks[c0:c1]
+        np.equal(dropped, 0, out=keep[at * games : end * games].reshape(dropped.shape))
+    return keep.nonzero()[0]
 
 
-def _beaten(columns, thresholds) -> tuple[np.ndarray, tuple[int, ...]]:
-    """(column sets, rows, ...) mask of the rows that some row beats by more
+def _beaten(columns, thresholds) -> np.ndarray:
+    """(column sets, games) bitmask of the rows that some row beats by more
     than the threshold of the set's size on every column of the set, for
-    payoffs given by column, (columns, rows, ...); and where the sets of
-    each size start.  The column sets are those of every size k = 2, 3,
-    ..., one threshold each, by k and then in ``_subsets`` order.  Games may
-    be stacked on trailing axes, with thresholds (sizes, 1, 1, 1, ...)."""
-    beats = columns[:, :, None] - columns[:, None] > thresholds  # [k, j, r, i, ...]
-    index, starts = _set_table(len(columns), len(thresholds) + 1)
-    return beats.reshape(-1, *beats.shape[2:])[index].all(axis=1).any(axis=1), starts
+    payoffs given by column, (columns, rows, games): where the bitmask of
+    its beaters, ANDed over the set, is not zero.  The column sets are those
+    of ``_set_table``, one threshold per size, (sizes, 1, 1, 1, games)."""
+    beats = columns[:, :, None] - columns[:, None] > thresholds  # [k, j, r, i, game]
+    sizes, width, rows = beats.shape[:3]
+    bits = _set_table(rows, sizes + 1)[4]
+    beaters = np.matmul(bits, beats.reshape(sizes * width, rows, -1))  # [k j, i game]
+    beaten = np.bitwise_and.reduce(beaters[_set_table(width, sizes + 1)[0]], axis=1) != 0
+    return np.matmul(bits, beaten.reshape(len(beaten), rows, -1))
 
 
 @functools.lru_cache(maxsize=None)
-def _set_table(size: int, top: int) -> tuple[np.ndarray, tuple[int, ...]]:
+def _set_table(size: int, top: int) -> tuple[np.ndarray, ...]:
     """The k-subsets of range(size) for k = 2 .. top, by k and then in
-    ``_subsets`` order, each led up to top moves by its first move again, as
-    indices into (k - 2, move) flattened; and where each k starts, then the
-    end.  Read-only."""
+    ``_subsets`` order, one row each in three read-only tables: the set led
+    up to top moves by its first move again, as indices into (k - 2, move)
+    flattened; the set led up to top moves by size; and its bitmask.  Then
+    where the sets of each k start, by k, and each move's bitmask."""
     sets = [_subsets(size, k)[0] for k in range(2, top + 1)]
-    starts = (0, *np.cumsum([len(v) for v in sets]).tolist())
-    padded = [np.hstack([np.repeat(v[:, :1], top - v.shape[1], axis=1), v]) + level * size for level, v in enumerate(sets)]
-    return _freeze(np.concatenate(padded)), starts
+    first = [np.hstack([np.repeat(v[:, :1], top - v.shape[1], axis=1), v]) + level * size for level, v in enumerate(sets)]
+    padded = [np.hstack([np.full((len(v), top - v.shape[1]), size), v]) for v in sets]
+    masks = [np.left_shift(1, v).sum(axis=1).astype(np.int16) for v in sets]
+    starts = (0, 0, 0, *np.cumsum([len(v) for v in sets]).tolist())  # where each k starts
+    bits = np.left_shift(1, np.arange(size, dtype=np.int16))
+    return (*(_freeze(np.concatenate(v)) for v in (first, padded, masks)), starts, _freeze(bits))
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_table(m: int, n: int) -> np.ndarray:
+    """Where the row sets and the column sets of each size k = 2 .. min(m, n)
+    start in ``_set_table``, where its pairs start in enumeration order (by
+    k, then rows, then columns) and how many column sets it has; then the
+    ends and 1.  Read-only."""
+    rows, cols = (np.array(_set_table(size, min(m, n))[3][2:]) for size in (m, n))
+    return _freeze(np.array([rows, cols, [0, *np.cumsum(np.diff(rows) * np.diff(cols))], [*np.diff(cols), 1]]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -513,82 +524,73 @@ def _subsets(size: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_freeze(np.array(v, dtype=int).reshape(len(v), t)) for v, t in ((sets, k), (rest[::-1], size - k)))
 
 
-def _candidates(ga, gbt, payoffs, slack, chunk, eps, one_call):
-    """The candidates of a chunk of support pairs, pieces (k, games, r, c)
-    in increasing k: pair i of a piece is game games[i] (proposer ga[games[i]],
-    responder transposed gbt[games[i]]) on the k-row set r[i] and k-column
-    set c[i] of ``_subsets``, with margin slack[games[i]]; ``payoffs`` is
-    ``ga``, then the responder's untransposed, flattened.  Phase 1 solves
-    the proposer's systems, which give the responder's mix y; phase 2 solves
-    the responder's systems, which give x, for the pairs phase 1 keeps.
-    Each phase solves the systems of every piece in one ``_indifference``
-    call.  With ``one_call``, or when no pair leaves a row out, where phase 1
-    could drop only invalid weights, one call solves both.  After each phase
-    a pair whose best off-support move beats the support's value by more
-    than eps + slack is dropped, as it could not pass even exactly; one
-    beaten by more than eps fails the off-support test.  Those payoffs are
-    ``a[off_rows] @ y`` and ``x @ b[:, off_cols]``, one kernel call per
-    piece and phase on the layout a single pair's indexing gives (C, then
-    Fortran order).  Returns, for the pairs kept with valid weights, in
-    order, their k, games, r and c, their (x, y) mixes, and which are valid
-    float profiles: mixes that pass the sum test of ``mixed_strategy`` and
-    the off-support test.
+def _candidates(payoffs, ga, gbt, slack, eps, one_call, ids):
+    """The candidates of a chunk of support pairs, flat indices ``ids`` of
+    ``_support_pairs``: pair i is game games[i] (proposer ga[games[i]],
+    responder transposed gbt[games[i]]) on a row set and a column set of
+    ``_set_table``, with margin slack[games[i]]; ``payoffs`` is ``ga``, then
+    the responder's untransposed, flattened.  Phase 1 solves the proposer's
+    systems, which give the responder's mix y; phase 2 solves the
+    responder's systems, which give x, for the pairs phase 1 keeps.  Each
+    phase solves the systems of every size in one ``_indifference`` call.
+    With ``one_call``, or when no pair leaves a row out, where phase 1 could
+    drop only invalid weights, one call solves both.  After each phase a
+    pair whose best off-support move beats the support's value by more than
+    eps + slack is dropped, as it could not pass even exactly; one beaten by
+    more than eps fails the off-support test.  Those payoffs are
+    ``a[off_rows] @ y`` and ``x @ b[:, off_cols]``, one kernel call per size
+    and phase on the layout a single pair's indexing gives (C, then Fortran
+    order).  Returns, in order, the games, row sets, column sets and (x, y)
+    mixes of the pairs kept with valid weights, and which are valid float
+    profiles: mixes that pass the sum test of ``mixed_strategy`` and the
+    off-support test.
     """
-    _, m, n = ga.shape
-    one_call = one_call or chunk[0][0] == m
-    top, counts = chunk[-1][0], [len(games) for _, games, _, _ in chunk]
-    ends = [*itertools.accumulate(counts)]
-    sizes = np.repeat([k for k, *_ in chunk], counts)
-    games, r, c = (_join(v) for v in [*zip(*chunk)][1:])
+    count, m, n = ga.shape
+    width = min(m, n)
+    pair, games = np.divmod(ids, count)
+    row_starts, col_starts, pair_starts, widths = _pair_table(m, n)
+    level = pair_starts.searchsorted(pair, side="right") - 1
+    row_sets, col_sets = np.divmod(pair - pair_starts[level], widths[level])
+    row_sets, col_sets, sizes = row_sets + row_starts[level], col_sets + col_starts[level], level + 2  # sizes nondecreasing
+    top, one_call = int(sizes[-1]), one_call or sizes[0] == m
     # each pair's row and column set, led up to the largest k by a move past the last
-    rows = _join([_padded_sets(m, k, top)[v] for k, _, v, _ in chunk])
-    cols = _join([_padded_sets(n, k, top)[v] for k, _, _, v in chunk])
+    rows, cols = _set_table(m, width)[1][row_sets, width - top :], _set_table(n, width)[1][col_sets, width - top :]
 
-    def by_piece(pairs):  # each piece's k and the span of its pairs in the sorted chunk indices pairs
-        if len(chunk) == 1:
-            return [(top, slice(0, len(pairs)))] if len(pairs) else []
-        edges = np.searchsorted(pairs, [0, *ends]).tolist()
-        return [(k, slice(lo, hi)) for (k, *_), lo, hi in zip(chunk, edges, edges[1:]) if hi > lo]
+    def off_support(pairs, value, size, product):  # the pairs that could pass, and those that do
+        best, levels = np.full(len(pairs), -np.inf), range(sizes[pairs[0]], size) if len(pairs) else ()
+        edges = sizes[pairs].searchsorted([*levels, size]).tolist()  # where each k < size starts, then ends
+        for k, lo, hi in zip(levels, edges, edges[1:]):
+            if hi > lo:
+                best[lo:hi] = _across(np.maximum, product(k, pairs[lo:hi], slice(lo, hi)))
+        limit = value + eps
+        return ~(best > limit + slack[games[pairs]]), ~(best > limit)
 
-    def off_support(pairs, value, size, payoffs):  # the pairs that could pass, and those that do
-        best = np.full(len(pairs), -np.inf)
-        for k, span in by_piece(pairs):
-            if k < size:
-                best[span] = _across(np.maximum, payoffs(k, pairs[span], span))
-        return ~(best > value + eps + slack[games[pairs]]), ~(best > value + eps)
-
-    pieces = [(g, rows[end - len(g) : end, -k:], cols[end - len(g) : end, -k:]) for (k, g, _, _), end in zip(chunk, ends)]
-    weights, value, ok = _indifference(payoffs, ga.shape, pieces, (0, 1) if one_call else (0,))
-    pairs = np.flatnonzero(ok.all(axis=0))
-    y, value_p, passed = _spread(weights[:, 0, pairs], cols[pairs], n), value[0, pairs], np.ones(len(pairs), bool)
-    if chunk[0][0] < m:  # some pair leaves a row out
-        ga_off = lambda k, p, span: (ga[games[p, None], _subsets(m, k)[1][r[p]]] @ y[span, :, None])[..., 0]
+    weights, value, ok = _indifference(payoffs, ga.shape, games, rows, cols, sizes, (0, 1) if one_call else (0,))
+    pairs = ok.all(axis=0).nonzero()[0]
+    y, value_p, passed = _spread(weights[:, 0, pairs], cols[pairs], n), value[0, pairs], ~np.zeros(len(pairs), bool)
+    if sizes[0] < m:  # some pair leaves a row out
+        off = lambda k, p: _subsets(m, k)[1][row_sets[p] - row_starts[k - 2]]
+        ga_off = lambda k, p, span: (ga[games[p, None], off(k, p)] @ y[span, :, None])[..., 0]
         kept, passed = off_support(pairs, value_p, m, ga_off)
         pairs, y, passed = pairs[kept], y[kept], passed[kept]
     if one_call:
         weights, value = weights[:, 1, pairs], value[1, pairs]
     elif len(pairs):
-        pieces = [(games[p], rows[p, -k:], cols[p, -k:]) for k, span in by_piece(pairs) for p in [pairs[span]]]
-        weights, value, ok = _indifference(payoffs, ga.shape, pieces, (1,))
+        k = int(sizes[pairs[-1]])
+        sets = rows[pairs, top - k :], cols[pairs, top - k :]
+        weights, value, ok = _indifference(payoffs, ga.shape, games[pairs], *sets, sizes[pairs], (1,))
         pairs, y, passed, weights, value = pairs[ok[0]], y[ok[0]], passed[ok[0]], weights[:, 0, ok[0]], value[0, ok[0]]
     else:
         weights, value = weights[:, 0, pairs], value[0, pairs]
     x = _spread(weights, rows[pairs, top - len(weights) :], m)
-    if chunk[0][0] < n:  # some pair leaves a column out
-        gb_off = lambda k, p, span: (x[span, None] @ gbt[games[p, None], _subsets(n, k)[1][c[p]]].transpose(0, 2, 1))[:, 0]
+    if sizes[0] < n:  # some pair leaves a column out
+        off = lambda k, p: _subsets(n, k)[1][col_sets[p] - col_starts[k - 2]]
+        gb_off = lambda k, p, span: (x[span, None] @ gbt[games[p, None], off(k, p)].transpose(0, 2, 1))[:, 0]
         kept, beaten = off_support(pairs, value, n, gb_off)
         pairs, x, y, passed = pairs[kept], x[kept], y[kept], (passed & beaten)[kept]
     # mixed_strategy's sum test; the weights are clamped to nonnegative already
     summed = (np.abs(np.array([x.sum(axis=-1), y.sum(axis=-1)]) - 1.0) <= SIMPLEX_SUM_TOL).all(axis=0)
-    return sizes[pairs], games[pairs], r[pairs], c[pairs], x, y, passed & summed
-
-
-@functools.lru_cache(maxsize=None)
-def _padded_sets(size: int, k: int, width: int) -> np.ndarray:
-    """The k-subsets of range(size) of ``_subsets``, each led by width - k
-    entries of size.  Read-only."""
-    sets = _subsets(size, k)[0]
-    return _freeze(np.hstack([np.full((len(sets), width - k), size), sets]))
+    return games[pairs], row_sets[pairs], col_sets[pairs], x, y, passed & summed
 
 
 def _spread(weights, support, size) -> np.ndarray:
@@ -604,40 +606,38 @@ def _join(parts) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _indifference(payoffs, shape, pieces, players):
+def _indifference(payoffs, shape, games, rows, cols, sizes, players):
     """The mixes that make each of ``players`` (0, the proposer, or 1)
     indifferent, for support pairs of several sizes solved in one
     ``_solve_stacked`` call.
 
     ``payoffs`` holds each game's proposer payoffs, then each game's
-    responder payoffs, both of a (B, m, n) ``shape``, flattened.
-    ``pieces`` lists (games, rows, cols) in nondecreasing k: pair i is game
-    games[i] on the k-row set rows[i] and the k-column set cols[i].  A
-    player's block is their payoffs on the pair, one row per their support
+    responder payoffs, both of a (B, m, n) ``shape``, flattened.  Pair i is
+    game games[i] on the sizes[i]-row set rows[i] and the sizes[i]-column set
+    cols[i], sizes nondecreasing, each led up to the largest size K by m (n).
+    A player's block is their payoffs on the pair, one row per their support
     move and one column per the opponent's, whose mix is solved for.  The
     systems are [[block, -1], [1, 0]] with right-hand side (0, ..., 0, 1):
     the weights, then the common value.  Each sits at the bottom right of
-    the largest size, so the value's column, the row of ones and the
-    right-hand side are shared.  Returns the clamped (K, players, N)
-    weights, K the largest k, with a system's in its last k rows and zeros
-    above, the (players, N) values and the (players, N) mask of the systems
-    that are non-singular with valid weights.
+    size K + 1, so the value's column, the row of ones and the right-hand
+    side are shared, and the rest of its block, which nothing reads, holds
+    other payoffs.  Returns the clamped (K, players, N) weights, with a
+    system's in its last k rows and zeros above, the (players, N) values and
+    the (players, N) mask of the systems that are non-singular with valid
+    weights.
     """
     count, m, n = shape
-    top = pieces[-1][1].shape[1]  # the largest k
-    counts = [len(games) * len(players) for games, _, _ in pieces]
-    sizes = np.repeat([rows.shape[1] + 1 for _, rows, _ in pieces], counts) if len(pieces) > 1 else None
-    ab = np.zeros((top + 1, top + 2, sum(counts)))  # a pair's systems side by side
+    top = rows.shape[1]  # the largest k
+    at, cols = rows.T * n + games * (m * n), np.ascontiguousarray(cols.T)  # where each block row starts, (K, N)
+    index = np.empty((top, top, len(games), len(players)), dtype=int)  # a pair's systems side by side
+    for i, player in enumerate(players):  # the responder's block is the proposer's transposed, in their payoffs
+        np.add(*(((at + count * m * n)[None], cols[:, None]) if player else (at[:, None], cols)), out=index[..., i])
+    ab = np.zeros((top + 1, top + 2, index[0, 0].size))
+    payoffs.take(index.reshape(top, top, -1), out=ab[:top, :top], mode="clip")
     ab[:top, top] = -1.0
     ab[top, :top] = 1.0
     ab[top, top + 1] = 1.0
-    for (games, rows, cols), at, size in zip(pieces, itertools.accumulate(counts, initial=0), counts):
-        index = (rows.T * n + games * (m * n))[:, None] + cols.T[None]  # the proposer's, (k, k, N)
-        pad = top - rows.shape[1]
-        for i, player in enumerate(players):
-            block = index.swapaxes(0, 1) + count * m * n if player else index
-            ab[pad:top, pad:top, at + i : at + size : len(players)] = payoffs.take(block)
-    solution, singular = _solve_stacked(ab, sizes)
+    solution, singular = _solve_stacked(ab, None if sizes[0] == top else (sizes + 1).repeat(len(players)))
     # the rows above a system's own solve to zero, which passes both tests
     ok = ~singular & np.isfinite(solution).all(axis=0) & (solution[:-1] >= -WEIGHT_CLAMP_TOL).all(axis=0)
     weights = np.where(solution[:-1] < 0.0, 0.0, solution[:-1]).reshape(top, -1, len(players)).transpose(0, 2, 1)

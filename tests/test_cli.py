@@ -551,6 +551,16 @@ def test_nash_on_an_8x8_integer_game_prints_its_golden_output(capsys, flags, nam
         assert run(["nash", "--spec", spec] + flags, capsys) == (0, handle.read(), "")
 
 
+@pytest.mark.parametrize("fmt, ext", [("table", "txt"), ("csv", "csv")])
+@pytest.mark.parametrize("name", ["nash_6x6_uniform", "nash_6x6_integer", "nash_5x8_integer", "nash_12x4_uniform"])
+def test_nash_on_mid_size_games_prints_their_golden_output(capsys, name, fmt, ext):
+    # benchmark-style games, nondegenerate with uniform payoffs and degenerate
+    # with 0..3 integers, whose pairs go through one call or two phases
+    spec = os.path.join(DATA, f"{name}.json")
+    with open(os.path.join(DATA, f"{name}.{ext}"), encoding="utf-8") as handle:
+        assert run(["nash", "--spec", spec, "--format", fmt], capsys) == (0, handle.read(), "")
+
+
 @pytest.mark.parametrize("eps", ("0.5", "1e-9"))
 def test_degenerate_flag_counts_support_by_weight_not_by_eps(tmp_path, capsys, eps):
     # the mix puts 0.0099 on move 0, below eps 0.5; it is still on the support

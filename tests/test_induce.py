@@ -76,6 +76,16 @@ def test_default_move_set_larger_sizes():
     assert len(set(moves.perms)) == 3
 
 
+def test_default_move_sets_are_built_once_and_shared():
+    # a MoveSet is frozen, so each size's is cached and handed to every caller
+    expected = {2: ((1, 0), (0, 1)), 3: ((2, 0, 1), (1, 2, 0), (0, 1, 2))}
+    for d, perms in expected.items():
+        first = default_move_set(d)
+        assert default_move_set(d) is first and first.perms == perms
+    with pytest.raises(InvalidMoveSetError):
+        default_move_set(1)
+
+
 def test_move_set_validation():
     with pytest.raises(InvalidMoveSetError):
         MoveSet(())

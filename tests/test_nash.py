@@ -444,14 +444,15 @@ def _solve_blocks(blocks):
     (K, N) weights, the (N,) values and the (N,) mask."""
     top = blocks[-1].shape[0]
     games = np.zeros((sum(v.shape[2] for v in blocks), top, top))
-    pieces, at = [], 0
+    sets, sizes, at = [], [], 0
     for v in blocks:
         k, _, count = v.shape
         games[at : at + count, :k, :k] = v.transpose(2, 0, 1)
-        sets = np.tile(np.arange(k), (count, 1))
-        pieces.append((np.arange(at, at + count), sets, sets))
+        sets.append(np.tile([top] * (top - k) + list(range(k)), (count, 1)))  # led up to top by a move past the last
+        sizes += [k] * count
         at += count
-    weights, value, ok = _indifference(np.concatenate([games.reshape(-1), np.zeros(games.size)]), games.shape, pieces, (0,))
+    sets, payoffs = np.concatenate(sets), np.concatenate([games.reshape(-1), np.zeros(games.size)])
+    weights, value, ok = _indifference(payoffs, games.shape, np.arange(at), sets, sets, np.array(sizes), (0,))
     return weights[:, 0], value[0], ok[0]
 
 
@@ -532,6 +533,25 @@ def _near_duplicates(monkeypatch):
 
     monkeypatch.setattr(nash, "_near_earlier", recording)
     return found
+
+
+@pytest.mark.parametrize("chunk", [STACK_PAIRS, 7])
+def test_near_earlier_finds_what_comparing_all_pairs_finds(monkeypatch, chunk):
+    # Three games, each with candidates drawn from a few mixes, many of them
+    # zero on the first moves, moved by 0, 0.6e-9 or 1.2e-9 per weight: near
+    # duplicates within and across games, and pairs just beyond 1e-9.
+    monkeypatch.setattr(nash, "STACK_PAIRS", chunk)
+    rng = np.random.default_rng(53)
+    mixes = np.array([[0, 0, 0.5, 0.5], [0, 0, 0.25, 0.75], [0, 0.5, 0, 0.5], [1, 0, 0, 0]])
+    pick = rng.integers(0, len(mixes), (300, 2))
+    x = mixes[pick[:, 0]] + rng.integers(0, 3, (300, 4)) * 0.6e-9
+    y = mixes[pick[:, 1]] + rng.integers(0, 3, (300, 4)) * 0.6e-9
+    games, mask = rng.integers(0, 3, 300), rng.random(300) < 0.8
+    close = (np.abs(x[:, None] - x[None]).max(axis=2) <= 1e-9) & (np.abs(y[:, None] - y[None]).max(axis=2) <= 1e-9)
+    close &= (games[:, None] == games[None]) & mask[:, None] & mask[None]
+    expected = np.tril(close, k=-1).any(axis=1)  # near one earlier in the stack
+    assert 50 < expected.sum() < mask.sum() - 50
+    assert np.array_equal(nash._near_earlier(games, x, y, mask), expected)
 
 
 def test_stacked_copies_of_a_degenerate_game_each_get_its_profiles(monkeypatch):
@@ -619,15 +639,23 @@ def _slack(a, b):
     return DOMINANCE_SLACK * (1.0 + np.abs(a).max() + np.abs(b).max())
 
 
+def _levels(kept, shape, count=1):
+    """The flat indices of ``_support_pairs`` by support size k = 2, 3, ...,
+    each level's numbered from 0: (row set, column set, game) flattened."""
+    sizes = [len(_subsets(shape[0], k)[0]) * len(_subsets(shape[1], k)[0]) * count for k in range(2, min(shape) + 1)]
+    starts = np.cumsum([0, *sizes])
+    return [kept[(kept >= lo) & (kept < hi)] - lo for lo, hi in zip(starts, starts[1:])]
+
+
 def _kept_pairs(game, k, eps):
     """The row sets, column sets and kept flat pair indices of level k of the prefilter table."""
     a, b = game
-    return _subsets(a.shape[0], k)[0], _subsets(a.shape[1], k)[0], _support_pairs(a, b, eps, _slack(a, b))[k - 2]
+    return _subsets(a.shape[0], k)[0], _subsets(a.shape[1], k)[0], _levels(_support_pairs(a, b, eps, _slack(a, b)), a.shape)[k - 2]
 
 
 def _kept_total(game, eps):
     """How many support pairs of every size the prefilter keeps in a game."""
-    return sum(len(kept) for kept in _support_pairs(*game, eps, _slack(*game)))
+    return len(_support_pairs(*game, eps, _slack(*game)))
 
 
 # The 0..3-integer 6x6, 5x8, 7x7 and 12x4 games keep more than 256 support
@@ -774,7 +802,7 @@ def test_a_stack_of_games_drops_each_games_own_pairs(shape):
     rng = np.random.default_rng([52, *shape])
     games = [_near_tie_game(rng, shape, eps, 2.0 ** (10 * (g % 4))) for g, eps in enumerate([1e-9, 0.0] * 4)]
     a, b = (np.stack(v, axis=-1) for v in zip(*games))
-    stacked = _support_pairs(a, b, 1e-9, np.array([_slack(*game) for game in games]))
+    stacked = _levels(_support_pairs(a, b, 1e-9, np.array([_slack(*game) for game in games])), shape, len(games))
     for k, kept in enumerate(stacked, 2):
         expected = [(pair, g) for pair in range(len(_subsets(shape[0], k)[0]) * len(_subsets(shape[1], k)[0])) for g, game in enumerate(games) if pair in _kept_pairs(game, k, 1e-9)[2]]
         assert kept.tolist() == [pair * len(games) + g for pair, g in expected]
@@ -946,7 +974,7 @@ def test_the_2x2_prefilter_drops_no_valid_mix(eps):
     for games in (rng.uniform(-10.0, 10.0, (2000, 2, 2, 2)), rng.integers(0, 4, (2000, 2, 2, 2)).astype(float)):
         a, b = games[:, 0].transpose(1, 2, 0), games[:, 1].transpose(1, 2, 0)  # the games on the last axis
         slack = np.array([_slack(*game) for game in games])
-        [kept] = _support_pairs(a, b, eps, slack)  # one pair per game: the games kept
+        [kept] = _levels(_support_pairs(a, b, eps, slack), (2, 2), len(games))  # one pair per game: the games kept
         # the stacked rule is support_enumeration's rule of one game
         assert kept.tolist() == [g for g, game in enumerate(games) if len(_kept_pairs(game, 2, eps)[2]) == 1]
         _, _, ok = _solve_blocks([np.concatenate([a, b.transpose(1, 0, 2)], axis=-1)])
