@@ -89,6 +89,20 @@ class SweepSpec:
     eps: float | None
 
 
+class _reported_as:  # a class: a contextlib.contextmanager costs about 1 us more per block
+    """Report a library ``GameError`` raised in the block as a ``ValidationError`` of ``field``."""
+
+    def __init__(self, field: str):
+        self.field = field
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, GameError):
+            raise ValidationError(self.field, str(exc)) from exc
+
+
 def _reject_constant(name: str):
     raise ParseError(f"{name} is not a finite number")
 
@@ -182,19 +196,15 @@ def _build_payoffs(block, field: str = "payoffs") -> PayoffTable:
         field = f"{field}.ultimatum"
         if set(_object(sub, field)) == {"a", "b", "c"}:
             coefficients = [_number(sub[key], f"{field}.{key}") for key in "abc"]
-            try:
+            with _reported_as(field):
                 return ultimatum_2x2(*coefficients)
-            except GameError as exc:
-                raise ValidationError(field, str(exc)) from exc
         if set(sub) == {"total", "offers"}:
             offers = sub["offers"]
             if not isinstance(offers, list):
                 raise ValidationError(f"{field}.offers", "expected a list")
-            try:
+            with _reported_as(field):
                 params = UltimatumParams(sub["total"], tuple(offers))
                 return ultimatum_general(params)
-            except GameError as exc:
-                raise ValidationError(field, str(exc)) from exc
         raise ValidationError(field, "give either keys a, b, c or keys total, offers")
     field = f"{field}.matrices"
     need = "need matrices 'proposer' and 'responder'"
@@ -225,17 +235,12 @@ def _build_state(block, payoff_dims: tuple[int, int], field: str = "state") -> Q
     field = f"{field}.{source}"
     if source == "bell":
         keys = ("theta", "basis_a", "basis_b")
-        _object(sub, field, {*keys, "dims"}, keys)
+        _object(sub, field, keys, keys)
         theta = parse_angle(sub["theta"], f"{field}.theta")
         basis_a = _index_pair(sub["basis_a"], f"{field}.basis_a")
         basis_b = _index_pair(sub["basis_b"], f"{field}.basis_b")
-        dims = payoff_dims
-        if "dims" in sub:
-            dims = _index_pair(sub["dims"], f"{field}.dims")
-        try:
-            return bell_like(theta, basis_a, basis_b, dims)
-        except GameError as exc:
-            raise ValidationError(field, str(exc)) from exc
+        with _reported_as(field):
+            return bell_like(theta, basis_a, basis_b, payoff_dims)
     rows = _object(sub, field, {"matrix", "normalize"}, ("matrix",))["matrix"]
     if not isinstance(rows, list) or not rows or any(not isinstance(r, list) for r in rows):
         raise ValidationError(f"{field}.matrix", "expected a matrix of entries")
@@ -252,10 +257,8 @@ def _build_state(block, payoff_dims: tuple[int, int], field: str = "state") -> Q
     normalize = sub.get("normalize", True)
     if not isinstance(normalize, bool):
         raise ValidationError(f"{field}.normalize", "expected true or false")
-    try:
+    with _reported_as(field):
         return state_from_amplitudes(amps, normalize=normalize)
-    except GameError as exc:
-        raise ValidationError(field, str(exc)) from exc
 
 
 def _build_moves(block, payoff_dims: tuple[int, int]) -> tuple[MoveSet, MoveSet]:
@@ -267,10 +270,8 @@ def _build_moves(block, payoff_dims: tuple[int, int]) -> tuple[MoveSet, MoveSet]
             bad = [v for p in perms for v in p if not _whole(v)]
             if bad:
                 raise ValidationError(f"moves.{key}", f"permutation entries must be integers, got {bad[0]!r}")
-            try:
+            with _reported_as(f"moves.{key}"):
                 moves[key] = MoveSet(tuple(tuple(p) for p in perms))
-            except GameError as exc:
-                raise ValidationError(f"moves.{key}", str(exc)) from exc
     return moves["proposer"], moves["responder"]
 
 
@@ -281,8 +282,9 @@ def _build_solver(block) -> float | None:
     eps = None
     if "eps" in block:
         eps = _check_eps(_number(block["eps"], "solver.eps"), "solver.eps")
-    if "resolution" in block:
-        _check_resolution(block["resolution"], "solver.resolution")
+    resolution = block.get("resolution", 1)  # accepted and unused, so older documents still run
+    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
+        raise ValidationError("solver.resolution", "must be a positive integer")
     return eps
 
 
@@ -290,11 +292,6 @@ def _check_eps(eps, field: str) -> float:
     if not 0 < eps < math.inf:  # NaN fails too
         raise ValidationError(field, "must be a finite positive number")
     return float(eps)
-
-
-def _check_resolution(resolution, field: str) -> None:
-    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
-        raise ValidationError(field, "must be a positive integer")
 
 
 def _document(text: str, keys: tuple[str, str], optional: set[str]) -> dict:
@@ -380,10 +377,6 @@ def fmt(x: float) -> str:
     return format(value, ".9g")
 
 
-def _fmt_bool(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
 def _matrix_lines(name: str, matrix: np.ndarray) -> list[str]:
     cells = [[fmt(v) for v in row] for row in matrix]
     widths = [max(len(cells[i][j]) for i in range(len(cells))) for j in range(len(cells[0]))]
@@ -393,19 +386,27 @@ def _matrix_lines(name: str, matrix: np.ndarray) -> list[str]:
     return lines
 
 
-def _strategy_text(weights: np.ndarray) -> str:
-    return " ".join(fmt(w) for w in weights)
+def _profile_fields(profile: EquilibriumProfile) -> dict[str, str]:
+    """A profile's printed fields, named as its csv columns."""
+    return {
+        "kind": profile.kind,
+        "certified": str(profile.certified).lower(),
+        "degenerate": str(profile.degenerate).lower(),
+        "payoff_proposer": fmt(profile.payoffs[0]),
+        "payoff_responder": fmt(profile.payoffs[1]),
+        "regret_proposer": fmt(profile.regret[0]),
+        "regret_responder": fmt(profile.regret[1]),
+        "proposer_strategy": " ".join(map(fmt, profile.proposer_strategy)),
+        "responder_strategy": " ".join(map(fmt, profile.responder_strategy)),
+    }
 
 
-def _profile_lines(index: int, profile: EquilibriumProfile) -> list[str]:
-    return [
-        f"equilibrium {index}: kind={profile.kind} certified={_fmt_bool(profile.certified)} "
-        f"degenerate={_fmt_bool(profile.degenerate)}",
-        f"  proposer strategy: {_strategy_text(profile.proposer_strategy)}",
-        f"  responder strategy: {_strategy_text(profile.responder_strategy)}",
-        f"  payoffs: {fmt(profile.payoffs[0])} {fmt(profile.payoffs[1])}",
-        f"  regrets: {fmt(profile.regret[0])} {fmt(profile.regret[1])}",
-    ]
+def _render(out_format: str, columns: str, table: str, records: list[dict[str, str]]) -> list[str]:
+    """csv: the ``columns`` header, then those fields of each record;
+    table: the ``table`` template filled in by each record, line by line."""
+    if out_format == "csv":
+        return [columns, *(",".join(record[name] for name in columns.split(",")) for record in records)]
+    return [line for record in records for line in table.format_map(record).split("\n")]
 
 
 def run_induce(doc: GameSpecDocument, out_format: str) -> list[str]:
@@ -426,34 +427,23 @@ def run_induce(doc: GameSpecDocument, out_format: str) -> list[str]:
 def run_classify(doc: GameSpecDocument, out_format: str) -> list[str]:
     classification = classify_state(doc.state)
     d1, d2 = classification.diffs
-    if out_format == "csv":
-        return ["label,diff1,diff2", f"{classification.label},{fmt(d1)},{fmt(d2)}"]
-    return [
-        f"label: {classification.label}",
-        f"diff1: {fmt(d1)}",
-        f"diff2: {fmt(d2)}",
-    ]
+    fields = {"label": classification.label, "diff1": fmt(d1), "diff2": fmt(d2)}
+    return _render(out_format, "label,diff1,diff2", "label: {label}\ndiff1: {diff1}\ndiff2: {diff2}", [fields])
 
 
 def run_nash(doc: GameSpecDocument, eps: float, out_format: str) -> list[str]:
     game = induce_game(doc.state, doc.payoffs, doc.moves_proposer, doc.moves_responder)
     profiles = support_enumeration(game, eps)
-    if out_format == "csv":
-        lines = [
-            "index,kind,certified,degenerate,payoff_proposer,payoff_responder,"
-            "regret_proposer,regret_responder,proposer_strategy,responder_strategy"
-        ]
-        for idx, p in enumerate(profiles, start=1):
-            lines.append(
-                f"{idx},{p.kind},{_fmt_bool(p.certified)},{_fmt_bool(p.degenerate)},"
-                f"{fmt(p.payoffs[0])},{fmt(p.payoffs[1])},{fmt(p.regret[0])},{fmt(p.regret[1])},"
-                f"{_strategy_text(p.proposer_strategy)},{_strategy_text(p.responder_strategy)}"
-            )
-        return lines
-    lines = [f"equilibria: {len(profiles)}"]
-    for idx, p in enumerate(profiles, start=1):
-        lines += _profile_lines(idx, p)
-    return lines
+    lines = _render(
+        out_format,
+        "index,kind,certified,degenerate,payoff_proposer,payoff_responder,"
+        "regret_proposer,regret_responder,proposer_strategy,responder_strategy",
+        "equilibrium {index}: kind={kind} certified={certified} degenerate={degenerate}\n"
+        "  proposer strategy: {proposer_strategy}\n  responder strategy: {responder_strategy}\n"
+        "  payoffs: {payoff_proposer} {payoff_responder}\n  regrets: {regret_proposer} {regret_responder}",
+        [{"index": str(i), **_profile_fields(p)} for i, p in enumerate(profiles, start=1)],
+    )
+    return lines if out_format == "csv" else [f"equilibria: {len(profiles)}", *lines]
 
 
 def parse_profile(text: str, dims: tuple[int, int]) -> tuple[list[float], list[float]]:
@@ -478,23 +468,15 @@ def parse_profile(text: str, dims: tuple[int, int]) -> tuple[list[float], list[f
 def run_verify(doc: GameSpecDocument, profile_text: str, eps: float, out_format: str) -> list[str]:
     game = induce_game(doc.state, doc.payoffs, doc.moves_proposer, doc.moves_responder)
     x, y = parse_profile(profile_text, (len(doc.moves_proposer), len(doc.moves_responder)))
-    try:
+    with _reported_as("profile"):
         profile = verify_equilibrium(game, (x, y), eps)
-    except GameError as exc:
-        raise ValidationError("profile", str(exc)) from exc
-    if out_format == "csv":
-        return [
-            "certified,kind,payoff_proposer,payoff_responder,regret_proposer,regret_responder",
-            f"{_fmt_bool(profile.certified)},{profile.kind},"
-            f"{fmt(profile.payoffs[0])},{fmt(profile.payoffs[1])},"
-            f"{fmt(profile.regret[0])},{fmt(profile.regret[1])}",
-        ]
-    return [
-        f"certified: {_fmt_bool(profile.certified)}",
-        f"kind: {profile.kind}",
-        f"payoffs: {fmt(profile.payoffs[0])} {fmt(profile.payoffs[1])}",
-        f"regrets: {fmt(profile.regret[0])} {fmt(profile.regret[1])}",
-    ]
+    return _render(
+        out_format,
+        "certified,kind,payoff_proposer,payoff_responder,regret_proposer,regret_responder",
+        "certified: {certified}\nkind: {kind}\n"
+        "payoffs: {payoff_proposer} {payoff_responder}\nregrets: {regret_proposer} {regret_responder}",
+        [_profile_fields(profile)],
+    )
 
 
 def run_sweep(sweep: SweepSpec, eps: float, out_format: str) -> list[str]:
@@ -590,10 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in commands.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--spec", required=True, help="document path, or - for stdin")
-        cmd.add_argument("--eps", type=float, default=None, help="regret tolerance (default 1e-9)")
-        cmd.add_argument(
-            "--resolution", type=int, default=None, help="accepted for old documents and scripts; unused"
-        )
+        cmd.add_argument("--eps", type=float, default=None, help=f"regret tolerance (default {EPS_DEFAULT})")
         cmd.add_argument("--format", choices=("table", "csv"), default="table")
         if name == "verify":
             cmd.add_argument(
@@ -619,8 +598,6 @@ def main(argv=None) -> int:
     try:
         if args.eps is not None:
             _check_eps(args.eps, "--eps")
-        if args.resolution is not None:
-            _check_resolution(args.resolution, "--resolution")
         text = _read_spec_text(args.spec)
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning

@@ -298,9 +298,10 @@ def support_enumeration(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfi
     if max(m, n) > 12:
         raise TooLargeError(f"support enumeration limited to 12 moves per side, got {m}x{n}")
     _, x, y, payoffs, regrets, degenerate = _enumerate(a, b, eps)
-    fields = zip(x, y, payoffs.tolist(), regrets.tolist(), _is_pure(x, y).tolist(), degenerate.tolist())
+    # the rows of a read-only array are read-only views
+    fields = zip(_freeze(x), _freeze(y), payoffs.tolist(), regrets.tolist(), _is_pure(x, y).tolist(), degenerate.tolist())
     return [
-        EquilibriumProfile(_freeze(p), _freeze(q), tuple(pay), tuple(reg), "pure" if pure else "mixed", True, flag)
+        EquilibriumProfile(p, q, tuple(pay), tuple(reg), "pure" if pure else "mixed", True, flag)
         for p, q, pay, reg, pure, flag in fields
     ]
 

@@ -243,12 +243,19 @@ def test_table_format_outputs(tmp_path, capsys):
     assert "certified: true" in out.splitlines()
 
 
-def test_verify_rejects_malformed_profile(tmp_path, capsys):
-    code, _, err = run(
-        ["verify", "--spec", write(tmp_path, ENTANGLED_DOC), "--profile", "1,0"], capsys
-    )
-    assert code == 2
-    assert "profile" in err
+@pytest.mark.parametrize(
+    "profile, line",
+    [
+        ("1,0", "profile: expected two strategies separated by ';'"),
+        ("x,1;0,1", "profile.proposer: cannot read weights from 'x,1'"),
+        ("1,0,0;0,1", "profile.proposer: expected 2 weights, got 3"),
+        ("1.5,-0.5;0,1", "profile: negative strategy weight in [1.5, -0.5]"),
+    ],
+    ids=["one-strategy", "unreadable-weight", "three-weights", "negative-weight"],
+)
+def test_verify_rejects_malformed_profile(tmp_path, capsys, profile, line):
+    argv = ["verify", "--spec", write(tmp_path, ENTANGLED_DOC), "--profile", profile]
+    assert run(argv, capsys) == (2, "", f"error: {line}\n")
 
 
 def test_sweep_command_csv(tmp_path, capsys):
@@ -481,10 +488,18 @@ def test_main_writes_the_command_lines_in_one_call(tmp_path, monkeypatch, comman
     ],
 )
 def test_bad_eps_and_resolution_flags_exit_2(tmp_path, capsys, flags, field):
+    # --resolution is no flag, so argparse rejects it after its usage line
+    line = f"error: {field}: "
+    if field == "--resolution":
+        line = f"rqgames: error: unrecognized arguments: {' '.join(flags)}"
     for command, doc in (("nash", ENTANGLED_DOC), ("sweep", SWEEP_DOC)):
-        code, out, err = run([command, "--spec", write(tmp_path, doc)] + flags, capsys)
-        assert code == 2
-        assert out == "" and err.startswith(f"error: {field}: ")
+        try:
+            code = main([command, "--spec", write(tmp_path, doc)] + flags)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith(line)
 
 
 def test_tiny_eps_prints_the_mix_that_certifies_exactly(tmp_path, capsys):
@@ -503,8 +518,7 @@ def test_tiny_eps_prints_the_mix_that_certifies_exactly(tmp_path, capsys):
     )
     argv = ["nash", "--spec", write(tmp_path, json.dumps(doc)), "--eps", "1e-300"]
     assert run(argv, capsys) == (0, expected, "")
-    # a resolution, from the flag or the document, is accepted and changes nothing
-    assert run(argv + ["--resolution", "8"], capsys) == (0, expected, "")
+    # a resolution in the document is accepted and changes nothing
     doc["solver"] = {"resolution": 32}
     argv[2] = write(tmp_path, json.dumps(doc), "solver.json")
     assert run(argv, capsys) == (0, expected, "")
@@ -679,6 +693,15 @@ SWEEP_REJECTS = [
     (("sweep", "basis_b"), [2, 0], "sweep.basis_b: outcome (2, 0) outside (2, 2)"),
     (("sweep", "outputs"), ["x"], "sweep.outputs: expected a subset of ['probs', 'label', 'equilibria']"),
 ]
+# more game document cases; they come last in the parameter list, so the
+# cases above keep their ids, which number them
+MORE_NASH_REJECTS = [
+    (("state", "bell", "theta"), "pi/0", "state.bell.theta: division by zero in 'pi/0'"),
+    (("state",), {"amplitudes": {"matrix": 5}}, "state.amplitudes.matrix: expected a matrix of entries"),
+    (("moves", "proposer"), [[0, 1, 2], [1, 2, 0]], "moves: move sets act on (3, 2) but payoffs are (2, 2)"),
+    # the state takes the payoff table's shape, so a shape of its own could only restate it
+    (("state", "bell", "dims"), [2, 2], "state.bell.dims: unknown field"),
+]
 
 
 def edited(doc, path, value):
@@ -699,7 +722,8 @@ def edited(doc, path, value):
 @pytest.mark.parametrize(
     "command, path, value, line",
     [("nash", *case) for case in SHARED_REJECTS + NASH_REJECTS]
-    + [("sweep", *case) for case in SHARED_REJECTS + SWEEP_REJECTS],
+    + [("sweep", *case) for case in SHARED_REJECTS + SWEEP_REJECTS]
+    + [("nash", *case) for case in MORE_NASH_REJECTS],
 )
 def test_golden_validation_errors(tmp_path, capsys, command, path, value, line):
     doc = edited(GAME if command == "nash" else SWEEP, path, value)

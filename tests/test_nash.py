@@ -222,6 +222,36 @@ def test_support_enumeration_matching_pennies():
     assert np.allclose(profiles[0].responder_strategy, [0.5, 0.5], atol=1e-12)
 
 
+def pi_8_game():
+    state = bell_like(np.pi / 8, (1, 1), (0, 0))
+    return induce_game(state, ultimatum_2x2(99, 50, 1), MOVES2, MOVES2)
+
+
+# PIVOT_TOL is absolute, while the last pivot of an indifference system
+# shrinks as one over the payoff scale: far from scale one the system reads
+# as singular and its mix is lost
+PIVOT_SCALE = pytest.mark.xfail(strict=True, reason="an absolute PIVOT_TOL drops the mix at this payoff scale")
+
+
+@pytest.mark.parametrize(
+    "game, scale, eps",
+    [
+        (pi_8_game(), 2.0**20, EPS_DEFAULT),
+        pytest.param(pi_8_game(), 2.0**40, EPS_DEFAULT, marks=PIVOT_SCALE),
+        pytest.param(([[1.0, -1.0], [-1.0, 1.0]], [[-1.0, 1.0], [1.0, -1.0]]), 1e-13, 1e-300, marks=PIVOT_SCALE),
+    ],
+    ids=["pi_8-2**20", "pi_8-2**40", "pennies-1e-13"],
+)
+def test_a_payoff_scale_keeps_the_enumerated_mix(game, scale, eps):
+    # scaling payoffs by a power of two, or pennies by 1e-13, is exact
+    a, b = nash.game_matrices(game)
+    (expected,) = support_enumeration((a, b), eps)
+    profiles = support_enumeration((a * scale, b * scale), eps)
+    assert [p.kind for p in profiles] == ["mixed"]
+    assert np.allclose(profiles[0].proposer_strategy, expected.proposer_strategy, atol=1e-12)
+    assert np.allclose(profiles[0].responder_strategy, expected.responder_strategy, atol=1e-12)
+
+
 def test_support_enumeration_classical_game():
     profiles = support_enumeration(classical_game())
     assert len(profiles) == 1

@@ -171,7 +171,7 @@ def test_chunks_see_the_row_by_row_thetas(monkeypatch):
         (
             "sweep_fallback_1e-300.csv",
             sweep_doc([1, 1], [0, 0], 97, start="-pi/3", stop="pi", triple=(3, 2, 1)),
-            ["--eps", "1e-300", "--resolution", "8"],  # the resolution is accepted and unused
+            ["--eps", "1e-300"],
         ),
     ],
 )
