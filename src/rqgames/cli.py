@@ -33,12 +33,14 @@ from .errors import GameError, ParseError, TooLargeError, ValidationError
 from .games import Bimatrix, PayoffTable, UltimatumParams, _finite, _whole, ultimatum_2x2, ultimatum_general
 from .hilbert import QuantumState, bell_like, bell_like_probs, probability_table, state_from_amplitudes
 from .induce import (
+    ALIGNED,
+    OPPOSED,
     MoveSet,
-    class_labels,
     classify_state,
     default_move_set,
     induce_game,
     induce_stack,
+    opposed,
 )
 from .nash import (
     EPS_DEFAULT,
@@ -54,8 +56,8 @@ SWEEP_OUTPUTS = ("probs", "label", "equilibria")
 # one pass takes.
 SWEEP_CHUNK = 2048
 # The most thetas one sweep may have; a larger count exits 3 before any row
-# is computed.  A million ultimatum rows take about 8 s and 190 MB peak
-# memory in process (2-vCPU Xeon, numpy 2.4).
+# is computed.  A million ultimatum rows take about 4.7 s and 195 MB peak
+# traced memory in process in table format (2-vCPU Xeon, numpy 2.4).
 SWEEP_MAX_ROWS = 1_000_000
 
 _PI_PATTERN = re.compile(
@@ -501,10 +503,28 @@ def run_sweep(sweep: SweepSpec, eps: float, out_format: str) -> list[str]:
     return lines
 
 
-def _line_template(columns: list[str], out_format: str, label: str, groups: int) -> str:
-    """The %-template of a sweep line; "%.9g" prints v + 0.0 as ``fmt`` prints v."""
-    cell = {"label": label, "equilibria": ";".join(["mu=%.9g nu=%.9g pp=%.9g pr=%.9g"] * groups)}
-    cells = [cell.get(name, "%.9g") for name in columns]
+# What a printed value puts in its line's template, by its code: a value of
+# exactly 0 (either sign) or 1 is the literal ``fmt`` prints for it, and
+# "%.9g" prints any other value as ``fmt`` does.  _ABSENT marks the unused
+# profile slots of a row with fewer equilibria than the chunk's most.
+_CELLS = ("%.9g", "0", "1")
+_ABSENT = len(_CELLS)
+
+
+def _line_template(columns: list[str], out_format: str, key: bytes) -> str:
+    """The %-template of a sweep line keyed by its label (0 aligned, 1
+    opposed), then the code of each value the line prints."""
+    codes = iter(key[1:])
+    cells = []
+    for name in columns:
+        if name == "label":
+            cells.append((ALIGNED, OPPOSED)[key[0]])
+        elif name == "equilibria":
+            values = [_CELLS[code] for code in codes if code != _ABSENT]
+            profiles = (tuple(values[i : i + 4]) for i in range(0, len(values), 4))
+            cells.append(";".join("mu=%s nu=%s pp=%s pr=%s" % profile for profile in profiles))
+        else:
+            cells.append(_CELLS[next(codes)])
     return ",".join(cells) if out_format == "csv" else "; ".join(f"{n}={c}" for n, c in zip(columns, cells))
 
 
@@ -513,39 +533,55 @@ def _sweep_rows(sweep: SweepSpec, thetas: np.ndarray, eps: float, columns: list[
 
     The equilibria come from ``nash._enumerate``, the core of
     ``support_enumeration``, on the chunk's stack of induced games.  The
-    first row that fails a check raises the error of its single state.  The
-    chunk is rendered by one ``%`` over the floats it prints, with each
-    row's template chosen by its label and number of equilibria.
+    first row that fails a check raises the error of its single state.
     """
     count = len(thetas)
     probs, failed = bell_like_probs(thetas, sweep.basis_a, sweep.basis_b, sweep.payoffs.dims)
     head = np.hstack([thetas[:, None], probs.reshape(count, 4)]) if "probs" in sweep.outputs else thetas[:, None]
-    labels = [""] * count
+    labels = np.zeros(count, dtype=bool)
     if "label" in sweep.outputs:
-        labels = class_labels(probs[:, 1, 1] - probs[:, 0, 1], probs[:, 1, 0] - probs[:, 0, 0]).tolist()
-    games, groups, profiles = np.zeros(0, dtype=int), np.zeros(count, dtype=int), np.zeros((0, 4))
+        labels = opposed(probs[:, 1, 1] - probs[:, 0, 1], probs[:, 1, 0] - probs[:, 0, 0])
+    games, profiles = np.zeros(0, dtype=int), np.zeros((0, 4))
     if "equilibria" in sweep.outputs:
         moves = default_move_set(2)
         a, b = induce_stack(probs, sweep.payoffs, moves, moves)
         games, x, y, payoffs = _enumerate(a.transpose(1, 2, 0), b.transpose(1, 2, 0), eps)[:4]
         failed = failed | ~(np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2)))
-        groups = np.bincount(games, minlength=count)
         profiles = np.column_stack([x[:, 0], y[:, 0], payoffs])
     if failed.any():
         r = int(failed.argmax())
         # the checks of a single state, in order; the first that fails raises
         probability_table(bell_like(float(thetas[r]), sweep.basis_a, sweep.basis_b, sweep.payoffs.dims))
         Bimatrix(a[r], b[r])  # the induced game's finite-payoff check
-    # each row prints its head, then mu, nu and the payoffs of each equilibrium
-    width = head.shape[1] + 4 * groups
-    starts = np.cumsum(width) - width
-    args = np.empty(width.sum())
-    args[starts[:, None] + np.arange(head.shape[1])] = head
-    slots = starts[games] + head.shape[1] + 4 * (np.arange(len(games)) - (np.cumsum(groups) - groups)[games])
-    args[slots[:, None] + np.arange(4)] = profiles
-    keys = list(zip(labels, groups.tolist()))
-    templates = {key: _line_template(columns, out_format, *key) for key in set(keys)}
-    return ("\n".join([templates[key] for key in keys]) % tuple((args + 0.0).tolist())).split("\n")
+    return _render_rows(columns, out_format, head, labels, games, profiles)
+
+
+def _render_rows(
+    columns: list[str], out_format: str, head: np.ndarray, labels: np.ndarray, games: np.ndarray, profiles: np.ndarray
+) -> list[str]:
+    """Sweep lines whose rows print their ``head`` values, then mu, nu and the
+    payoffs of each of their ``profiles``; ``labels`` marks opposed rows and
+    ``games`` gives each profile's row, in row order.
+
+    The rows are rendered by one ``%`` over the values that are not exactly
+    0 or 1, with each row's template keyed by its label and the code of each
+    value it prints.
+    """
+    count, width = head.shape
+    groups = np.bincount(games, minlength=count)
+    slots = np.arange(4 * groups.max(initial=0))
+    cells = np.empty((count, width + len(slots)))
+    cells[:, :width] = head
+    rank = np.arange(len(games)) - (np.cumsum(groups) - groups)[games]
+    cells[games[:, None], width + 4 * rank[:, None] + np.arange(4)] = profiles
+    keys = np.empty((count, 1 + cells.shape[1]), dtype=np.uint8)
+    keys[:, 0] = labels
+    keys[:, 1:] = (cells == 0.0) + 2 * (cells == 1.0)
+    keys[:, 1 + width :][slots >= 4 * groups[:, None]] = _ABSENT
+    printed = cells[keys[:, 1:] == 0]
+    keys = keys.view(f"V{keys.shape[1]}").ravel().tolist()
+    templates = {key: _line_template(columns, out_format, key) for key in set(keys)}
+    return ("\n".join(map(templates.__getitem__, keys)) % tuple(printed.tolist())).split("\n")
 
 
 def _read_spec_text(path: str) -> str:

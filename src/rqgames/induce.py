@@ -125,17 +125,27 @@ def induce_stack(
     stacked entry equals the single-game one bit for bit, and relabeling
     moves permutes the matrices bit-exactly.
     """
-    inv_p = np.argsort(moves_p.perms, axis=1)
-    inv_r = np.argsort(moves_r.perms, axis=1)
     # moved[s, i, j] is table s with move i undone on its rows and move j on
-    # its columns.  Indexing every axis lays it out C-contiguous, which keeps
-    # each block's summation order.
-    stack = np.arange(len(probs))[:, None, None, None, None]
-    moved = probs[stack, inv_p[:, None, :, None], inv_r[:, None, :]]
+    # its columns, gathered by one take of flat outcome indices.  The take
+    # lays it out C-contiguous, which keeps each block's summation order.
+    dims = probs.shape[1:]
+    moved = probs.reshape(len(probs), -1).take(_outcome_index(moves_p, moves_r, dims), axis=1)
     with np.errstate(over="ignore"):  # an overflowing sum gives inf, which fails the game's finite check
         proposer = (moved * payoffs.proposer).sum(axis=(-2, -1))
         responder = (moved * payoffs.responder).sum(axis=(-2, -1))
     return proposer, responder
+
+
+@functools.lru_cache(maxsize=16)
+def _outcome_index(moves_p: MoveSet, moves_r: MoveSet, dims: tuple[int, int]) -> np.ndarray:
+    """The (m, n, dP, dR) flat index into a dP x dR table of the outcome that
+    move pair (i, j) sends to each cell (k, l).  Move sets are frozen, so a
+    pair's index is built once and shared."""
+    inv_p = np.argsort(moves_p.perms, axis=1)
+    inv_r = np.argsort(moves_r.perms, axis=1)
+    index = inv_p[:, None, :, None] * dims[1] + inv_r[:, None, :]
+    index.flags.writeable = False
+    return index
 
 
 def _probs_2x2(state: QuantumState) -> np.ndarray:
@@ -220,13 +230,18 @@ def classify_state(state: QuantumState) -> StateClass:
 
 def class_labels(diff1, diff2) -> np.ndarray:
     """The label of each state from its differences p11 - p01 and p10 - p00."""
-    return np.where(_sign(diff1) * _sign(diff2) < 0, OPPOSED, ALIGNED)
+    return np.where(opposed(diff1, diff2), OPPOSED, ALIGNED)
+
+
+def opposed(diff1, diff2) -> np.ndarray:
+    """Whether each state is opposed, from its differences p11 - p01 and p10 - p00."""
+    return _sign(diff1) * _sign(diff2) < 0
 
 
 def _sign(diff):
     """The sign of a probability difference, 0 within SIGN_TOL of zero.
 
-    The one sign rule of ``class_labels`` and ``aligned_equilibrium``.
+    The one sign rule of ``opposed`` and ``aligned_equilibrium``.
     """
     return np.sign(diff) * (np.abs(diff) > SIGN_TOL)
 

@@ -252,6 +252,14 @@ def test_a_payoff_scale_keeps_the_enumerated_mix(game, scale, eps):
     assert np.allclose(profiles[0].responder_strategy, expected.responder_strategy, atol=1e-12)
 
 
+@pytest.mark.xfail(strict=True, reason="the float regret 0.5 - (-0.5 - 2**-53) rounds down to eps")
+def test_a_regret_above_eps_before_rounding_does_not_certify():
+    # the exact regret of row 0 against row 1 is 1 + 2**-53 > eps = 1
+    a = np.array([[0.5], [-0.5 - 2.0**-53]])
+    profile = verify_equilibrium((a, np.zeros((2, 1))), ([0, 1], [1]), 1.0)
+    assert not profile.certified
+
+
 def test_support_enumeration_classical_game():
     profiles = support_enumeration(classical_game())
     assert len(profiles) == 1

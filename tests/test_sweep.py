@@ -75,6 +75,27 @@ def test_percent_9g_prints_as_fmt():
 
 
 @pytest.mark.parametrize("out_format", ("csv", "table"))
+def test_rows_of_many_values_print_as_fmt(out_format):
+    # row 3 prints 5 + 4 * 20 = 85 values, others fewer or none; the exact 0s
+    # and 1s come from the templates, the values next to them through "%.9g"
+    rng = np.random.default_rng(11)
+    pool = [0.0, -0.0, 1.0, 0.5, -1.0, 2.0, 1e-300, math.pi, np.nextafter(1.0, 2.0), np.nextafter(0.0, -1.0)]
+    count = 40
+    games = np.sort(np.concatenate([rng.integers(0, count, 150), np.full(20, 3)]))
+    head, labels = rng.choice(pool, (count, 5)), rng.random(count) < 0.5
+    profiles = rng.choice(pool, (len(games), 4))
+    columns = ["theta", "p00", "p01", "p10", "p11", "label", "equilibria"]
+    lines = cli._render_rows(columns, out_format, head, labels, games, profiles)
+    expected = []
+    for r in range(count):
+        row = [cli.fmt(v) for v in head[r]] + [("aligned", "opposed")[int(labels[r])]]
+        row.append(";".join("mu=%s nu=%s pp=%s pr=%s" % tuple(map(cli.fmt, p)) for p in profiles[games == r]))
+        expected.append(",".join(row) if out_format == "csv" else "; ".join(f"{n}={v}" for n, v in zip(columns, row)))
+    assert lines == expected
+    assert 5 + 4 * np.count_nonzero(games == 3) > 70
+
+
+@pytest.mark.parametrize("out_format", ("csv", "table"))
 def test_negative_zero_payoffs_print_as_zero(out_format):
     # explicit matrices with -0.0 entries give payoffs of -0.0, which fmt prints as 0
     payoffs = {"proposer": [[-0.0, -0.0], [-1.0, -0.0]], "responder": [[-0.0, -1.0], [-2.0, -0.0]]}
@@ -182,6 +203,16 @@ def test_golden_csv_byte_for_byte(tmp_path, capsys, name, text, flags):
     path.write_text(text)
     assert main(["sweep", "--spec", str(path), "--format", "csv"] + flags) == 0
     assert capsys.readouterr().out == (DATA / name).read_text()
+
+
+@pytest.mark.parametrize("out_format, ext", [("table", "txt"), ("csv", "csv")])
+@pytest.mark.parametrize("name", ["sweep_two_equilibria", "sweep_opposed"])
+def test_default_eps_sweeps_print_their_golden_output(capsys, name, out_format, ext):
+    # 401 thetas over a full turn: four rows with two equilibria, and 396
+    # opposed rows beside 5 aligned ones
+    spec = str(DATA / f"{name}.json")
+    assert main(["sweep", "--spec", spec, "--format", out_format]) == 0
+    assert capsys.readouterr().out == (DATA / f"{name}.{ext}").read_text()
 
 
 @pytest.mark.parametrize("module, name", [(hilbert, "NORM_TOL"), (nash, "SIMPLEX_SUM_TOL")])
