@@ -19,7 +19,6 @@ plain numbers or symbolic multiples of pi such as "pi/4" or "-3*pi/2".
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import re
@@ -585,36 +584,85 @@ def _render_rows(
 
 
 def _read_spec_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        source = "stdin" if path == "-" else path
+        raise ParseError(f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The command-line surface: each command's help and options, as the
+# keywords of argparse's ``add_argument``.  ``build_parser`` and
+# ``_plain_args`` both read it.
+_OPTIONS = {
+    "--spec": {"required": True, "help": "document path, or - for stdin"},
+    "--eps": {"type": float, "default": None, "help": f"regret tolerance (default {EPS_DEFAULT})"},
+    "--format": {"choices": ("table", "csv"), "default": "table"},
+}
+_COMMANDS = {
+    "induce": ("print the induced bimatrix game", _OPTIONS),
+    "classify": ("label the state aligned or opposed", _OPTIONS),
+    "nash": ("enumerate equilibria of the induced game", _OPTIONS),
+    "verify": (
+        "certify a given strategy profile",
+        {**_OPTIONS, "--profile": {"required": True, "help": 'strategy pair, e.g. "0.5,0.5;0.5,0.5"'}},
+    ),
+    "sweep": ("tabulate a theta family of two-term states", _OPTIONS),
+}
+
+
+def build_parser():
+    """The argparse parser of ``_COMMANDS``; argparse is imported only here."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="rqgames",
         description="Induce, classify and solve the classical games generated by "
         "an initial state under permutation moves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "induce": "print the induced bimatrix game",
-        "classify": "label the state aligned or opposed",
-        "nash": "enumerate equilibria of the induced game",
-        "verify": "certify a given strategy profile",
-        "sweep": "tabulate a theta family of two-term states",
-    }
-    for name, help_text in commands.items():
+    for name, (help_text, options) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--spec", required=True, help="document path, or - for stdin")
-        cmd.add_argument("--eps", type=float, default=None, help=f"regret tolerance (default {EPS_DEFAULT})")
-        cmd.add_argument("--format", choices=("table", "csv"), default="table")
-        if name == "verify":
-            cmd.add_argument(
-                "--profile", required=True, help='strategy pair, e.g. "0.5,0.5;0.5,0.5"'
-            )
+        for option, keywords in options.items():
+            cmd.add_argument(option, **keywords)
     return parser
+
+
+def _plain_args(argv) -> dict | None:
+    """The arguments of a plain ``argv``, as ``vars`` of ``build_parser``'s
+    namespace for it; None for any other ``argv``.
+
+    Plain is a command, then whole option names, each followed by one value
+    that does not start with '-' (a lone '-' may), with every required
+    option given and every value one argparse accepts.  Everything else
+    (-h, --, abbreviations, --name=value, dash-led values, errors) is left
+    to argparse, which owns the help and error text.
+    """
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    options = _COMMANDS[argv[0]][1]
+    args = {"command": argv[0]}
+    for option, value in zip(argv[1::2], argv[2::2]):
+        keywords = options.get(option)
+        if keywords is None or (value[:1] == "-" and value != "-"):
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        args[option[2:]] = value  # the last of a repeated option wins
+    for option, keywords in options.items():
+        if option[2:] not in args:
+            if keywords.get("required"):
+                return None
+            args[option[2:]] = keywords.get("default")
+    return args
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -623,36 +671,34 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     print(f"warning: {message}", file=sys.stderr)
 
 
-_parser: argparse.ArgumentParser | None = None
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain_args(argv)
+    if args is None:
+        args = vars(build_parser().parse_args(argv))
+    command, out_format = args["command"], args["format"]
     try:
-        if args.eps is not None:
-            _check_eps(args.eps, "--eps")
-        text = _read_spec_text(args.spec)
+        if args["eps"] is not None:
+            _check_eps(args["eps"], "--eps")
+        text = _read_spec_text(args["spec"])
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            spec = parse_sweep_spec(text) if args.command == "sweep" else parse_spec(text)
+            spec = parse_sweep_spec(text) if command == "sweep" else parse_spec(text)
     except (GameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    eps = next(v for v in (args.eps, spec.eps, EPS_DEFAULT) if v is not None)
+    eps = next(v for v in (args["eps"], spec.eps, EPS_DEFAULT) if v is not None)
     try:
-        if args.command == "induce":
-            lines = run_induce(spec, args.format)
-        elif args.command == "classify":
-            lines = run_classify(spec, args.format)
-        elif args.command == "nash":
-            lines = run_nash(spec, eps, args.format)
-        elif args.command == "verify":
-            lines = run_verify(spec, args.profile, eps, args.format)
+        if command == "induce":
+            lines = run_induce(spec, out_format)
+        elif command == "classify":
+            lines = run_classify(spec, out_format)
+        elif command == "nash":
+            lines = run_nash(spec, eps, out_format)
+        elif command == "verify":
+            lines = run_verify(spec, args["profile"], eps, out_format)
         else:
-            lines = run_sweep(spec, eps, args.format)
+            lines = run_sweep(spec, eps, out_format)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

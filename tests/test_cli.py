@@ -972,3 +972,163 @@ def test_mutated_documents_exit_cleanly(data):
         sys.stdin = stdin
     assert code in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue() and "encountered in" not in err.getvalue()
+
+
+def run_caught(argv):
+    """``main``'s exit code, stdout and stderr for ``argv``, with argparse's exits caught."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("stdin", [False, True])
+def test_a_spec_that_is_not_utf8_exits_2(tmp_path, monkeypatch, stdin):
+    data = b'\xff\xfe{"payoffs": {}}'
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    if stdin:  # a strict decoder, as under PYTHONIOENCODING=utf-8
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict"))
+    code, out, err = run_caught(["nash", "--spec", "-" if stdin else str(path)])
+    source = "stdin" if stdin else str(path)
+    assert (code, out, err) == (2, "", f"error: {source}: not UTF-8 text (invalid start byte at byte 0)\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["nash", "-h"]])
+def test_help_exits_0_with_usage(argv):
+    code, out, err = run_caught(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: rqgames {argv[0]} [-h]" if argv[0] != "-h" else "usage: rqgames [-h]")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--spec", "{spec}", "--form", "csv"],
+        ["--spec", "{spec}", "--format=csv"],
+        ["--spec={spec}", "--format", "csv"],
+        ["--spec={spec}", "--format", "table", "--format", "csv"],
+    ],
+)
+def test_other_argv_forms_print_the_plain_forms_output(flags):
+    # argparse parses these; the stdout is that of --spec PATH --format csv
+    spec = os.path.join(DATA, "nash_6x6_uniform.json")
+    with open(os.path.join(DATA, "nash_6x6_uniform.csv"), encoding="utf-8") as handle:
+        golden = handle.read()
+    assert run_caught(["nash"] + [flag.format(spec=spec) for flag in flags]) == (0, golden, "")
+
+
+def test_the_last_of_a_repeated_option_wins():
+    spec = os.path.join(DATA, "nash_6x6_uniform.json")
+    with open(os.path.join(DATA, "nash_6x6_uniform.txt"), encoding="utf-8") as handle:
+        assert run_caught(["nash", "--spec", spec, "--format", "csv", "--format", "table"]) == (0, handle.read(), "")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["verify", "--spec", "-"], "rqgames verify: error: the following arguments are required: --profile"),
+        (["bogus", "--spec", "-"], "rqgames: error: argument command: invalid choice: 'bogus'"),
+        (["nash", "--spec", "-", "--format", "xml"], "rqgames nash: error: argument --format: invalid choice: 'xml'"),
+        (["nash", "--spec", "-", "--eps", "abc"], "rqgames nash: error: argument --eps: invalid float value: 'abc'"),
+    ],
+)
+def test_argv_errors_exit_2_with_argparse_messages(argv, line):
+    code, out, err = run_caught(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: rqgames")
+    assert err.splitlines()[-1].startswith(line)
+
+
+def test_a_plain_argv_runs_without_importing_argparse():
+    # a fresh interpreter: pytest itself imports argparse
+    script = (
+        "import sys\n"
+        "from rqgames.cli import main\n"
+        "main(sys.argv[1:])\n"
+        "print('argparse' in sys.modules, file=sys.stderr)\n"
+        "main(['nash', '-h'])\n"
+    )
+    spec = os.path.join(DATA, "nash_6x6_uniform.json")
+    process = subprocess.run(
+        [sys.executable, "-c", script, "nash", "--spec", spec, "--format", "csv"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+        check=False,
+    )
+    with open(os.path.join(DATA, "nash_6x6_uniform.csv"), encoding="utf-8") as handle:
+        golden = handle.read()
+    assert (process.returncode, process.stderr) == (0, "False\n")
+    assert process.stdout.startswith(golden + "usage: rqgames nash [-h]")
+
+
+_PARSER = cli.build_parser()
+
+
+def _argparse_args(argv):
+    """``vars`` of argparse's namespace for ``argv``, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _same_args(plain, parsed):
+    """Equal argument dicts, with NaN equal to NaN."""
+    return plain.keys() == parsed.keys() and all(
+        a == b or (isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b))
+        for a, b in zip(plain.values(), (parsed[key] for key in plain))
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nash", "--spec", "-"],
+        ["sweep", "--spec", "-", "--format", "csv", "--eps", "1e-300"],
+        ["verify", "--spec", "doc.json", "--profile", "0.5,0.5;0.5,0.5", "--eps", " 1e-9 "],
+        ["classify", "--format", "table", "--spec", "", "--format", "csv", "--eps", "nan"],
+        ["induce", "--eps", "1_0", "--spec", "x", "--eps", "inf"],
+    ],
+)
+def test_plain_argv_takes_the_fast_path_with_argparses_values(argv):
+    plain = cli._plain_args(argv)
+    assert plain is not None and _same_args(plain, _argparse_args(argv))
+
+
+# values that suit each option, and other tokens: abbreviations, --name=value
+# forms, dash-led values, help and the end-of-options marker
+ARGV_VALUES = {
+    "--spec": ["-", "", "doc.json", "-x"],
+    "--eps": ["1e-9", " 1e-9 ", "nan", "inf", "1_0", "abc", "-1"],
+    "--format": ["csv", "table", "xml"],
+    "--profile": ["0.5,0.5;0.5,0.5", "-", ""],
+}
+ARGV_TOKENS = st.sampled_from(
+    sorted({value for values in ARGV_VALUES.values() for value in values})
+    + ["induce", "nash", "verify", "--spec", "--eps", "--format", "--profile", "--sp", "--e", "--form", "--prof"]
+    + ["--spec=-", "--eps=1", "--format=csv", "--profile=0.5,0.5;0.5,0.5", "--", "-h"]
+)
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None)
+@given(st.data())
+def test_the_fast_path_gives_argparses_namespace_or_declines(data):
+    # options with suitable values, in any order and number, with other
+    # tokens sometimes inserted; wherever the fast path does not decline it
+    # must agree with argparse
+    command = data.draw(st.sampled_from(["induce", "classify", "nash", "verify", "sweep", "bogus", "-h"]))
+    argv = [command]
+    for option in data.draw(st.lists(st.sampled_from(["--spec", *ARGV_VALUES]), max_size=5)):
+        argv += [option, data.draw(st.sampled_from(ARGV_VALUES[option]))]
+    for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(data.draw(st.integers(0, len(argv))), data.draw(ARGV_TOKENS))
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        parsed = _argparse_args(argv)
+        assert parsed is not None and _same_args(plain, parsed), argv
