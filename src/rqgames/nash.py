@@ -17,7 +17,6 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -220,8 +219,9 @@ def _solve_stacked(ab: np.ndarray, sizes=None) -> tuple[np.ndarray, np.ndarray]:
             lam = ab[k + 1 :, k, s:] / ab[k, k, s:]
             ab[k + 1 :, k + 1 :, s:] -= lam[:, None] * ab[k, k + 1 :, s:]
         # a step never changes the rows above it, so the diagonal holds every pivot
-        small = np.abs(ab.diagonal(axis1=0, axis2=1)) <= PIVOT_TOL
-        singular = (small if sizes is None else small & (np.arange(n) >= n - sizes[:, None])).any(axis=1)
+        rows = np.arange(n)
+        small = np.abs(ab[rows, rows]) <= PIVOT_TOL  # (n, N): the or over rows is then elementwise
+        singular = (small if sizes is None else small & (rows[:, None] >= n - sizes)).any(axis=0)
         x[:, -1] = (ab[-1, n] - 0.0) / ab[-1, -2]  # an empty dot product is 0
         for k in range(n - 2, -1, -1):
             s = first[k]
@@ -326,9 +326,10 @@ def _enumerate(a, b, eps):
     with np.errstate(all="ignore"):  # a non-finite game gives NaNs, which never certify
         regret_p, regret_r, cells, degenerate = _pure_cells(a, b, eps)
         cell = cells.transpose(2, 0, 1).nonzero()  # (game, row, column), by game
-        at = cell[1:] + cell[:1]  # (row, column, game)
-        values = np.array([a, b, regret_p, regret_r])[(slice(None), *at)].T  # payoffs, then regrets
-        pure = cell[0], np.eye(m)[cell[1]], np.eye(n)[cell[2]], values[:, :2], values[:, 2:], degenerate[at]
+        at = np.ravel_multi_index(cell[1:] + cell[:1], a.shape)  # each field gathered at the cells
+        payoffs, regrets = (np.array([u.take(at), v.take(at)]).T for u, v in ((a, b), (regret_p, regret_r)))
+        units = np.eye(m).take(cell[1], axis=0), np.eye(n).take(cell[2], axis=0)
+        pure = cell[0], *units, payoffs, regrets, degenerate.take(at)
         slack = _slack(a, b)
         kept = _support_pairs(a, b, eps, slack)
         if not len(kept):
@@ -341,7 +342,7 @@ def _enumerate(a, b, eps):
         games, row_sets, col_sets, x, y, valid = map(_join, zip(*found))
         if not len(games):
             return pure
-        pay_p, pay_r, reg_p, reg_r, certified, degen = _certify(ga[games], gb[games], x, y, eps)
+        pay_p, pay_r, reg_p, reg_r, certified, degen = _certify(ga.take(games, axis=0), gb.take(games, axis=0), x, y, eps)
         candidates = games, x, y, np.array([pay_p, pay_r]).T, np.array([reg_p, reg_r]).T, degen
         # a candidate that is no duplicate certifies or, in a finite game, gets re-checked exactly;
         # a valid float profile is a duplicate by its float strategies, any other candidate by
@@ -352,7 +353,7 @@ def _enumerate(a, b, eps):
         def recheck(s, found_x, found_y):
             g = games[s]
             own = pure[0] == g  # the pure profiles come first
-            rows, cols = _set_table(m, min(m, n))[1][row_sets[s]], _set_table(n, min(m, n))[1][col_sets[s]]
+            rows, cols = _set_table(m, min(m, n))[1][:, row_sets[s]], _set_table(n, min(m, n))[1][:, col_sets[s]]
             rows, cols = rows[rows < m].tolist(), cols[cols < n].tolist()  # without the moves that lead them
             found_x, found_y = np.concatenate([pure[1][own], found_x]), np.concatenate([pure[2][own], found_y])
             return _exact_profile(ga[g], gb[g], rows, cols, eps, found_x, found_y)
@@ -360,12 +361,14 @@ def _enumerate(a, b, eps):
         retry = ~good & fresh
         if retry.any():  # in a finite game
             retry &= (np.isfinite(a).all(axis=(0, 1)) & np.isfinite(b).all(axis=(0, 1)))[games]
-        take = _take(*candidates, valid, good & fresh, retry, recheck)
-        fields = [np.concatenate([u, v[take]]) for u, v in zip(pure, candidates)]
-    if count == 1:  # one game, in order already
-        return tuple(fields)
-    order = fields[0].argsort(kind="stable")
-    return tuple(v[order] for v in fields)
+        picked = _take(*candidates, valid, good & fresh, retry, recheck).nonzero()[0]
+        fields = [np.concatenate([u, v.take(picked, axis=0)]) for u, v in zip(pure, candidates)]
+    # each game's pure profiles, then its candidates, which a stack's come by support pair: sorted
+    # by game, stably, unless one game or their order already puts them so
+    if count > 1 and (fields[0][1:] < fields[0][:-1]).any():
+        order = fields[0].argsort(kind="stable")
+        fields = [v.take(order, axis=0) for v in fields]
+    return tuple(fields)
 
 
 def _take(games, x, y, payoffs, regrets, degenerate, valid, good, retry, recheck) -> np.ndarray:
@@ -379,16 +382,26 @@ def _take(games, x, y, payoffs, regrets, degenerate, valid, good, retry, recheck
     arrays; ``recheck`` tests duplicates itself.  Only the candidates whose
     verdict depends on an earlier one of their game are decided one by one,
     in order: good ones within 1e-9 of an earlier good one, retries, and
-    good ones after an exact find.
+    good ones after an exact find.  Until its game has an exact find, a
+    good candidate is a duplicate when one of the earlier good ones
+    ``_near_earlier`` pairs it with was taken; after, and for retries, its
+    strategies are compared with those taken before it.
     """
-    queue = (retry | (good & _near_earlier(games, x, y, good))).nonzero()[0].tolist()  # sorted: a heap
+    earlier, later = (v.tolist() for v in _near_earlier(games, x, y, good))
+    queue = sorted({*later, *retry.nonzero()[0].tolist()})  # sorted: a heap
     if not queue:
         return good
-    take = good.copy()
+    near = {}  # each later good candidate's earlier good ones
+    for s, t in zip(later, earlier):
+        near.setdefault(s, []).append(t)
+    take, found = good.copy(), set()  # the games with an exact find so far
     take[queue] = False
     while queue:
         s = heapq.heappop(queue)
         g = games[s]
+        if good[s] and g not in found:  # every profile its game took so far is a good float one
+            take[s] = not any(take[t] for t in near.get(s, ()))
+            continue
         before = (take[:s] & (games[:s] == g)).nonzero()[0]
         if valid[s] and _same_profile(x[before], y[before], x[s], y[s]).any():
             continue
@@ -400,6 +413,7 @@ def _take(games, x, y, payoffs, regrets, degenerate, valid, good, retry, recheck
             continue
         x[s], y[s], payoffs[s], regrets[s], degenerate[s] = profile
         take[s] = True
+        found.add(g)
         later = s + 1 + (take[s + 1 :] & (games[s + 1 :] == g)).nonzero()[0]  # may duplicate the exact find
         take[later] = False
         for t in later.tolist():
@@ -413,34 +427,40 @@ def _near_cell(cells, games, x, y) -> np.ndarray:
     largest weights, as no other can be that close."""
     rows, cols = x.argmax(axis=1), y.argmax(axis=1)
     near = cells[rows, cols, games]
-    if near.any():
-        near[near] = _same_profile(np.eye(x.shape[1])[rows[near]], np.eye(y.shape[1])[cols[near]], x[near], y[near])
+    at = near.nonzero()[0]
+    if len(at):
+        units = np.eye(x.shape[1]).take(rows[at], axis=0), np.eye(y.shape[1]).take(cols[at], axis=0)
+        near[at] = _same_profile(*units, x.take(at, axis=0), y.take(at, axis=0))
     return near
 
 
-def _near_earlier(games, x, y, mask) -> np.ndarray:
-    """Which candidates in ``mask`` lie within 1e-9 of an earlier one in
-    ``mask`` of the same game.  Candidates are sorted by game and by a key,
-    their weights times the move indices summed, and only pairs whose keys
-    lie within (m^2 + n^2) 1e-9 / 2, as those of any two profiles within
-    1e-9 do, are compared, STACK_PAIRS pairs at a time."""
-    near = np.zeros(len(games), dtype=bool)
+def _near_earlier(games, x, y, mask) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of candidates in ``mask`` of one game that lie within 1e-9
+    of each other, as the earlier ones and the later ones.
+    Candidates are sorted by game and by a key, their weights times the
+    move indices summed, and only pairs whose keys lie within (m^2 + n^2)
+    1e-9 / 2, as those of any two profiles within 1e-9 do, are compared,
+    STACK_PAIRS pairs at a time."""
+    none = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
     order = mask.nonzero()[0]
     if (games[order[1:]] > games[order[:-1]]).all():  # at most one per game, as in a sweep
-        return near
+        return none
     m, n = x.shape[1], y.shape[1]
-    key = games[order] + 1j * (x[order] @ np.arange(m) + y[order] @ np.arange(n))  # sorts by game, then key
+    key = x.take(order, axis=0) @ np.arange(m) + y.take(order, axis=0) @ np.arange(n)
+    key = games[order] + 1j * key  # sorts by game, then key
     by_key = key.argsort(kind="stable")
     order, key, at = order[by_key], key[by_key], np.arange(len(order))
     window = key.searchsorted(key + 0.5j * (m * m + n * n) * 1e-9, side="right") - at - 1  # how many follow each
     if not window.any():
-        return near
+        return none
     first = at.repeat(window)
     second = np.arange(len(first)) + (at + 1 - (window.cumsum() - window)).repeat(window)
+    pairs = []
     for start in range(0, len(first), STACK_PAIRS):
         i, j = order[first[start : start + STACK_PAIRS]], order[second[start : start + STACK_PAIRS]]
-        near[np.maximum(i, j)[_same_profile(x[i], y[i], x[j], y[j])]] = True
-    return near
+        near = _same_profile(*(v.take(t, axis=0) for t in (i, j) for v in (x, y)))
+        pairs.append((np.minimum(i, j)[near], np.maximum(i, j)[near]))
+    return tuple(map(_join, zip(*pairs)))
 
 
 def _support_pairs(a, b, eps, slack):
@@ -468,12 +488,14 @@ def _support_pairs(a, b, eps, slack):
     thresholds = eps + np.multiply.outer(2 * np.arange(2, top + 1).reshape(-1, 1, 1, 1), slack)  # [k, 1, 1, 1, game]
     beaten_rows, beaten_cols = _beaten(a.swapaxes(0, 1), thresholds), _beaten(b, thresholds)
     (rows, cols, starts, _), games = _pair_table(m, n).tolist(), len(slack)
-    row_masks, col_masks = _set_table(m, top)[2][:, None, None], _set_table(n, top)[2][:, None]
+    # a word per set and game: the set's own moves, and the opponent's moves it beats 16 bits up,
+    # so that a row set's word AND a column set's is zero where neither support has a beaten move
+    row_words = np.left_shift(beaten_cols, 16, dtype=np.int32) | _set_table(m, top)[2][:, None]
+    col_words = np.left_shift(_set_table(n, top)[2][:, None], 16, dtype=np.int32) | beaten_rows
     keep = np.empty(starts[-1] * games, dtype=bool)
     for r0, r1, c0, c1, at, end in zip(rows, rows[1:], cols, cols[1:], starts, starts[1:]):  # by k
-        dropped = beaten_rows[None, c0:c1] & row_masks[r0:r1]  # [row set, column set, game]
-        dropped |= beaten_cols[r0:r1, None] & col_masks[c0:c1]
-        np.equal(dropped, 0, out=keep[at * games : end * games].reshape(dropped.shape))
+        dropped = row_words[r0:r1, None] & col_words[c0:c1]  # [row set, column set, game]
+        np.logical_not(dropped, out=keep[at * games : end * games].reshape(dropped.shape))
     return keep.nonzero()[0]
 
 
@@ -487,24 +509,28 @@ def _beaten(columns, thresholds) -> np.ndarray:
     sizes, width, rows = beats.shape[:3]
     bits = _set_table(rows, sizes + 1)[4]
     beaters = np.matmul(bits, beats.reshape(sizes * width, rows, -1))  # [k j, i game]
-    beaten = np.bitwise_and.reduce(beaters[_set_table(width, sizes + 1)[0]], axis=1) != 0
-    return np.matmul(bits, beaten.reshape(len(beaten), rows, -1))
+    beaten = np.bitwise_and.reduce(beaters.take(_set_table(width, sizes + 1)[0], axis=0), axis=0) != 0  # moves first
+    return np.matmul(bits, beaten.reshape(beaten.shape[0], rows, -1))
 
 
 @functools.lru_cache(maxsize=None)
 def _set_table(size: int, top: int) -> tuple[np.ndarray, ...]:
     """The k-subsets of range(size) for k = 2 .. top, by k and then in
-    ``_subsets`` order, one row each in three read-only tables: the set led
-    up to top moves by its first move again, as indices into (k - 2, move)
-    flattened; the set led up to top moves by size; and its bitmask.  Then
-    where the sets of each k start, by k, and each move's bitmask."""
-    sets = [_subsets(size, k)[0] for k in range(2, top + 1)]
+    ``_subsets`` order, in read-only tables: the set led up to top moves by
+    its first move again, as indices into (k - 2, move) flattened, and the
+    set led up to top moves by size, a column per set each; and its
+    bitmask.  Then where the sets of each k start, by k, and each move's
+    bitmask.  Last, a row per set, the moves it leaves out, in ``_subsets``
+    order and followed by zeros up to size - 2 moves."""
+    sets, rest = zip(*(_subsets(size, k) for k in range(2, top + 1)))
     first = [np.hstack([np.repeat(v[:, :1], top - v.shape[1], axis=1), v]) + level * size for level, v in enumerate(sets)]
     padded = [np.hstack([np.full((len(v), top - v.shape[1]), size), v]) for v in sets]
     masks = [np.left_shift(1, v).sum(axis=1).astype(np.int16) for v in sets]
     starts = (0, 0, 0, *np.cumsum([len(v) for v in sets]).tolist())  # where each k starts
     bits = np.left_shift(1, np.arange(size, dtype=np.int16))
-    return (*(_freeze(np.concatenate(v)) for v in (first, padded, masks)), starts, _freeze(bits))
+    rest = [np.hstack([v, np.zeros((len(v), size - 2 - v.shape[1]), dtype=int)]) for v in rest]
+    tables = *(np.ascontiguousarray(np.concatenate(v).T) for v in (first, padded)), np.concatenate(masks)
+    return (*map(_freeze, tables), starts, _freeze(bits), _freeze(np.concatenate(rest)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -535,13 +561,15 @@ def _candidates(payoffs, ga, gbt, slack, eps, one_call, ids):
     responder's systems, which give x, for the pairs phase 1 keeps.  Each
     phase solves the systems of every size in one ``_indifference`` call.
     With ``one_call``, or when no pair leaves a row out, where phase 1 could
-    drop only invalid weights, one call solves both.  After each phase a
-    pair whose best off-support move beats the support's value by more than
-    eps + slack is dropped, as it could not pass even exactly; one beaten by
-    more than eps fails the off-support test.  Those payoffs are
-    ``a[off_rows] @ y`` and ``x @ b[:, off_cols]``, one kernel call per size
-    and phase on the layout a single pair's indexing gives (C, then Fortran
-    order).  Returns, in order, the games, row sets, column sets and (x, y)
+    drop only invalid weights, one call solves both, and the pairs are
+    dropped once after both tests.  A pair whose best off-support move beats
+    the support's value by more than eps + slack is dropped, as it could not
+    pass even exactly; one beaten by more than eps fails the off-support
+    test.  Those payoffs are ``a[off_rows] @ y`` and ``x @ b[:, off_cols]``:
+    each phase gathers every pair's off-support rows (columns) at once, then
+    makes one kernel call per size on the layout a single pair's indexing
+    gives (C, then Fortran order), so that each product rounds as it does
+    alone.  Returns, in order, the games, row sets, column sets and (x, y)
     mixes of the pairs kept with valid weights, and which are valid float
     profiles: mixes that pass the sum test of ``mixed_strategy`` and the
     off-support test.
@@ -555,50 +583,62 @@ def _candidates(payoffs, ga, gbt, slack, eps, one_call, ids):
     row_sets, col_sets, sizes = row_sets + row_starts[level], col_sets + col_starts[level], level + 2  # sizes nondecreasing
     top, one_call = int(sizes[-1]), one_call or sizes[0] == m
     # each pair's row and column set, led up to the largest k by a move past the last
-    rows, cols = _set_table(m, width)[1][row_sets, width - top :], _set_table(n, width)[1][col_sets, width - top :]
+    rows, cols = (_set_table(v, width)[1][width - top :].take(sets, axis=1) for v, sets in ((m, row_sets), (n, col_sets)))
 
-    def off_support(pairs, value, size, product):  # the pairs that could pass, and those that do
-        best, levels = np.full(len(pairs), -np.inf), range(sizes[pairs[0]], size) if len(pairs) else ()
-        edges = sizes[pairs].searchsorted([*levels, size]).tolist()  # where each k < size starts, then ends
-        for k, lo, hi in zip(levels, edges, edges[1:]):
+    def locate(pairs):  # the games of pairs, their margins, and where each size starts among them, then ends
+        on = games[pairs]
+        return on, slack[on], sizes[pairs].searchsorted(np.arange(2, top + 2)).tolist()
+
+    def off_support(pairs, at, value, size, sets, moves, product):  # the pairs that could pass, and those that do
+        low = int(sizes[pairs[0]]) if len(pairs) else size
+        if low == size:  # no pair leaves a move out
+            return np.ones((2, len(pairs)), dtype=bool)
+        on, margin, edges = at
+        off = _set_table(size, width)[5][:, : size - low].take(sets[pairs], axis=0) + (on * size)[:, None]
+        off = moves.take(off, axis=0)  # every pair's off-support moves at once
+        values = np.full((len(pairs), size - low), -np.inf)
+        for k, lo, hi in zip(range(low, size), edges[low - 2 :], edges[low - 1 :]):
             if hi > lo:
-                best[lo:hi] = _across(np.maximum, product(k, pairs[lo:hi], slice(lo, hi)))
-        limit = value + eps
-        return ~(best > limit + slack[games[pairs]]), ~(best > limit)
+                product(off[lo:hi, : size - k], slice(lo, hi), values[lo:hi, : size - k])
+        best, limit = _across(np.maximum, values), value + eps
+        return ~(best > limit + margin), ~(best > limit)
 
     weights, value, ok = _indifference(payoffs, ga.shape, games, rows, cols, sizes, (0, 1) if one_call else (0,))
     pairs = ok.all(axis=0).nonzero()[0]
-    y, value_p, passed = _spread(weights[:, 0, pairs], cols[pairs], n), value[0, pairs], ~np.zeros(len(pairs), bool)
-    if sizes[0] < m:  # some pair leaves a row out
-        off = lambda k, p: _subsets(m, k)[1][row_sets[p] - row_starts[k - 2]]
-        ga_off = lambda k, p, span: (ga[games[p, None], off(k, p)] @ y[span, :, None])[..., 0]
-        kept, passed = off_support(pairs, value_p, m, ga_off)
-        pairs, y, passed = pairs[kept], y[kept], passed[kept]
-    if one_call:
-        weights, value = weights[:, 1, pairs], value[1, pairs]
-    elif len(pairs):
-        k = int(sizes[pairs[-1]])
-        sets = rows[pairs, top - k :], cols[pairs, top - k :]
-        weights, value, ok = _indifference(payoffs, ga.shape, games[pairs], *sets, sizes[pairs], (1,))
-        pairs, y, passed, weights, value = pairs[ok[0]], y[ok[0]], passed[ok[0]], weights[:, 0, ok[0]], value[0, ok[0]]
-    else:
-        weights, value = weights[:, 0, pairs], value[0, pairs]
-    x = _spread(weights, rows[pairs, top - len(weights) :], m)
-    if sizes[0] < n:  # some pair leaves a column out
-        off = lambda k, p: _subsets(n, k)[1][col_sets[p] - col_starts[k - 2]]
-        gb_off = lambda k, p, span: (x[span, None] @ gbt[games[p, None], off(k, p)].transpose(0, 2, 1))[:, 0]
-        kept, beaten = off_support(pairs, value, n, gb_off)
-        pairs, x, y, passed = pairs[kept], x[kept], y[kept], (passed & beaten)[kept]
+    at = locate(pairs) if sizes[0] < max(m, n) else None  # what the off-support tests read
+    y = _spread(weights[:, 0].take(pairs, axis=1), cols.take(pairs, axis=1), n)
+    ga_off = lambda off, span, out: np.matmul(off, y[span, :, None], out=out[..., None])
+    kept, passed = off_support(pairs, at, value[0, pairs], m, row_sets, ga.reshape(-1, n), ga_off)
+    if one_call:  # both mixes are known: test both players, then drop once
+        weights, value = weights[:, 1].take(pairs, axis=1), value[1, pairs]
+    else:  # drop, then solve the responder's systems of the pairs left
+        left = kept.nonzero()[0]
+        pairs, y, passed = pairs[left], y.take(left, axis=0), passed[left]
+        if len(pairs):
+            k = int(sizes[pairs[-1]])
+            sets = rows[top - k :].take(pairs, axis=1), cols[top - k :].take(pairs, axis=1)
+            solved = _indifference(payoffs, ga.shape, games[pairs], *sets, sizes[pairs], (1,))
+            weights, value, kept = (v[..., 0, :] for v in solved)
+        else:  # none: empty arrays
+            weights, value, kept = weights[:, 0, pairs], value[0, pairs], passed
+        at = locate(pairs)
+    x = _spread(weights, rows[top - len(weights) :].take(pairs, axis=1), m)
+    gb_off = lambda off, span, out: np.matmul(x[span, None], off.transpose(0, 2, 1), out=out[:, None])
+    could, beaten = off_support(pairs, at, value, n, col_sets, gbt.reshape(-1, m), gb_off)
+    passed, kept = passed & beaten, kept & could
+    if not kept.all():
+        left = kept.nonzero()[0]
+        pairs, x, y, passed = pairs[left], x.take(left, axis=0), y.take(left, axis=0), passed[left]
     # mixed_strategy's sum test; the weights are clamped to nonnegative already
     summed = (np.abs(np.array([x.sum(axis=-1), y.sum(axis=-1)]) - 1.0) <= SIMPLEX_SUM_TOL).all(axis=0)
     return games[pairs], row_sets[pairs], col_sets[pairs], x, y, passed & summed
 
 
 def _spread(weights, support, size) -> np.ndarray:
-    """The (N, size) mixes that put the (w, N) weights on the (N, w)
+    """The (N, size) mixes that put the (w, N) weights on the (w, N)
     supports; a support entry of size takes nothing."""
-    mix = np.zeros((len(support), size + 1))
-    mix[np.arange(len(support))[:, None], support] = weights.T
+    mix = np.zeros((support.shape[1], size + 1))
+    mix[np.arange(len(mix)), support] = weights
     return np.ascontiguousarray(mix[:, :size])
 
 
@@ -614,8 +654,9 @@ def _indifference(payoffs, shape, games, rows, cols, sizes, players):
 
     ``payoffs`` holds each game's proposer payoffs, then each game's
     responder payoffs, both of a (B, m, n) ``shape``, flattened.  Pair i is
-    game games[i] on the sizes[i]-row set rows[i] and the sizes[i]-column set
-    cols[i], sizes nondecreasing, each led up to the largest size K by m (n).
+    game games[i] on the sizes[i]-row set rows[:, i] and the sizes[i]-column
+    set cols[:, i], sizes nondecreasing, each led up to the largest size K by
+    m (n): (K, N) each.
     A player's block is their payoffs on the pair, one row per their support
     move and one column per the opponent's, whose mix is solved for.  The
     systems are [[block, -1], [1, 0]] with right-hand side (0, ..., 0, 1):
@@ -628,16 +669,15 @@ def _indifference(payoffs, shape, games, rows, cols, sizes, players):
     weights.
     """
     count, m, n = shape
-    top = rows.shape[1]  # the largest k
-    at, cols = rows.T * n + games * (m * n), np.ascontiguousarray(cols.T)  # where each block row starts, (K, N)
+    top = len(rows)  # the largest k
+    at = rows * n + games * (m * n)  # where each block row starts
     index = np.empty((top, top, len(games), len(players)), dtype=int)  # a pair's systems side by side
     for i, player in enumerate(players):  # the responder's block is the proposer's transposed, in their payoffs
         np.add(*(((at + count * m * n)[None], cols[:, None]) if player else (at[:, None], cols)), out=index[..., i])
-    ab = np.zeros((top + 1, top + 2, index[0, 0].size))
+    ab = np.empty((top + 1, top + 2, index[0, 0].size))
     payoffs.take(index.reshape(top, top, -1), out=ab[:top, :top], mode="clip")
-    ab[:top, top] = -1.0
-    ab[top, :top] = 1.0
-    ab[top, top + 1] = 1.0
+    ab[:top, top], ab[:top, top + 1] = -1.0, 0.0
+    ab[top, :top], ab[top, top], ab[top, top + 1] = 1.0, 0.0, 1.0
     solution, singular = _solve_stacked(ab, None if sizes[0] == top else (sizes + 1).repeat(len(players)))
     # the rows above a system's own solve to zero, which passes both tests
     ok = ~singular & np.isfinite(solution).all(axis=0) & (solution[:-1] >= -WEIGHT_CLAMP_TOL).all(axis=0)
@@ -651,6 +691,8 @@ def _exact_profile(a, b, rows, cols, eps, found_x, found_y):
     strategies, payoffs and regrets, with the degenerate flag of those
     strategies, or None when a system is singular, a weight negative, a
     regret above eps or the profile already found."""
+    from fractions import Fraction  # imported here: few runs ever re-check
+
     a_cols = [[Fraction(v) for v in row] for row in a[:, cols].tolist()]  # m x k
     b_rows = [[Fraction(v) for v in row] for row in b[rows].T.tolist()]  # n x k
     y = _exact_mix([a_cols[i] for i in rows])
@@ -670,6 +712,8 @@ def _exact_mix(block):
     """The exact opponent weights, then the value, that make a player
     indifferent on a k x k block of Fractions (one row per their move), or
     None when the system is singular; Gauss-Jordan elimination."""
+    from fractions import Fraction
+
     system = [[*map(Fraction, [*row, -1, 0])] for row in block] + [[*map(Fraction, [1] * len(block) + [0, 1])]]
     for c in range(len(system)):
         p = next((r for r in range(c, len(system)) if system[r][c]), None)

@@ -1,5 +1,6 @@
 """Shared test utilities: random generators and slow independent oracles."""
 
+import heapq
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -181,6 +182,42 @@ def pairwise_support_enumeration(game, eps=EPS_DEFAULT):
                 if profile is not None and profile.certified:
                     found.append(profile)
     return found
+
+
+def reference_take(games, x, y, payoffs, regrets, degenerate, valid, good, retry, recheck):
+    """Reference: the duplicate pass of ``rqgames.nash._take`` as a heap loop
+    that compares each queued candidate's strategies with those its game
+    took before it, the good ones as well.
+
+    Same arguments and result, and the same writes of exact profiles into
+    the arrays.  The good candidates within 1e-9 of an earlier good one of
+    their game are found by comparing every pair.
+    """
+    close = (np.abs(x[:, None] - x[None]).max(axis=2) <= 1e-9) & (np.abs(y[:, None] - y[None]).max(axis=2) <= 1e-9)
+    close &= (games[:, None] == games[None]) & good[:, None] & good[None]
+    queue = (retry | (good & np.tril(close, k=-1).any(axis=1))).nonzero()[0].tolist()
+    take = good.copy()
+    take[queue] = False
+    while queue:
+        s = heapq.heappop(queue)
+        before = (take[:s] & (games[:s] == games[s])).nonzero()[0]
+        if valid[s] and any(
+            np.abs(x[t] - x[s]).max() <= 1e-9 and np.abs(y[t] - y[s]).max() <= 1e-9 for t in before.tolist()
+        ):
+            continue
+        if good[s]:
+            take[s] = True
+            continue
+        profile = recheck(s, x[before], y[before])
+        if profile is None:
+            continue
+        x[s], y[s], payoffs[s], regrets[s], degenerate[s] = profile
+        take[s] = True
+        later = s + 1 + (take[s + 1 :] & (games[s + 1 :] == games[s])).nonzero()[0]  # may duplicate the exact find
+        take[later] = False
+        for t in later.tolist():
+            heapq.heappush(queue, t)
+    return take
 
 
 def _pairwise_mix(values, axis_size, support):

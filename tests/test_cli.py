@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqgames import ParseError, ValidationError, cli
+from rqgames import ParseError, ValidationError, cli, nash
 from rqgames.cli import main, parse_angle, parse_spec, parse_sweep_spec
 
 ENTANGLED_DOC = json.dumps(
@@ -575,6 +575,25 @@ def test_nash_on_mid_size_games_prints_their_golden_output(capsys, name, fmt, ex
         assert run(["nash", "--spec", spec, "--format", fmt], capsys) == (0, handle.read(), "")
 
 
+@pytest.mark.parametrize("fmt, ext", [("table", "txt"), ("csv", "csv")])
+def test_nash_on_a_7x7_game_with_many_near_duplicates_prints_its_golden_output(monkeypatch, capsys, fmt, ext):
+    # a degenerate 0..3 integer game with 35 profiles, whose duplicate pass
+    # decides more than 50 candidates by the earlier ones near them
+    queued = []
+    near_earlier = nash._near_earlier
+
+    def recording(*args):
+        pairs = near_earlier(*args)
+        queued.append(len(set(pairs[1].tolist())))
+        return pairs
+
+    monkeypatch.setattr(nash, "_near_earlier", recording)
+    spec = os.path.join(DATA, "nash_7x7_integer.json")
+    with open(os.path.join(DATA, f"nash_7x7_integer.{ext}"), encoding="utf-8") as handle:
+        assert run(["nash", "--spec", spec, "--format", fmt], capsys) == (0, handle.read(), "")
+    assert queued[0] >= 50
+
+
 @pytest.mark.parametrize("eps", ("0.5", "1e-9"))
 def test_degenerate_flag_counts_support_by_weight_not_by_eps(tmp_path, capsys, eps):
     # the mix puts 0.0099 on move 0, below eps 0.5; it is still on the support
@@ -1064,6 +1083,20 @@ def test_a_plain_argv_runs_without_importing_argparse():
         golden = handle.read()
     assert (process.returncode, process.stderr) == (0, "False\n")
     assert process.stdout.startswith(golden + "usage: rqgames nash [-h]")
+
+
+def test_importing_the_cli_leaves_fractions_out():
+    # a fresh interpreter: pytest and the test helpers import fractions; only
+    # the exact re-check of support enumeration needs it
+    script = "import sys\nimport rqgames.cli\nprint(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    process = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+        check=False,
+    )
+    assert (process.returncode, process.stdout, process.stderr) == (0, "[]\n", "")
 
 
 _PARSER = cli.build_parser()

@@ -45,6 +45,7 @@ from helpers import (
     pairwise_support,
     pairwise_support_enumeration,
     random_bimatrix,
+    reference_take,
 )
 
 MOVES2 = default_move_set(2)
@@ -490,7 +491,7 @@ def _solve_blocks(blocks):
         sizes += [k] * count
         at += count
     sets, payoffs = np.concatenate(sets), np.concatenate([games.reshape(-1), np.zeros(games.size)])
-    weights, value, ok = _indifference(payoffs, games.shape, np.arange(at), sets, sets, np.array(sizes), (0,))
+    weights, value, ok = _indifference(payoffs, games.shape, np.arange(at), sets.T, sets.T, np.array(sizes), (0,))
     return weights[:, 0], value[0], ok[0]
 
 
@@ -565,9 +566,9 @@ def _near_duplicates(monkeypatch):
     near_earlier = nash._near_earlier
 
     def recording(*args):
-        near = near_earlier(*args)
-        found.append(int(near.sum()))
-        return near
+        pairs = near_earlier(*args)
+        found.append(len(set(pairs[1].tolist())))
+        return pairs
 
     monkeypatch.setattr(nash, "_near_earlier", recording)
     return found
@@ -587,9 +588,89 @@ def test_near_earlier_finds_what_comparing_all_pairs_finds(monkeypatch, chunk):
     games, mask = rng.integers(0, 3, 300), rng.random(300) < 0.8
     close = (np.abs(x[:, None] - x[None]).max(axis=2) <= 1e-9) & (np.abs(y[:, None] - y[None]).max(axis=2) <= 1e-9)
     close &= (games[:, None] == games[None]) & mask[:, None] & mask[None]
-    expected = np.tril(close, k=-1).any(axis=1)  # near one earlier in the stack
-    assert 50 < expected.sum() < mask.sum() - 50
-    assert np.array_equal(nash._near_earlier(games, x, y, mask), expected)
+    expected = np.tril(close, k=-1)  # each candidate's earlier ones near it in the stack
+    assert 50 < expected.any(axis=1).sum() < mask.sum() - 50
+    earlier, later = nash._near_earlier(games, x, y, mask)
+    assert sorted(zip(later.tolist(), earlier.tolist())) == sorted(zip(*(v.tolist() for v in expected.nonzero())))
+
+
+def _duplicate_pass_inputs(x, y, games, valid, certified, cells, exact):
+    """The arguments of ``nash._take`` for synthetic candidates: what
+    ``_enumerate`` derives from the mixes, the flags and the pure ``cells``,
+    and a ``recheck`` that gives candidate s the exact profile exact[s]
+    unless it lies within 1e-9 of one its game found before, as
+    ``_exact_profile`` does.  Returns the arguments and the list of the
+    recheck calls, (s, how many profiles its game found before)."""
+    x, y, games, valid, certified = (np.array(v) for v in (x, y, games, valid, certified))
+    fresh = ~(valid & nash._near_cell(cells, games, x, y))
+    good, retry = valid & certified & fresh, ~(valid & certified) & fresh
+    count = len(games)
+    payoffs, regrets, degenerate = np.arange(2.0 * count).reshape(count, 2), np.zeros((count, 2)), np.zeros(count, bool)
+    calls = []
+
+    def recheck(s, found_x, found_y):
+        calls.append((s, len(found_x)))
+        if s not in exact or _same_profile(found_x, found_y, *exact[s]).any():
+            return None
+        return *exact[s], (-1.0, -2.0), (0.0, 0.0), True
+
+    return [games, x, y, payoffs, regrets, degenerate, valid, good, retry, recheck], calls
+
+
+def _both_passes(*inputs):
+    """``nash._take`` and ``reference_take`` on copies of the same inputs:
+    each one's take mask, written arrays and recheck calls."""
+    results = []
+    for take in (nash._take, reference_take):
+        args, calls = _duplicate_pass_inputs(*inputs)
+        mask = take(*args)
+        results.append((mask.tolist(), [v.tolist() for v in args[1:6]], calls))
+    return results
+
+
+def test_duplicate_pass_on_a_chain_a_pure_cell_and_an_exact_find():
+    # 3x3 games.  Game 0: a duplicate of its pure cell (0, 1), then a chain
+    # a ~ b ~ c with a not near c, and d near c: a and c are taken.  Game 1:
+    # p, an exact find q in the middle, a good candidate within 1e-9 of q
+    # and one that is not, one near p, a valid candidate that misses the
+    # certificate near r, and a re-check that finds q again.  Game 2: two
+    # candidates far apart.
+    e = np.eye(3)
+    a, third, p = np.array([0.5, 0.5, 0.0]), np.full(3, 1 / 3), np.array([0.0, 0.5, 0.5])
+    step, r = np.array([0.7e-9, -0.7e-9, 0.0]), np.array([0.2, 0.3, 0.5])
+    x = [e[0] + step / 2, a, a + step, a + 2 * step, a + 2.7 * step, p, a, third + 0.5e-9, r, p + 0.5e-9, r, a, a, e[2]]
+    y = [e[1], a, a, a, a, p, a, third, r, p, r + 0.3e-9, a, e[2]]
+    y.append(p)
+    games = [0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 2, 2]
+    valid = [True] * 6 + [False] + [True] * 4 + [False, True, True]
+    certified = [True] * 10 + [False, False, True, True]
+    cells = np.zeros((3, 3, 3), bool)
+    cells[0, 1, 0] = True
+    exact = {6: (third, third), 11: (third, third)}
+    (mask, arrays, calls), expected = _both_passes(x, y, games, valid, certified, cells, exact)
+    assert (mask, arrays, calls) == expected
+    assert mask == [False, True, False, True, False, True, True, False, True, False, False, False, True, True]
+    assert calls == [(6, 1), (11, 3)]
+    assert arrays[0][6] == third.tolist() and arrays[2][6] == [-1.0, -2.0]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_duplicate_pass_matches_the_reference_loop(seed):
+    # Candidates of three 4x4 games drawn from a few mixes, moved by 0, 0.6e-9
+    # or 1.2e-9 per weight: chains of near duplicates; some re-checks find
+    # exact profiles near later float candidates, some near pure cells.
+    rng = np.random.default_rng([seed, 61])
+    mixes = np.array([[0, 0, 0.5, 0.5], [0, 0.25, 0, 0.75], [1, 0, 0, 0], [0.25, 0.25, 0.25, 0.25]])
+    count = 60
+    pick = rng.integers(0, len(mixes), (count, 2))
+    x = mixes[pick[:, 0]] + rng.integers(0, 3, (count, 4)) * 0.6e-9
+    y = mixes[pick[:, 1]] + rng.integers(0, 3, (count, 4)) * 0.6e-9
+    games = rng.integers(0, 3, count)  # interleaved, as a stack's candidates come by support pair
+    valid, certified = rng.random(count) < 0.85, rng.random(count) < 0.8
+    cells = rng.random((4, 4, 3)) < 0.3
+    exact = {s: (mixes[rng.integers(len(mixes))], mixes[rng.integers(len(mixes))]) for s in range(count) if rng.random() < 0.5}
+    (mask, arrays, calls), expected = _both_passes(x, y, games, valid, certified, cells, exact)
+    assert (mask, arrays, calls) == expected
 
 
 def test_stacked_copies_of_a_degenerate_game_each_get_its_profiles(monkeypatch):
