@@ -481,6 +481,7 @@ def run_verify(doc: GameSpecDocument, profile_text: str, eps: float, out_format:
 
 
 def run_sweep(sweep: SweepSpec, eps: float, out_format: str) -> list[str]:
+    """The sweep's lines in pieces that join with newlines: the csv header, the first row, then each chunk's rest."""
     if sweep.count > SWEEP_MAX_ROWS:
         raise TooLargeError(f"sweep limited to {SWEEP_MAX_ROWS} thetas, got {sweep.count}")
     step = (sweep.stop - sweep.start) / (sweep.count - 1)
@@ -491,15 +492,16 @@ def run_sweep(sweep: SweepSpec, eps: float, out_format: str) -> list[str]:
         columns.append("label")
     if "equilibria" in sweep.outputs:
         columns.append("equilibria")
-    lines = [",".join(columns)] if out_format == "csv" else []
+    texts = [",".join(columns)] if out_format == "csv" else []
     for first in range(0, sweep.count, SWEEP_CHUNK):
         index = np.arange(first, min(first + SWEEP_CHUNK, sweep.count))
         with np.errstate(all="ignore"):  # an infinite end warns no more than float arithmetic does
             thetas = sweep.start + index * step
         if index[-1] == sweep.count - 1:
             thetas[-1] = sweep.stop
-        lines += _sweep_rows(sweep, thetas, eps, columns, out_format)
-    return lines
+        text = _sweep_rows(sweep, thetas, eps, columns, out_format)
+        texts += text.split("\n", 1) if first == 0 else [text]
+    return texts
 
 
 # What a printed value puts in its line's template, by its code: a value of
@@ -527,8 +529,8 @@ def _line_template(columns: list[str], out_format: str, key: bytes) -> str:
     return ",".join(cells) if out_format == "csv" else "; ".join(f"{n}={c}" for n, c in zip(columns, cells))
 
 
-def _sweep_rows(sweep: SweepSpec, thetas: np.ndarray, eps: float, columns: list[str], out_format: str) -> list[str]:
-    """Lines for a chunk of thetas, each layer run once on the whole chunk.
+def _sweep_rows(sweep: SweepSpec, thetas: np.ndarray, eps: float, columns: list[str], out_format: str) -> str:
+    """The lines for a chunk of thetas, each layer run once on the whole chunk.
 
     The equilibria come from ``nash._enumerate``, the core of
     ``support_enumeration``, on the chunk's stack of induced games.  The
@@ -557,10 +559,10 @@ def _sweep_rows(sweep: SweepSpec, thetas: np.ndarray, eps: float, columns: list[
 
 def _render_rows(
     columns: list[str], out_format: str, head: np.ndarray, labels: np.ndarray, games: np.ndarray, profiles: np.ndarray
-) -> list[str]:
-    """Sweep lines whose rows print their ``head`` values, then mu, nu and the
-    payoffs of each of their ``profiles``; ``labels`` marks opposed rows and
-    ``games`` gives each profile's row, in row order.
+) -> str:
+    """The text of the sweep lines whose rows print their ``head`` values,
+    then mu, nu and the payoffs of each of their ``profiles``; ``labels``
+    marks opposed rows and ``games`` gives each profile's row, in row order.
 
     The rows are rendered by one ``%`` over the values that are not exactly
     0 or 1, with each row's template keyed by its label and the code of each
@@ -580,7 +582,7 @@ def _render_rows(
     printed = cells[keys[:, 1:] == 0]
     keys = keys.view(f"V{keys.shape[1]}").ravel().tolist()
     templates = {key: _line_template(columns, out_format, key) for key in set(keys)}
-    return ("\n".join(map(templates.__getitem__, keys)) % tuple(printed.tolist())).split("\n")
+    return "\n".join(map(templates.__getitem__, keys)) % tuple(printed.tolist())
 
 
 def _read_spec_text(path: str) -> str:

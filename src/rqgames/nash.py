@@ -83,10 +83,10 @@ def mixed_strategy(weights, size: int | None = None) -> np.ndarray:
     w = np.array(weights, dtype=float).reshape(-1)
     if size is not None and w.size != size:
         raise DimensionMismatchError(f"strategy has {w.size} weights, expected {size}")
-    if (w < -WEIGHT_CLAMP_TOL).any():
+    if np.logical_or.reduce(w < -WEIGHT_CLAMP_TOL):
         raise InvalidProbabilityError(f"negative strategy weight in {w.tolist()}")
     w[w < 0.0] = 0.0
-    total = float(w.sum())
+    total = float(np.add.reduce(w))
     if not abs(total - 1.0) <= SIMPLEX_SUM_TOL:  # a NaN or infinite weight fails too
         raise InvalidProbabilityError(f"strategy weights sum to {total}, expected 1")
     return w
@@ -94,7 +94,7 @@ def mixed_strategy(weights, size: int | None = None) -> np.ndarray:
 
 def _is_pure(x, y):
     """Whether stacked profiles put all but PURE_KIND_TOL of each player's weight on one move."""
-    return (x.max(axis=-1) >= 1.0 - PURE_KIND_TOL) & (y.max(axis=-1) >= 1.0 - PURE_KIND_TOL)
+    return (np.maximum.reduce(x, axis=-1) >= 1.0 - PURE_KIND_TOL) & (np.maximum.reduce(y, axis=-1) >= 1.0 - PURE_KIND_TOL)
 
 
 def verify_equilibrium(game, profile, eps: float = EPS_DEFAULT) -> EquilibriumProfile:
@@ -107,15 +107,16 @@ def verify_equilibrium(game, profile, eps: float = EPS_DEFAULT) -> EquilibriumPr
     a, b = game_matrices(game)
     x = mixed_strategy(profile[0], a.shape[0])
     y = mixed_strategy(profile[1], a.shape[1])
-    pay_p, pay_r, regret_p, regret_r, certified, degenerate = _certify(a, b, x, y, eps)
+    payoffs, regret, certified, degenerate = _certify(a, b, x, y, eps)
     kind = "pure" if _is_pure(x, y) else "mixed"
-    payoffs, regret = (float(pay_p), float(pay_r)), (float(regret_p), float(regret_r))
+    payoffs, regret = tuple(payoffs.tolist()), tuple(regret.tolist())
     return EquilibriumProfile(_freeze(x), _freeze(y), payoffs, regret, kind, bool(certified), bool(degenerate))
 
 
 def _certify(a, b, x, y, eps):
-    """Payoffs, regrets, the certified flag and the degenerate flag of
-    profiles (x, y) in games (a, b).
+    """The (2, ...) payoffs and regrets, the certified flags and the
+    degenerate flags of profiles (x, y) in games (a, b), the proposer's
+    values first.
 
     Games and strategies may be stacked on broadcastable leading axes.  Every
     product is one ``np.matmul`` kernel call per profile, the same call a
@@ -126,20 +127,16 @@ def _certify(a, b, x, y, eps):
     x_row, y_col = x[..., None, :], y[..., :, None]
     xb = np.matmul(x_row, b)
     row_values, col_values = np.matmul(a, y_col)[..., 0], xb[..., 0, :]  # a @ y and x @ b
-    best_p, best_r = _across(np.maximum, row_values), _across(np.maximum, col_values)
-    pay_p = np.matmul(np.matmul(x_row, a), y_col)[..., 0, 0]
-    pay_r = np.matmul(xb, y_col)[..., 0, 0]
-    regret_p, regret_r = (np.where(gap <= 0.0, 0.0, gap) for gap in (best_p - pay_p, best_r - pay_r))
-    certified = (regret_p <= eps) & (regret_r <= eps) & np.isfinite(pay_p) & np.isfinite(pay_r)
-    degenerate = _degenerate(row_values >= best_p[..., None] - eps, col_values >= best_r[..., None] - eps, x, y)
-    return pay_p, pay_r, regret_p, regret_r, certified, degenerate
-
-
-def _degenerate(row_best, col_best, x, y):
-    """Whether some player has more best responses (masks) than support moves,
-    the weights above WEIGHT_CLAMP_TOL."""
-    more_p = _across(np.add, row_best) > _across(np.add, x > WEIGHT_CLAMP_TOL)
-    return more_p | (_across(np.add, col_best) > _across(np.add, y > WEIGHT_CLAMP_TOL))
+    best = np.array([_across(np.maximum, row_values), _across(np.maximum, col_values)])
+    payoffs = np.array([np.matmul(np.matmul(x_row, a), y_col)[..., 0, 0], np.matmul(xb, y_col)[..., 0, 0]])
+    regret = best - payoffs
+    regret[regret <= 0.0] = 0.0
+    certified = (regret <= eps) & np.isfinite(payoffs)
+    low = best[..., None] - eps  # a best response earns at least this
+    # degenerate: a player has more best responses than support moves, the weights above WEIGHT_CLAMP_TOL
+    more_p = _across(np.add, np.subtract(row_values >= low[0], x > WEIGHT_CLAMP_TOL, dtype=int)) > 0
+    more_r = _across(np.add, np.subtract(col_values >= low[1], y > WEIGHT_CLAMP_TOL, dtype=int)) > 0
+    return payoffs, regret, certified[0] & certified[1], more_p | more_r
 
 
 def _across(ufunc, v):
@@ -158,13 +155,14 @@ def pure_equilibria(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfile]:
     finds, with the certificates it reads off the payoff entries.  The list
     may be empty (matching-pennies structure has no pure equilibrium).
     """
-    a, b = game_matrices(game)
-    m, n = a.shape
-    regret_p, regret_r, found, degenerate = _pure_cells(a, b, eps)
+    both = np.array(game_matrices(game))
+    _, m, n = both.shape
+    with np.errstate(all="ignore"):  # inf - inf is NaN, which never certifies
+        regret, found, degenerate = _pure_cells(both, np.isfinite(both).all(), eps)
     return [
         EquilibriumProfile(
-            _freeze(np.eye(m)[i]), _freeze(np.eye(n)[j]), (float(a[i, j]), float(b[i, j])),
-            (float(regret_p[i, j]), float(regret_r[i, j])), "pure", True, bool(degenerate[i, j]),
+            _freeze(np.eye(m)[i]), _freeze(np.eye(n)[j]), tuple(both[:, i, j].tolist()),
+            tuple(regret[:, i, j].tolist()), "pure", True, bool(degenerate[i, j]),
         )
         for i, j in np.argwhere(found).tolist()
     ]
@@ -174,7 +172,7 @@ def _solve_stacked(ab: np.ndarray, sizes=None) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian elimination with partial pivoting on a stack of systems in one pass.
 
     ``ab`` is a C-contiguous (s, s + 1, N) float array, overwritten (row
-    swaps write through ``ab.reshape(-1)``): system i has the matrix
+    swaps write through flat views of it): system i has the matrix
     ``ab[:, :s, i]`` and the right-hand side ``ab[:, s, i]``.  The stack
     runs along the last axis so that every step acts on contiguous runs of
     systems, and the right-hand side rides along as one more column, so
@@ -205,23 +203,21 @@ def _solve_stacked(ab: np.ndarray, sizes=None) -> tuple[np.ndarray, np.ndarray]:
     """
     n, _, count = ab.shape
     first = [0] * n if sizes is None else sizes.searchsorted(n - np.arange(n)).tolist()  # real at row k
-    flat = ab.reshape(-1)
     row = np.arange((n + 1) * count).reshape(n + 1, count)
     x = np.zeros((count, n))
     with np.errstate(all="ignore"):  # singular systems run on with tiny or zero pivots
         for k in range(n - 1):  # the last row has no rows below to pivot with
             s = first[k]
-            p = k + np.abs(ab[k:, k, s:]).argmax(axis=0)
-            at = p * ((n + 1) * count) + row[k:, s:]
-            pivot_row = flat[at]
-            flat[at] = ab[k, k:, s:]
+            below = ab[k:].reshape(-1)  # the rows from k on, flat
+            at = np.abs(ab[k:, k, s:]).argmax(axis=0) * ((n + 1) * count) + row[k:, s:]  # the pivot rows from column k
+            pivot_row = below[at]
+            below[at] = ab[k, k:, s:]
             ab[k, k:, s:] = pivot_row
-            lam = ab[k + 1 :, k, s:] / ab[k, k, s:]
-            ab[k + 1 :, k + 1 :, s:] -= lam[:, None] * ab[k, k + 1 :, s:]
+            lam = ab[k + 1 :, k, s:] / pivot_row[0]
+            ab[k + 1 :, k + 1 :, s:] -= lam[:, None] * pivot_row[1:]
         # a step never changes the rows above it, so the diagonal holds every pivot
-        rows = np.arange(n)
-        small = np.abs(ab[rows, rows]) <= PIVOT_TOL  # (n, N): the or over rows is then elementwise
-        singular = (small if sizes is None else small & (rows[:, None] >= n - sizes)).any(axis=0)
+        small = np.abs(ab.diagonal().T) <= PIVOT_TOL  # (n, N): the or over rows is then elementwise
+        singular = np.logical_or.reduce(small if sizes is None else small & (np.arange(n)[:, None] >= n - sizes))
         x[:, -1] = (ab[-1, n] - 0.0) / ab[-1, -2]  # an empty dot product is 0
         for k in range(n - 2, -1, -1):
             s = first[k]
@@ -238,39 +234,31 @@ def _same_profile(found_x, found_y, x, y) -> np.ndarray:
     return (_across(np.maximum, np.abs(found_x - x)) <= 1e-9) & (_across(np.maximum, np.abs(found_y - y)) <= 1e-9)
 
 
-def _pure_cells(a, b, eps):
+def _pure_cells(both, finite, eps):
     """The certificates of every pure cell, read off the payoff entries of
-    games stacked on trailing axes, (m, n, ...) per player.
+    games stacked on trailing axes, both players' in one (2, m, n, ...)
+    array, given which games are finite; run with floating-point warnings off.
 
     A cell's payoffs are its two entries, and its regrets are the column
-    maximum of ``a`` and the row maximum of ``b`` minus them, clipped at 0.
-    Returns the (m, n, ...) regrets and two masks: the cells enumeration
-    finds (both regrets within eps in a finite game, and no pure deviation
-    gains more than eps) and the degenerate cells.  Each value is what
-    ``verify_equilibrium`` gives the unit profile, whose products multiply
-    the entries by ones and zeros, bar the sign of a zero payoff; a
-    non-finite entry makes one NaN.
+    maximum of the proposer's payoffs and the row maximum of the responder's
+    minus them, clipped at 0.  Returns the (2, m, n, ...) regrets and two
+    masks: the cells enumeration finds (both regrets within eps in a finite
+    game, and no pure deviation gains more than eps) and the degenerate
+    cells.  Each value is what ``verify_equilibrium`` gives the unit
+    profile, whose products multiply the entries by ones and zeros, bar the
+    sign of a zero payoff; a non-finite entry makes one NaN.
     """
-    with np.errstate(all="ignore"):  # inf - inf is NaN, which never certifies
-        col_best = a.max(axis=0, keepdims=True)
-        row_best = b.max(axis=1, keepdims=True)
-        gap_p, gap_r = col_best - a, row_best - b
-        regret_p = np.where(gap_p <= 0.0, 0.0, gap_p)
-        regret_r = np.where(gap_r <= 0.0, 0.0, gap_r)
-        finite = np.isfinite(a).all(axis=(0, 1)) & np.isfinite(b).all(axis=(0, 1))
-        certified = (regret_p <= eps) & (regret_r <= eps) & finite
-        found = certified & ~((col_best > a + eps) | (row_best > b + eps))
-        # _degenerate's test: more best responses than the one support move
-        degenerate = ((a >= col_best - eps).sum(axis=0, keepdims=True) > 1) | (
-            (b >= row_best - eps).sum(axis=1, keepdims=True) > 1
-        )
-    return regret_p, regret_r, found, degenerate
-
-
-def _slack(a, b):
-    """The prefilters' rounding margin: DOMINANCE_SLACK times one plus the
-    largest payoff magnitude of each player, per game of a (m, n, ...) stack."""
-    return DOMINANCE_SLACK * (1.0 + np.abs(a).max(axis=(0, 1)) + np.abs(b).max(axis=(0, 1)))
+    best = np.empty(both.shape)  # each player's best payoff against the opponent's move
+    best[0] = np.maximum.reduce(both[0], axis=0)
+    best[1] = np.maximum.reduce(both[1], axis=1, keepdims=True)
+    # _certify's degenerate test: more best responses than the one support move
+    near = both >= best - eps
+    degenerate = (np.add.reduce(near[0], axis=0) > 1) | (np.add.reduce(near[1], axis=1, keepdims=True) > 1)
+    held = best <= both + eps  # not beaten by more than eps
+    regret = np.subtract(best, both, out=best)
+    regret[regret <= 0.0] = 0.0
+    held &= regret <= eps  # and certified
+    return regret, np.logical_and.reduce(held) & finite, degenerate
 
 
 def support_enumeration(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfile]:
@@ -322,32 +310,36 @@ def _enumerate(a, b, eps):
     profiles and the candidates.
     """
     m, n, count = *a.shape[:2], a[0, 0].size
-    a, b = np.ascontiguousarray(a).reshape(m, n, count), np.ascontiguousarray(b).reshape(m, n, count)  # the games last
     with np.errstate(all="ignore"):  # a non-finite game gives NaNs, which never certify
-        regret_p, regret_r, cells, degenerate = _pure_cells(a, b, eps)
+        both = np.array([a, b]).reshape(2, m, n, count)  # the games last
+        a, b = both[0], both[1]
+        scale = np.maximum.reduce(np.abs(both), axis=(1, 2))  # NaN or inf for a player with a non-finite payoff
+        finite = np.maximum(scale[0], scale[1]) < np.inf
+        regret, cells, degenerate = _pure_cells(both, finite, eps)
         cell = cells.transpose(2, 0, 1).nonzero()  # (game, row, column), by game
-        at = np.ravel_multi_index(cell[1:] + cell[:1], a.shape)  # each field gathered at the cells
-        payoffs, regrets = (np.array([u.take(at), v.take(at)]).T for u, v in ((a, b), (regret_p, regret_r)))
-        units = np.eye(m).take(cell[1], axis=0), np.eye(n).take(cell[2], axis=0)
-        pure = cell[0], *units, payoffs, regrets, degenerate.take(at)
-        slack = _slack(a, b)
+        at = np.ravel_multi_index(cell[1:] + cell[:1], (m, n, count))  # each field gathered at the cells
+        units = np.zeros((len(at), m + n))  # both players' strategies side by side
+        units[np.arange(len(at)), np.array([cell[1], m + cell[2]])] = 1.0
+        gathered = both.reshape(2, -1).take(at, axis=1).T, regret.reshape(2, -1).take(at, axis=1).T
+        pure = cell[0], units[:, :m], units[:, m:], *gathered, degenerate.take(at)
+        slack = DOMINANCE_SLACK * (1.0 + scale[0] + scale[1])  # the prefilters' rounding margin
         kept = _support_pairs(a, b, eps, slack)
         if not len(kept):
             return pure
         # each game's matrices in C order, and the responder's transposed, a row per their move
-        both = np.ascontiguousarray(np.array([a, b]).transpose(0, 3, 1, 2))
-        (ga, gb), gbt = both, np.ascontiguousarray(b.transpose(2, 1, 0))
-        size, tables = max(STACK_PAIRS, count), (both.reshape(-1), ga, gbt, slack, eps, len(kept) <= TWO_PHASE_MIN_PAIRS)
+        by_game = np.ascontiguousarray(both.transpose(0, 3, 1, 2))
+        (ga, gb), gbt = by_game, np.ascontiguousarray(b.transpose(2, 1, 0))
+        size, tables = max(STACK_PAIRS, count), (by_game.reshape(-1), ga, gbt, slack, eps, len(kept) <= TWO_PHASE_MIN_PAIRS)
         found = [_candidates(*tables, kept[s : s + size]) for s in range(0, len(kept), size)]
-        games, row_sets, col_sets, x, y, valid = map(_join, zip(*found))
+        games, row_sets, col_sets, x, y, valid = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
         if not len(games):
             return pure
-        pay_p, pay_r, reg_p, reg_r, certified, degen = _certify(ga.take(games, axis=0), gb.take(games, axis=0), x, y, eps)
-        candidates = games, x, y, np.array([pay_p, pay_r]).T, np.array([reg_p, reg_r]).T, degen
+        payoffs, regrets, certified, degen = _certify(*by_game.take(games, axis=1), x, y, eps)
+        candidates = games, x, y, payoffs.T, regrets.T, degen
         # a candidate that is no duplicate certifies or, in a finite game, gets re-checked exactly;
         # a valid float profile is a duplicate by its float strategies, any other candidate by
         # its exact ones, which _exact_profile tests
-        fresh = ~(valid & _near_cell(cells, games, x, y))
+        fresh = ~(valid & _near_cell(cells, games, x, y)) if len(at) else True
         good = valid & certified
 
         def recheck(s, found_x, found_y):
@@ -358,11 +350,10 @@ def _enumerate(a, b, eps):
             found_x, found_y = np.concatenate([pure[1][own], found_x]), np.concatenate([pure[2][own], found_y])
             return _exact_profile(ga[g], gb[g], rows, cols, eps, found_x, found_y)
 
-        retry = ~good & fresh
-        if retry.any():  # in a finite game
-            retry &= (np.isfinite(a).all(axis=(0, 1)) & np.isfinite(b).all(axis=(0, 1)))[games]
-        picked = _take(*candidates, valid, good & fresh, retry, recheck).nonzero()[0]
-        fields = [np.concatenate([u, v.take(picked, axis=0)]) for u, v in zip(pure, candidates)]
+        picked = _take(*candidates, valid, good & fresh, ~good & fresh & finite[games], recheck).nonzero()[0]
+        fields = candidates if len(picked) == len(games) else [v.take(picked, axis=0) for v in candidates]
+        if len(pure[0]):
+            fields = [np.concatenate([u, v]) for u, v in zip(pure, fields)]
     # each game's pure profiles, then its candidates, which a stack's come by support pair: sorted
     # by game, stably, unless one game or their order already puts them so
     if count > 1 and (fields[0][1:] < fields[0][:-1]).any():
@@ -387,7 +378,7 @@ def _take(games, x, y, payoffs, regrets, degenerate, valid, good, retry, recheck
     ``_near_earlier`` pairs it with was taken; after, and for retries, its
     strategies are compared with those taken before it.
     """
-    earlier, later = (v.tolist() for v in _near_earlier(games, x, y, good))
+    earlier, later = map(np.ndarray.tolist, _near_earlier(games, x, y, good))
     queue = sorted({*later, *retry.nonzero()[0].tolist()})  # sorted: a heap
     if not queue:
         return good
@@ -441,9 +432,9 @@ def _near_earlier(games, x, y, mask) -> tuple[np.ndarray, np.ndarray]:
     move indices summed, and only pairs whose keys lie within (m^2 + n^2)
     1e-9 / 2, as those of any two profiles within 1e-9 do, are compared,
     STACK_PAIRS pairs at a time."""
-    none = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
     order = mask.nonzero()[0]
-    if (games[order[1:]] > games[order[:-1]]).all():  # at most one per game, as in a sweep
+    none = order[:0], order[:0]
+    if np.logical_and.reduce(games[order[1:]] > games[order[:-1]]):  # at most one per game, as in a sweep
         return none
     m, n = x.shape[1], y.shape[1]
     key = x.take(order, axis=0) @ np.arange(m) + y.take(order, axis=0) @ np.arange(n)
@@ -460,7 +451,7 @@ def _near_earlier(games, x, y, mask) -> tuple[np.ndarray, np.ndarray]:
         i, j = order[first[start : start + STACK_PAIRS]], order[second[start : start + STACK_PAIRS]]
         near = _same_profile(*(v.take(t, axis=0) for t in (i, j) for v in (x, y)))
         pairs.append((np.minimum(i, j)[near], np.maximum(i, j)[near]))
-    return tuple(map(_join, zip(*pairs)))
+    return tuple(map(np.concatenate, zip(*pairs)))
 
 
 def _support_pairs(a, b, eps, slack):
@@ -485,13 +476,13 @@ def _support_pairs(a, b, eps, slack):
     if top < 2:
         return np.zeros(0, dtype=int)
     a, b, slack = a.reshape(m, n, -1), b.reshape(m, n, -1), np.asarray(slack).reshape(-1)
-    thresholds = eps + np.multiply.outer(2 * np.arange(2, top + 1).reshape(-1, 1, 1, 1), slack)  # [k, 1, 1, 1, game]
-    beaten_rows, beaten_cols = _beaten(a.swapaxes(0, 1), thresholds), _beaten(b, thresholds)
-    (rows, cols, starts, _), games = _pair_table(m, n).tolist(), len(slack)
+    thresholds = eps + _set_table(m, top)[6] * slack  # [k, 1, 1, 1, game]
+    beaten_rows, beaten_cols = _beaten(a.swapaxes(0, 1), thresholds, 0), _beaten(b, thresholds, 1)
+    (rows, starts, cols), games = _pair_table(m, n)[:3].tolist(), len(slack)
     # a word per set and game: the set's own moves, and the opponent's moves it beats 16 bits up,
     # so that a row set's word AND a column set's is zero where neither support has a beaten move
-    row_words = np.left_shift(beaten_cols, 16, dtype=np.int32) | _set_table(m, top)[2][:, None]
-    col_words = np.left_shift(_set_table(n, top)[2][:, None], 16, dtype=np.int32) | beaten_rows
+    row_words = beaten_cols | _set_table(m, top)[2][0, :, None]
+    col_words = _set_table(n, top)[2][1, :, None] | beaten_rows
     keep = np.empty(starts[-1] * games, dtype=bool)
     for r0, r1, c0, c1, at, end in zip(rows, rows[1:], cols, cols[1:], starts, starts[1:]):  # by k
         dropped = row_words[r0:r1, None] & col_words[c0:c1]  # [row set, column set, game]
@@ -499,18 +490,19 @@ def _support_pairs(a, b, eps, slack):
     return keep.nonzero()[0]
 
 
-def _beaten(columns, thresholds) -> np.ndarray:
+def _beaten(columns, thresholds, half) -> np.ndarray:
     """(column sets, games) bitmask of the rows that some row beats by more
     than the threshold of the set's size on every column of the set, for
     payoffs given by column, (columns, rows, games): where the bitmask of
     its beaters, ANDed over the set, is not zero.  The column sets are those
-    of ``_set_table``, one threshold per size, (sizes, 1, 1, 1, games)."""
+    of ``_set_table``, one threshold per size, (sizes, 1, 1, 1, games).  Half
+    1 puts the bitmask 16 bits up."""
     beats = columns[:, :, None] - columns[:, None] > thresholds  # [k, j, r, i, game]
     sizes, width, rows = beats.shape[:3]
     bits = _set_table(rows, sizes + 1)[4]
-    beaters = np.matmul(bits, beats.reshape(sizes * width, rows, -1))  # [k j, i game]
+    beaters = np.matmul(bits[0], beats.reshape(sizes * width, rows, -1))  # [k j, i game]
     beaten = np.bitwise_and.reduce(beaters.take(_set_table(width, sizes + 1)[0], axis=0), axis=0) != 0  # moves first
-    return np.matmul(bits, beaten.reshape(beaten.shape[0], rows, -1))
+    return np.matmul(bits[half], beaten.reshape(beaten.shape[0], rows, -1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -519,28 +511,35 @@ def _set_table(size: int, top: int) -> tuple[np.ndarray, ...]:
     ``_subsets`` order, in read-only tables: the set led up to top moves by
     its first move again, as indices into (k - 2, move) flattened, and the
     set led up to top moves by size, a column per set each; and its
-    bitmask.  Then where the sets of each k start, by k, and each move's
-    bitmask.  Last, a row per set, the moves it leaves out, in ``_subsets``
-    order and followed by zeros up to size - 2 moves."""
+    bitmask, as it is and 16 bits up.  Then where the sets of each k start,
+    by k, and each move's bitmask, as it is and 16 bits up; a row per set,
+    the moves it leaves out, in ``_subsets`` order and followed by zeros up
+    to size - 2 moves; and 2 k for each k, as a (k, 1, 1, 1, 1) array."""
     sets, rest = zip(*(_subsets(size, k) for k in range(2, top + 1)))
     first = [np.hstack([np.repeat(v[:, :1], top - v.shape[1], axis=1), v]) + level * size for level, v in enumerate(sets)]
     padded = [np.hstack([np.full((len(v), top - v.shape[1]), size), v]) for v in sets]
-    masks = [np.left_shift(1, v).sum(axis=1).astype(np.int16) for v in sets]
+    masks = np.concatenate([np.left_shift(1, v).sum(axis=1) for v in sets])
     starts = (0, 0, 0, *np.cumsum([len(v) for v in sets]).tolist())  # where each k starts
-    bits = np.left_shift(1, np.arange(size, dtype=np.int16))
-    rest = [np.hstack([v, np.zeros((len(v), size - 2 - v.shape[1]), dtype=int)]) for v in rest]
-    tables = *(np.ascontiguousarray(np.concatenate(v).T) for v in (first, padded)), np.concatenate(masks)
-    return (*map(_freeze, tables), starts, _freeze(bits), _freeze(np.concatenate(rest)))
+    rest = np.concatenate([np.hstack([v, np.zeros((len(v), size - 2 - v.shape[1]), dtype=int)]) for v in rest])
+    masks, bits = (np.left_shift(v, [[0], [16]]).astype(np.int32) for v in (masks, np.left_shift(1, np.arange(size))))
+    tables = *(np.ascontiguousarray(np.concatenate(v).T) for v in (first, padded)), masks
+    twice = np.arange(4.0, 2 * top + 1, 2).reshape(-1, 1, 1, 1, 1)
+    return (*map(_freeze, tables), starts, *map(_freeze, (bits, rest, twice)))
 
 
 @functools.lru_cache(maxsize=None)
 def _pair_table(m: int, n: int) -> np.ndarray:
-    """Where the row sets and the column sets of each size k = 2 .. min(m, n)
-    start in ``_set_table``, where its pairs start in enumeration order (by
-    k, then rows, then columns) and how many column sets it has; then the
-    ends and 1.  Read-only."""
+    """Where the row sets, the pairs (in enumeration order: by k, then rows,
+    then columns) and the column sets of each size k = 2 .. min(m, n) start,
+    then the ends.  Then, in column i, what decodes a pair p of size k = i + 1
+    (i sizes start at or before it): the shift that makes (p + shift) over
+    the number of column sets of size k its row set with its column set of
+    size k as the remainder, that number, where those start, and k.  Read-only."""
     rows, cols = (np.array(_set_table(size, min(m, n))[3][2:]) for size in (m, n))
-    return _freeze(np.array([rows, cols, [0, *np.cumsum(np.diff(rows) * np.diff(cols))], [*np.diff(cols), 1]]))
+    widths = np.diff(cols)
+    starts = np.append(0, np.cumsum(np.diff(rows) * widths))
+    decode = np.array([rows[:-1] * widths - starts[:-1], widths, cols[:-1], np.arange(2, len(widths) + 2)])
+    return _freeze(np.vstack([rows, starts, cols, np.hstack([np.ones((4, 1), dtype=int), decode])]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -577,10 +576,10 @@ def _candidates(payoffs, ga, gbt, slack, eps, one_call, ids):
     count, m, n = ga.shape
     width = min(m, n)
     pair, games = np.divmod(ids, count)
-    row_starts, col_starts, pair_starts, widths = _pair_table(m, n)
-    level = pair_starts.searchsorted(pair, side="right") - 1
-    row_sets, col_sets = np.divmod(pair - pair_starts[level], widths[level])
-    row_sets, col_sets, sizes = row_sets + row_starts[level], col_sets + col_starts[level], level + 2  # sizes nondecreasing
+    table = _pair_table(m, n)
+    shift, widths, col_starts, sizes = table[3:].take(table[1].searchsorted(pair, side="right"), axis=1)
+    row_sets, col_sets = np.divmod(pair + shift, widths)
+    col_sets += col_starts  # sizes nondecreasing
     top, one_call = int(sizes[-1]), one_call or sizes[0] == m
     # each pair's row and column set, led up to the largest k by a move past the last
     rows, cols = (_set_table(v, width)[1][width - top :].take(sets, axis=1) for v, sets in ((m, row_sets), (n, col_sets)))
@@ -592,7 +591,7 @@ def _candidates(payoffs, ga, gbt, slack, eps, one_call, ids):
     def off_support(pairs, at, value, size, sets, moves, product):  # the pairs that could pass, and those that do
         low = int(sizes[pairs[0]]) if len(pairs) else size
         if low == size:  # no pair leaves a move out
-            return np.ones((2, len(pairs)), dtype=bool)
+            return ~np.zeros((2, len(pairs)), dtype=bool)
         on, margin, edges = at
         off = _set_table(size, width)[5][:, : size - low].take(sets[pairs], axis=0) + (on * size)[:, None]
         off = moves.take(off, axis=0)  # every pair's off-support moves at once
@@ -604,13 +603,14 @@ def _candidates(payoffs, ga, gbt, slack, eps, one_call, ids):
         return ~(best > limit + margin), ~(best > limit)
 
     weights, value, ok = _indifference(payoffs, ga.shape, games, rows, cols, sizes, (0, 1) if one_call else (0,))
-    pairs = ok.all(axis=0).nonzero()[0]
+    pairs = np.logical_and.reduce(ok).nonzero()[0]
+    weights, value = weights.take(pairs, axis=-1), value.take(pairs, axis=-1)
     at = locate(pairs) if sizes[0] < max(m, n) else None  # what the off-support tests read
-    y = _spread(weights[:, 0].take(pairs, axis=1), cols.take(pairs, axis=1), n)
+    y = _spread(weights[:, 0], cols.take(pairs, axis=1), n)
     ga_off = lambda off, span, out: np.matmul(off, y[span, :, None], out=out[..., None])
-    kept, passed = off_support(pairs, at, value[0, pairs], m, row_sets, ga.reshape(-1, n), ga_off)
+    kept, passed = off_support(pairs, at, value[0], m, row_sets, ga.reshape(-1, n), ga_off)
     if one_call:  # both mixes are known: test both players, then drop once
-        weights, value = weights[:, 1].take(pairs, axis=1), value[1, pairs]
+        weights, value = weights[:, 1], value[1]
     else:  # drop, then solve the responder's systems of the pairs left
         left = kept.nonzero()[0]
         pairs, y, passed = pairs[left], y.take(left, axis=0), passed[left]
@@ -620,17 +620,17 @@ def _candidates(payoffs, ga, gbt, slack, eps, one_call, ids):
             solved = _indifference(payoffs, ga.shape, games[pairs], *sets, sizes[pairs], (1,))
             weights, value, kept = (v[..., 0, :] for v in solved)
         else:  # none: empty arrays
-            weights, value, kept = weights[:, 0, pairs], value[0, pairs], passed
+            weights, value, kept = weights[:, 0, left], value[0, left], passed
         at = locate(pairs)
     x = _spread(weights, rows[top - len(weights) :].take(pairs, axis=1), m)
     gb_off = lambda off, span, out: np.matmul(x[span, None], off.transpose(0, 2, 1), out=out[:, None])
     could, beaten = off_support(pairs, at, value, n, col_sets, gbt.reshape(-1, m), gb_off)
     passed, kept = passed & beaten, kept & could
-    if not kept.all():
+    if not np.logical_and.reduce(kept):
         left = kept.nonzero()[0]
         pairs, x, y, passed = pairs[left], x.take(left, axis=0), y.take(left, axis=0), passed[left]
     # mixed_strategy's sum test; the weights are clamped to nonnegative already
-    summed = (np.abs(np.array([x.sum(axis=-1), y.sum(axis=-1)]) - 1.0) <= SIMPLEX_SUM_TOL).all(axis=0)
+    summed = np.logical_and.reduce(np.abs(np.array([np.add.reduce(x, -1), np.add.reduce(y, -1)]) - 1.0) <= SIMPLEX_SUM_TOL)
     return games[pairs], row_sets[pairs], col_sets[pairs], x, y, passed & summed
 
 
@@ -640,11 +640,6 @@ def _spread(weights, support, size) -> np.ndarray:
     mix = np.zeros((support.shape[1], size + 1))
     mix[np.arange(len(mix)), support] = weights
     return np.ascontiguousarray(mix[:, :size])
-
-
-def _join(parts) -> np.ndarray:
-    """The arrays of a list end to end; one array as it is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _indifference(payoffs, shape, games, rows, cols, sizes, players):
@@ -680,7 +675,9 @@ def _indifference(payoffs, shape, games, rows, cols, sizes, players):
     ab[top, :top], ab[top, top], ab[top, top + 1] = 1.0, 0.0, 1.0
     solution, singular = _solve_stacked(ab, None if sizes[0] == top else (sizes + 1).repeat(len(players)))
     # the rows above a system's own solve to zero, which passes both tests
-    ok = ~singular & np.isfinite(solution).all(axis=0) & (solution[:-1] >= -WEIGHT_CLAMP_TOL).all(axis=0)
+    valid = np.isfinite(solution)
+    valid[:-1] &= solution[:-1] >= -WEIGHT_CLAMP_TOL
+    ok = ~singular & np.logical_and.reduce(valid)
     weights = np.where(solution[:-1] < 0.0, 0.0, solution[:-1]).reshape(top, -1, len(players)).transpose(0, 2, 1)
     return weights, solution[-1].reshape(-1, len(players)).T, ok.reshape(-1, len(players)).T
 
@@ -705,7 +702,7 @@ def _exact_profile(a, b, rows, cols, eps, found_x, found_y):
     xs, ys = np.bincount(rows, x[:-1], a.shape[0]), np.bincount(cols, y[:-1], a.shape[1])
     if max(regret) > eps or _same_profile(found_x, found_y, xs, ys).any():
         return None
-    return xs, ys, (float(y[-1]), float(x[-1])), tuple(map(float, regret)), bool(_certify(a, b, xs, ys, eps)[5])
+    return xs, ys, (float(y[-1]), float(x[-1])), tuple(map(float, regret)), bool(_certify(a, b, xs, ys, eps)[3])
 
 
 def _exact_mix(block):

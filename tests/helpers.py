@@ -337,7 +337,7 @@ def exact_pairwise_profile(a, b, rows, cols, eps):
     floats = np.array([float(w) for w in xs]), np.array([float(w) for w in ys])
     # the rounded weights need not pass the sum test of verify_equilibrium, so
     # take the kind and the degenerate flag straight from the certificate
-    degenerate = bool(nash._certify(*game_matrices((a, b)), *floats, eps)[5])
+    degenerate = bool(nash._certify(*game_matrices((a, b)), *floats, eps)[3])
     kind = "pure" if nash._is_pure(*floats) else "mixed"
     payoffs, regret = (float(pay_p), float(pay_r)), tuple(map(float, regret))
     return EquilibriumProfile(*map(_freeze, floats), payoffs, regret, kind, True, degenerate)

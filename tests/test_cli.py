@@ -594,6 +594,25 @@ def test_nash_on_a_7x7_game_with_many_near_duplicates_prints_its_golden_output(m
     assert queued[0] >= 50
 
 
+SMALL_GOLDENS = ["nash_small_bell_2x2", "nash_small_offers3", "nash_small_offers8", "nash_small_2x3_moves", "nash_small_4x4"]
+
+
+@pytest.mark.parametrize("fmt, ext", [("table", "txt"), ("csv", "csv")])
+@pytest.mark.parametrize("name", SMALL_GOLDENS)
+def test_nash_on_small_games_prints_their_golden_output(capsys, name, fmt, ext):
+    # games shaped like the small benchmark documents, each keeping at least
+    # one support pair past the prefilter: a 2x2 Bell game, 3- and 8-offer
+    # ultimatums, a 2x3 game with explicit moves and a 4x4 game keeping 14 pairs
+    spec = os.path.join(DATA, f"{name}.json")
+    with open(spec, encoding="utf-8") as handle:
+        doc = parse_spec(handle.read())
+    a, b = nash.game_matrices(cli.induce_game(doc.state, doc.payoffs, doc.moves_proposer, doc.moves_responder))
+    slack = nash.DOMINANCE_SLACK * (1.0 + np.abs(a).max() + np.abs(b).max())
+    assert len(nash._support_pairs(a, b, 1e-9, slack)) >= (14 if name.endswith("4x4") else 1)
+    with open(os.path.join(DATA, f"{name}.{ext}"), encoding="utf-8") as handle:
+        assert run(["nash", "--spec", spec, "--format", fmt], capsys) == (0, handle.read(), "")
+
+
 @pytest.mark.parametrize("eps", ("0.5", "1e-9"))
 def test_degenerate_flag_counts_support_by_weight_not_by_eps(tmp_path, capsys, eps):
     # the mix puts 0.0099 on move 0, below eps 0.5; it is still on the support

@@ -738,7 +738,8 @@ def _random_game(rng, shape, integer):
     return rng.uniform(0, 100, shape), rng.uniform(0, 100, shape)
 
 
-SHAPES = [(m, n) for m in range(2, 7) for n in range(2, 7)] + [(3, 7), (7, 3), (2, 7)]
+# with one support level of many sets, (8, 2) to (2, 12), as an n-offer ultimatum has
+SHAPES = [(m, n) for m in range(2, 7) for n in range(2, 7)] + [(3, 7), (7, 3), (2, 7), (8, 2), (2, 8), (12, 2), (2, 12)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -984,7 +985,7 @@ def test_stacked_enumeration_matches_support_enumeration(monkeypatch, eps):
     default = nash.SIMPLEX_SUM_TOL
     # with no tolerance on the weights' sum, many candidates miss the sum test
     # and go to the exact re-check instead of certifying in floats
-    for shape, sum_tol in itertools.product([(2, 2), (2, 3), (3, 3), (4, 2)], [default, 0.0]):
+    for shape, sum_tol in itertools.product([(2, 2), (2, 3), (3, 3), (4, 2), (8, 2)], [default, 0.0]):
         monkeypatch.setattr(nash, "SIMPLEX_SUM_TOL", sum_tol)
         a, b = _stacked_games(rng, shape, 30)
         games, x, y, payoffs, regrets, degenerate = _enumerate(a, b, eps)
@@ -1045,7 +1046,7 @@ def test_pure_cells_equal_verify_on_the_unit_profiles(kind):
         for eps in PURE_EPS:
             # one call on the stack, whose games run along the last axis
             stack = games.transpose(1, 2, 3, 0)
-            regret_p, regret_r, found, degenerate = _pure_cells(stack[0], stack[1], eps)
+            (regret_p, regret_r), found, degenerate = _pure_cells(stack, np.isfinite(stack).all(axis=(0, 1, 2)), eps)
             for g, (a, b) in enumerate(games):
                 expected = []
                 for i in range(m):
@@ -1068,7 +1069,8 @@ def test_pure_cells_of_a_non_finite_game_never_certify(value):
         for eps in PURE_EPS + (np.inf,):
             a, b = rng.uniform(0.0, 100.0, (2, m, n))
             (a, b)[rng.integers(2)][rng.integers(m), rng.integers(n)] = value
-            assert not _pure_cells(a, b, eps)[2].any()  # no cell is found
+            with np.errstate(all="ignore"):  # as its callers run it
+                assert not _pure_cells(np.array([a, b]), np.isfinite([a, b]).all(), eps)[1].any()  # no cell is found
             assert pure_equilibria((a, b), eps) == []
 
 
@@ -1081,7 +1083,7 @@ def test_a_pure_cell_above_eps_in_floats_is_above_it_exactly():
         m, n = (int(v) for v in rng.integers(1, 5, 2))
         scale = 10.0 ** rng.integers(-20, 20, (2, m, n))
         a, b = rng.uniform(-1.0, 1.0, (2, m, n)) * scale
-        regret = np.maximum(*_pure_cells(a, b, 0.0)[:2])
+        regret = np.maximum(*_pure_cells(np.array([a, b]), True, 0.0)[0])
         for i, j in np.argwhere(regret > 0.0).tolist():
             for eps in (np.nextafter(regret[i, j], 0.0), regret[i, j] / 2, 1e-300):
                 assert _exact_profile(a, b, [i], [j], eps, np.empty((0, m)), np.empty((0, n))) is None

@@ -34,7 +34,7 @@ def sweep_doc(basis_a, basis_b, count, start=0, stop="2*pi", outputs=None, tripl
 
 def assert_same_lines(text, eps, out_format="csv"):
     sweep = parse_sweep_spec(text)
-    assert run_sweep(sweep, eps, out_format) == rowwise_run_sweep(sweep, eps, out_format)
+    assert "\n".join(run_sweep(sweep, eps, out_format)) == "\n".join(rowwise_run_sweep(sweep, eps, out_format))
 
 
 @pytest.mark.parametrize("eps", (1e-300, 1e-9, 5.0))
@@ -56,7 +56,7 @@ def test_chunk_boundaries_match_the_row_by_row_sweep(count):
 def test_full_turn_with_two_equilibria_matches_the_row_by_row_sweep():
     text = sweep_doc([0, 1], [1, 1], 2001)
     sweep = parse_sweep_spec(text)
-    lines = run_sweep(sweep, 1e-9, "table")
+    lines = "\n".join(run_sweep(sweep, 1e-9, "table")).split("\n")
     assert lines == rowwise_run_sweep(sweep, 1e-9, "table")
     assert sum(";mu=" in line for line in lines) == 4
 
@@ -85,13 +85,13 @@ def test_rows_of_many_values_print_as_fmt(out_format):
     head, labels = rng.choice(pool, (count, 5)), rng.random(count) < 0.5
     profiles = rng.choice(pool, (len(games), 4))
     columns = ["theta", "p00", "p01", "p10", "p11", "label", "equilibria"]
-    lines = cli._render_rows(columns, out_format, head, labels, games, profiles)
+    text = cli._render_rows(columns, out_format, head, labels, games, profiles)
     expected = []
     for r in range(count):
         row = [cli.fmt(v) for v in head[r]] + [("aligned", "opposed")[int(labels[r])]]
         row.append(";".join("mu=%s nu=%s pp=%s pr=%s" % tuple(map(cli.fmt, p)) for p in profiles[games == r]))
         expected.append(",".join(row) if out_format == "csv" else "; ".join(f"{n}={v}" for n, v in zip(columns, row)))
-    assert lines == expected
+    assert text == "\n".join(expected)
     assert 5 + 4 * np.count_nonzero(games == 3) > 70
 
 
@@ -134,10 +134,10 @@ def test_special_rows_in_several_chunks_match_the_row_by_row_sweep(monkeypatch, 
     def counting_rows(*args):
         chunks.append([0, 0])
         inside.append(True)
-        lines = sweep_rows(*args)
+        text = sweep_rows(*args)
         inside.pop()
-        chunks[-1][0] = sum(";mu=" in line for line in lines)
-        return lines
+        chunks[-1][0] = text.count(";mu=")
+        return text
 
     def counting_exact_profile(*args):
         chunks[-1][1] += bool(inside)
@@ -227,9 +227,9 @@ def test_rows_failing_a_check_raise_the_row_by_row_error(monkeypatch, module, na
         exact = []
         exact_profile = nash._exact_profile
         monkeypatch.setattr(nash, "_exact_profile", lambda *args: exact.append(args) or exact_profile(*args))
-        lines = run_sweep(sweep, 1e-9, "csv")
+        text = "\n".join(run_sweep(sweep, 1e-9, "csv"))
         assert exact  # at the default sum tolerance no row of this sweep is re-checked
-        assert lines == rowwise_run_sweep(sweep, 1e-9, "csv")
+        assert text == "\n".join(rowwise_run_sweep(sweep, 1e-9, "csv"))
         return
     with pytest.raises(GameError) as expected:
         rowwise_run_sweep(sweep, 1e-9, "csv")
