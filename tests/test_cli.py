@@ -1184,3 +1184,16 @@ def test_the_fast_path_gives_argparses_namespace_or_declines(data):
     if plain is not None:
         parsed = _argparse_args(argv)
         assert parsed is not None and _same_args(plain, parsed), argv
+
+
+def test_mutated_documents_match_their_golden():
+    # every outcome as recorded by tests/mutated_documents.py: an error's text
+    # and its order among a document's errors, and the stdout of a success
+    from mutated_documents import GOLDEN, documents, outcome
+
+    with open(GOLDEN, encoding="utf-8") as handle:
+        golden = [json.loads(line) for line in handle]
+    outcomes = [outcome(argv, text) for argv, text in documents()]
+    assert len(outcomes) == len(golden)
+    changed = [(i, text, want, got) for i, ((_, text), want, got) in enumerate(zip(documents(), golden, outcomes)) if want != got]
+    assert not changed, changed[:3]
