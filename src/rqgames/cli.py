@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GameError, ParseError, TooLargeError, ValidationError
-from .games import Bimatrix, PayoffTable, UltimatumParams, _finite, _whole, ultimatum_2x2, ultimatum_general
+from .games import Bimatrix, PayoffTable, UltimatumParams, _finite, ultimatum_2x2, ultimatum_general
 from .hilbert import QuantumState, bell_like, bell_like_probs, probability_table, state_from_amplitudes
 from .induce import (
     ALIGNED,
@@ -91,7 +91,7 @@ class SweepSpec:
 
 
 class _reported_as:  # a class: a contextlib.contextmanager costs about 1 us more per block
-    """Report a library ``GameError`` raised in the block as a ``ValidationError`` of ``field``."""
+    """Report a library ``GameError`` raised in the block, not a ``ValidationError``, as one of ``field``."""
 
     def __init__(self, field: str):
         self.field = field
@@ -100,7 +100,7 @@ class _reported_as:  # a class: a contextlib.contextmanager costs about 1 us mor
         return self
 
     def __exit__(self, kind, exc, traceback):
-        if isinstance(exc, GameError):
+        if isinstance(exc, GameError) and not isinstance(exc, ValidationError):
             raise ValidationError(self.field, str(exc)) from exc
 
 
@@ -121,30 +121,40 @@ def _load_json(text: str):
         raise ParseError("arrays or objects nested too deeply") from exc
 
 
-def _object(block, field: str, allowed=None, required=(), reason: str = "expected an object") -> dict:
-    """Check a document block: an object, with no key outside ``allowed``
-    (when given) and every ``required`` key, checked in that order.
-
-    Missing top-level keys are named without the ``document.`` prefix.
-    """
+def _fields(block, field: str, rules: dict, required=(), reason: str = "expected an object", got=None) -> dict:
+    """Read a document block into ``got`` (a new dict by default): check an object with no key outside
+    ``rules`` and every ``required`` key, then read each key it gives, in the order of ``rules``, by its
+    rule: a reader ``read(value, path)``, or a ``(test, reason)`` pair that takes a value passing ``test``.
+    A rule may look up the keys read before it in ``got``.  A top-level key's path has no ``document.``
+    prefix, except in an unknown-field error."""
     if not isinstance(block, dict):
         raise ValidationError(field, reason)
-    for key in block:
-        if allowed is not None and key not in allowed:
-            raise ValidationError(f"{field}.{key}", "unknown field")
+    if not block.keys() <= rules.keys():
+        key = next(key for key in block if key not in rules)
+        raise ValidationError(f"{field}.{key}", "unknown field")
+    prefix = "" if field == "document" else f"{field}."
     for key in required:
         if key not in block:
-            raise ValidationError(key if field == "document" else f"{field}.{key}", "missing")
-    return block
+            raise ValidationError(prefix + key, "missing")
+    got = {} if got is None else got
+    for key, rule in rules.items():
+        if key in block:
+            value = block[key]
+            if type(rule) is not tuple:
+                value = rule(value, prefix + key)
+            elif not rule[0](value):
+                raise ValidationError(prefix + key, rule[1])
+            got[key] = value
+    return got
 
 
-def _source(block, field: str, names: tuple[str, str]) -> tuple[str, object]:
-    """The one of the two ``names`` an object gives as its source, and its block."""
-    given = [name for name in names if name in _object(block, field)]
-    if len(given) != 1:
-        raise ValidationError(field, f"need exactly one of {names[0]!r} or {names[1]!r}")
-    _object(block, field, names)
-    return given[0], block[given[0]]
+def _source(block, field: str, rules: dict):
+    """The value of the one key of ``rules`` an object gives as its source, read by its rule."""
+    if isinstance(block, dict) and len(block.keys() & rules.keys()) != 1:
+        first, second = rules
+        raise ValidationError(field, f"need exactly one of {first!r} or {second!r}")
+    (value,) = _fields(block, field, rules).values()
+    return value
 
 
 def parse_angle(value, field: str) -> float:
@@ -191,28 +201,26 @@ def _index_pair(value, field: str) -> tuple[int, int]:
     return (value[0], value[1])
 
 
-def _build_payoffs(block, field: str = "payoffs") -> PayoffTable:
-    source, sub = _source(block, field, ("ultimatum", "matrices"))
-    if source == "ultimatum":
-        field = f"{field}.ultimatum"
-        if set(_object(sub, field)) == {"a", "b", "c"}:
-            coefficients = [_number(sub[key], f"{field}.{key}") for key in "abc"]
-            with _reported_as(field):
-                return ultimatum_2x2(*coefficients)
-        if set(sub) == {"total", "offers"}:
-            offers = sub["offers"]
-            if not isinstance(offers, list):
-                raise ValidationError(f"{field}.offers", "expected a list")
-            with _reported_as(field):
-                params = UltimatumParams(sub["total"], tuple(offers))
-                return ultimatum_general(params)
-        raise ValidationError(field, "give either keys a, b, c or keys total, offers")
-    field = f"{field}.matrices"
-    need = "need matrices 'proposer' and 'responder'"
-    if set(_object(sub, field, reason=need)) != {"proposer", "responder"}:
-        raise ValidationError(field, need)
+def _check_eps(eps, field: str) -> float:
+    if not 0 < eps < math.inf:  # NaN fails too
+        raise ValidationError(field, "must be a finite positive number")
+    return float(eps)
+
+
+def _ultimatum(block, field: str) -> PayoffTable:
+    with _reported_as(field):
+        if not isinstance(block, dict) or block.keys() == _ULTIMATUM_ABC.keys():  # _fields rejects a non-object
+            return ultimatum_2x2(**_fields(block, field, _ULTIMATUM_ABC))
+        if block.keys() == _ULTIMATUM_OFFERS.keys():
+            return ultimatum_general(UltimatumParams(**_fields(block, field, _ULTIMATUM_OFFERS)))
+    raise ValidationError(field, "give either keys a, b, c or keys total, offers")
+
+
+def _matrices(block, field: str) -> PayoffTable:
+    if not isinstance(block, dict) or set(block) != {"proposer", "responder"}:
+        raise ValidationError(field, "need matrices 'proposer' and 'responder'")
     try:
-        return PayoffTable(np.array(sub["proposer"], dtype=float), np.array(sub["responder"], dtype=float))
+        return PayoffTable(np.array(block["proposer"], dtype=float), np.array(block["responder"], dtype=float))
     except TypeError:  # an object where a number belongs
         raise ValidationError(field, "expected matrices of numbers") from None
     except OverflowError:  # an integer beyond float range
@@ -221,92 +229,86 @@ def _build_payoffs(block, field: str = "payoffs") -> PayoffTable:
         raise ValidationError(field, str(exc)) from exc
 
 
-def _complex_entry(value, field: str) -> complex:
-    parts = value if isinstance(value, list) and len(value) == 2 else (value, 0.0)
-    for v in parts:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValidationError(field, f"expected a number or [re, im] pair, got {value!r}")
-        if not _finite(v):
-            raise ValidationError(field, f"expected a finite number, got {value!r}")
-    return complex(*parts)
-
-
-def _build_state(block, payoff_dims: tuple[int, int], field: str = "state") -> QuantumState:
-    source, sub = _source(block, field, ("bell", "amplitudes"))
-    field = f"{field}.{source}"
-    if source == "bell":
-        keys = ("theta", "basis_a", "basis_b")
-        _object(sub, field, keys, keys)
-        theta = parse_angle(sub["theta"], f"{field}.theta")
-        basis_a = _index_pair(sub["basis_a"], f"{field}.basis_a")
-        basis_b = _index_pair(sub["basis_b"], f"{field}.basis_b")
-        with _reported_as(field):
-            return bell_like(theta, basis_a, basis_b, payoff_dims)
-    rows = _object(sub, field, {"matrix", "normalize"}, ("matrix",))["matrix"]
+def _amplitude_matrix(rows, field: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows or any(not isinstance(r, list) for r in rows):
-        raise ValidationError(f"{field}.matrix", "expected a matrix of entries")
+        raise ValidationError(field, "expected a matrix of entries")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
-        raise ValidationError(f"{field}.matrix", "ragged rows")
+        raise ValidationError(field, "ragged rows")
     # the whole matrix in one pass; the entry by entry check names the first bad entry
     parts = [p for row in rows for v in row for p in (v if type(v) is list and len(v) == 2 else (v, 0.0))]
     if not {type(p) for p in parts} <= {int, float} or not all(map(_finite, parts)):
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
-                _complex_entry(v, f"{field}.matrix[{i}][{j}]")
-    amps = np.array(parts, dtype=float).view(complex).reshape(len(rows), width)
-    normalize = sub.get("normalize", True)
-    if not isinstance(normalize, bool):
-        raise ValidationError(f"{field}.normalize", "expected true or false")
+                for p in v if type(v) is list and len(v) == 2 else (v,):
+                    if type(p) not in (int, float):
+                        raise ValidationError(f"{field}[{i}][{j}]", f"expected a number or [re, im] pair, got {v!r}")
+                    if not _finite(p):
+                        raise ValidationError(f"{field}[{i}][{j}]", f"expected a finite number, got {v!r}")
+    return np.array(parts, dtype=float).view(complex).reshape(len(rows), width)
+
+
+def _amplitudes(block, field: str) -> QuantumState:
     with _reported_as(field):
-        return state_from_amplitudes(amps, normalize=normalize)
+        given = _fields(block, field, _AMPLITUDES, ("matrix",))
+        return state_from_amplitudes(given["matrix"], normalize=given.get("normalize", True))
 
 
-def _build_moves(block, payoff_dims: tuple[int, int]) -> tuple[MoveSet, MoveSet]:
-    moves = {"proposer": default_move_set(payoff_dims[0]), "responder": default_move_set(payoff_dims[1])}
-    if block is not None:
-        for key, perms in _object(block, "moves", set(moves)).items():
-            if not isinstance(perms, list) or any(not isinstance(p, list) for p in perms):
-                raise ValidationError(f"moves.{key}", "expected a list of permutations")
-            bad = [v for p in perms for v in p if not _whole(v)]
-            if bad:
-                raise ValidationError(f"moves.{key}", f"permutation entries must be integers, got {bad[0]!r}")
-            with _reported_as(f"moves.{key}"):
-                moves[key] = MoveSet(tuple(tuple(p) for p in perms))
-    return moves["proposer"], moves["responder"]
+def _move_set(perms, field: str) -> MoveSet:
+    if not isinstance(perms, list) or any(not isinstance(p, list) for p in perms):
+        raise ValidationError(field, "expected a list of permutations")
+    with _reported_as(field):
+        return MoveSet(perms)
 
 
-def _build_solver(block) -> float | None:
-    if block is None:
-        return None
-    _object(block, "solver", {"eps", "resolution"})
-    eps = None
-    if "eps" in block:
-        eps = _check_eps(_number(block["eps"], "solver.eps"), "solver.eps")
-    resolution = block.get("resolution", 1)  # accepted and unused, so older documents still run
-    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
-        raise ValidationError("solver.resolution", "must be a positive integer")
-    return eps
+def _solver(block, field: str) -> float | None:  # null is no block
+    return None if block is None else _fields(block, field, _SOLVER).get("eps")
 
 
-def _check_eps(eps, field: str) -> float:
-    if not 0 < eps < math.inf:  # NaN fails too
-        raise ValidationError(field, "must be a finite positive number")
-    return float(eps)
-
-
-def _document(text: str, keys: tuple[str, str], optional: set[str]) -> dict:
-    """The top level of a document: an object with the two ``keys`` and some ``optional`` ones."""
-    return _object(_load_json(text), "document", {*keys, *optional}, keys, "top level must be an object")
+# The rules of the document's fields.  JSON gives a whole number as an int, never as a bool.
+_PAYOFFS = {"ultimatum": _ultimatum, "matrices": _matrices}
+_ULTIMATUM_ABC = {"a": _number, "b": _number, "c": _number}
+_ULTIMATUM_OFFERS = {"total": lambda total, field: total, "offers": (lambda v: isinstance(v, list), "expected a list")}
+_BELL = {"theta": parse_angle, "basis_a": _index_pair, "basis_b": _index_pair}
+_AMPLITUDES = {"matrix": _amplitude_matrix, "normalize": (lambda v: isinstance(v, bool), "expected true or false")}
+_MOVES = {"proposer": _move_set, "responder": _move_set}
+_SOLVER = {
+    "eps": lambda eps, field: _check_eps(_number(eps, field), field),
+    # accepted and unused, so older documents still run
+    "resolution": (lambda v: type(v) is int and v >= 1, "must be a positive integer"),
+}
+_THETA = {
+    "start": parse_angle,
+    "stop": parse_angle,
+    "count": (lambda v: type(v) is int and v >= 2, "must be an integer of at least 2"),
+}
+_OUTPUTS = (
+    lambda v: isinstance(v, list) and v and all(o in SWEEP_OUTPUTS for o in v) and len(set(v)) == len(v),
+    f"expected a subset of {list(SWEEP_OUTPUTS)}",
+)
 
 
 def parse_spec(text: str) -> GameSpecDocument:
     """Parse and validate a game document."""
-    data = _document(text, ("payoffs", "state"), {"moves", "solver"})
-    payoffs = _build_payoffs(data["payoffs"])
-    state = _build_state(data["state"], payoffs.dims)
-    moves_p, moves_r = _build_moves(data.get("moves"), payoffs.dims)
-    eps = _build_solver(data.get("solver"))
+    got = {}
+
+    def bell(block, field):
+        with _reported_as(field):
+            return bell_like(**_fields(block, field, _BELL, _BELL), dims=got["payoffs"].dims)
+
+    rules = {
+        "payoffs": lambda block, field: _source(block, field, _PAYOFFS),
+        # the state, then the default move sets, at the payoff table's dimensions
+        "state": lambda block, field: (
+            _source(block, field, {"bell": bell, "amplitudes": _amplitudes}),
+            *map(default_move_set, got["payoffs"].dims),
+        ),
+        "moves": lambda block, field: {} if block is None else _fields(block, field, _MOVES),  # null is no block
+        "solver": _solver,
+    }
+    _fields(_load_json(text), "document", rules, ("payoffs", "state"), "top level must be an object", got)
+    payoffs, (state, *defaults), given = got["payoffs"], got["state"], got.get("moves", {})
+    moves_p, moves_r = given.get("proposer", defaults[0]), given.get("responder", defaults[1])
     if state.dims != payoffs.dims:
         raise ValidationError(
             "state", f"state dimensions {state.dims} do not match payoffs {payoffs.dims}"
@@ -321,52 +323,48 @@ def parse_spec(text: str) -> GameSpecDocument:
         state=state,
         moves_proposer=moves_p,
         moves_responder=moves_r,
-        eps=eps,
+        eps=got.get("solver"),
     )
 
 
 def parse_sweep_spec(text: str) -> SweepSpec:
     """Parse and validate a sweep document."""
-    data = _document(text, ("payoffs", "sweep"), {"solver"})
-    payoffs = _build_payoffs(data["payoffs"])
-    if payoffs.dims != (2, 2):
-        raise ValidationError("payoffs", f"sweep requires a 2x2 payoff table, got {payoffs.dims}")
-    keys = ("theta", "basis_a", "basis_b")
-    block = _object(data["sweep"], "sweep", {*keys, "outputs"}, keys)
-    keys = ("start", "stop", "count")
-    theta = _object(block["theta"], "sweep.theta", keys, keys, "expected an object with start, stop, count")
-    start = parse_angle(theta["start"], "sweep.theta.start")
-    stop = parse_angle(theta["stop"], "sweep.theta.stop")
-    count = theta["count"]
-    if isinstance(count, bool) or not isinstance(count, int) or count < 2:
-        raise ValidationError("sweep.theta.count", "must be an integer of at least 2")
-    if not start < stop:
-        raise ValidationError("sweep.theta", f"start {start} must be below stop {stop}")
-    basis_a = _index_pair(block["basis_a"], "sweep.basis_a")
-    basis_b = _index_pair(block["basis_b"], "sweep.basis_b")
-    if basis_a == basis_b:
-        raise ValidationError("sweep.basis_b", "basis pairs must differ")
-    for name, (k, l) in (("basis_a", basis_a), ("basis_b", basis_b)):
-        if not (0 <= k < payoffs.dims[0] and 0 <= l < payoffs.dims[1]):
-            raise ValidationError(f"sweep.{name}", f"outcome ({k}, {l}) outside {payoffs.dims}")
-    outputs = block.get("outputs", list(SWEEP_OUTPUTS))
-    if (
-        not isinstance(outputs, list)
-        or not outputs
-        or any(o not in SWEEP_OUTPUTS for o in outputs)
-        or len(set(outputs)) != len(outputs)
-    ):
-        raise ValidationError("sweep.outputs", f"expected a subset of {list(SWEEP_OUTPUTS)}")
-    eps = _build_solver(data.get("solver"))
+    def payoffs(block, field):
+        table = _source(block, field, _PAYOFFS)
+        if table.dims != (2, 2):
+            raise ValidationError(field, f"sweep requires a 2x2 payoff table, got {table.dims}")
+        return table
+
+    def theta(block, field):
+        given = _fields(block, field, _THETA, _THETA, "expected an object with start, stop, count")
+        if not given["start"] < given["stop"]:
+            raise ValidationError(field, f"start {given['start']} must be below stop {given['stop']}")
+        return given
+
+    def sweep(block, field):
+        def basis_b(value, path):
+            # checked with basis_a, read before it, and both at the 2x2 table, before the outputs are read
+            basis_a, basis_b = tuple(block["basis_a"]), _index_pair(value, path)
+            if basis_b == basis_a:
+                raise ValidationError(path, "basis pairs must differ")
+            for name, (k, l) in (("basis_a", basis_a), ("basis_b", basis_b)):
+                if not (0 <= k < 2 and 0 <= l < 2):
+                    raise ValidationError(f"{field}.{name}", f"outcome ({k}, {l}) outside (2, 2)")
+            return basis_b
+
+        rules = {"theta": theta, "basis_a": _index_pair, "basis_b": basis_b, "outputs": _OUTPUTS}
+        return _fields(block, field, rules, ("theta", "basis_a", "basis_b"))
+
+    rules = {"payoffs": payoffs, "sweep": sweep, "solver": _solver}
+    doc = _fields(_load_json(text), "document", rules, ("payoffs", "sweep"), "top level must be an object")
+    block, outputs = doc["sweep"], doc["sweep"].get("outputs", SWEEP_OUTPUTS)
     return SweepSpec(
-        payoffs=payoffs,
-        start=start,
-        stop=stop,
-        count=count,
-        basis_a=basis_a,
-        basis_b=basis_b,
+        payoffs=doc["payoffs"],
+        **block["theta"],
+        basis_a=block["basis_a"],
+        basis_b=block["basis_b"],
         outputs=tuple(o for o in SWEEP_OUTPUTS if o in outputs),
-        eps=eps,
+        eps=doc.get("solver"),
     )
 
 

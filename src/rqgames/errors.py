@@ -18,7 +18,7 @@ class DegenerateSuperpositionError(GameError):
 
 
 class IndexOutOfRangeError(GameError, IndexError):
-    """Basis index outside the declared dimensions."""
+    """Basis index outside the declared dimensions, or not a whole number."""
 
 
 class DimensionMismatchError(GameError):

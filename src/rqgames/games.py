@@ -9,8 +9,6 @@ column 1 = reject.
 
 from __future__ import annotations
 
-import math
-import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -18,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidOffersError, InvalidPayoffsError
-from .hilbert import _freeze
+from .hilbert import _freeze, _whole
 
 
 class MismatchedTotalsWarning(UserWarning):
@@ -92,21 +90,12 @@ class UltimatumParams:
         object.__setattr__(self, "offers", tuple(cleaned))
 
 
+_FLOAT_MAX = sys.float_info.max  # read once: a lookup on each call costs as much as the test
+
+
 def _finite(value) -> bool:
     # abs(int) compares exactly, so an integer beyond float range fails too
-    return abs(value) <= sys.float_info.max
-
-
-def _whole(value) -> bool:
-    """Whether a value is an integer or a float equal to one; never a bool.
-
-    A non-number, NaN or infinity fails here, before ``int(value)`` can raise.
-    """
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value
-    )
+    return abs(value) <= _FLOAT_MAX
 
 
 def ultimatum_2x2(a: float, b: float, c: float) -> PayoffTable:

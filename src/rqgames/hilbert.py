@@ -10,6 +10,7 @@ rather than an assumption.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,20 @@ RANK_TOL = 1e-9
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _whole(value) -> bool:
+    """Whether a value is an integer or a float equal to one; never a bool.
+
+    A non-number, NaN or infinity fails here, before ``int(value)`` can raise.
+    """
+    if type(value) is int:  # most values, ahead of the slower abstract type tests
+        return True
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value
+    )
 
 
 def _unit_sum(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +139,10 @@ def bell_like(
     basis_b: tuple[int, int],
     dims: tuple[int, int] = (2, 2),
 ) -> QuantumState:
-    """Two-term superposition cos(theta)|basis_a> + sin(theta)|basis_b>."""
+    """Two-term superposition cos(theta)|basis_a> + sin(theta)|basis_b>; indices are whole numbers."""
+    bad = [v for v in (*basis_a, *basis_b) if not _whole(v)]
+    if bad:
+        raise IndexOutOfRangeError(f"basis indices must be integers, got {bad[0]!r}")
     ka, la = (int(basis_a[0]), int(basis_a[1]))
     kb, lb = (int(basis_b[0]), int(basis_b[1]))
     dp, dr = dims

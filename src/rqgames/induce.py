@@ -35,7 +35,7 @@ from .errors import (
     WrongClassError,
 )
 from .games import Bimatrix, PayoffTable, ultimatum_2x2
-from .hilbert import QuantumState, probability_table
+from .hilbert import QuantumState, _whole, probability_table
 from .nash import EPS_DEFAULT, EquilibriumProfile, verify_equilibrium
 
 SIGN_TOL = 1e-12
@@ -46,11 +46,14 @@ OPPOSED = "opposed"
 
 @dataclass(frozen=True)
 class MoveSet:
-    """Ordered list of basis permutations available to one player."""
+    """Ordered list of basis permutations available to one player; entries are whole numbers."""
 
     perms: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        bad = [v for p in self.perms for v in p if not _whole(v)]
+        if bad:
+            raise InvalidMoveSetError(f"permutation entries must be integers, got {bad[0]!r}")
         perms = tuple(tuple(int(v) for v in p) for p in self.perms)
         if not perms:
             raise InvalidMoveSetError("move set must contain at least one permutation")
