@@ -219,14 +219,18 @@ def _ultimatum(block, field: str) -> PayoffTable:
 def _matrices(block, field: str) -> PayoffTable:
     if not isinstance(block, dict) or set(block) != {"proposer", "responder"}:
         raise ValidationError(field, "need matrices 'proposer' and 'responder'")
-    try:
-        return PayoffTable(np.array(block["proposer"], dtype=float), np.array(block["responder"], dtype=float))
-    except TypeError:  # an object where a number belongs
-        raise ValidationError(field, "expected matrices of numbers") from None
-    except OverflowError:  # an integer beyond float range
-        raise ValidationError(field, "payoff entries must be finite") from None
-    except (GameError, ValueError) as exc:
-        raise ValidationError(field, str(exc)) from exc
+    for rows in block.values():  # lists of equal-length lists of JSON numbers, so numpy reads them as given
+        if (
+            type(rows) is not list
+            or any(type(row) is not list or len(row) != len(rows[0]) for row in rows)
+            or not {type(v) for row in rows for v in row} <= {int, float}
+        ):
+            raise ValidationError(field, "expected matrices of numbers")
+    with _reported_as(field):
+        try:
+            return PayoffTable(np.array(block["proposer"], dtype=float), np.array(block["responder"], dtype=float))
+        except OverflowError:  # an integer beyond float range
+            raise ValidationError(field, "payoff entries must be finite") from None
 
 
 def _amplitude_matrix(rows, field: str) -> np.ndarray:
@@ -339,6 +343,8 @@ def parse_sweep_spec(text: str) -> SweepSpec:
         given = _fields(block, field, _THETA, _THETA, "expected an object with start, stop, count")
         if not given["start"] < given["stop"]:
             raise ValidationError(field, f"start {given['start']} must be below stop {given['stop']}")
+        if not _finite(given["stop"] - given["start"]):  # the thetas between would not be finite
+            raise ValidationError(field, f"stop {given['stop']} minus start {given['start']} is beyond float range")
         return given
 
     def sweep(block, field):
@@ -424,7 +430,8 @@ def run_induce(doc: GameSpecDocument, out_format: str) -> list[str]:
 
 
 def run_classify(doc: GameSpecDocument, out_format: str) -> list[str]:
-    classification = classify_state(doc.state)
+    with _reported_as("state"):  # a state of another shape than 2x2
+        classification = classify_state(doc.state)
     d1, d2 = classification.diffs
     fields = {"label": classification.label, "diff1": fmt(d1), "diff2": fmt(d2)}
     return _render(out_format, "label,diff1,diff2", "label: {label}\ndiff1: {diff1}\ndiff2: {diff2}", [fields])

@@ -659,6 +659,7 @@ ONE_OF_PAYOFFS = "payoffs: need exactly one of 'ultimatum' or 'matrices'"
 ONE_OF_STATE = "state: need exactly one of 'bell' or 'amplitudes'"
 ULTIMATUM_KEYS = "payoffs.ultimatum: give either keys a, b, c or keys total, offers"
 MATRICES_KEYS = "payoffs.matrices: need matrices 'proposer' and 'responder'"
+MATRIX_ENTRIES = "payoffs.matrices: expected matrices of numbers"
 
 # (path of the edited key, its new value or DROP, the one error line); the
 # empty path replaces the whole document
@@ -740,6 +741,10 @@ MORE_NASH_REJECTS = [
     # the state takes the payoff table's shape, so a shape of its own could only restate it
     (("state", "bell", "dims"), [2, 2], "state.bell.dims: unknown field"),
 ]
+# a game document that nash reads, but whose state is no 2x2 state to classify
+CLASSIFY_REJECTS = [
+    (("payoffs", "ultimatum"), {"total": 10, "offers": [2, 4, 6]}, "state: operation requires a 2x2 state, got (3, 2)"),
+]
 
 
 def edited(doc, path, value):
@@ -761,10 +766,11 @@ def edited(doc, path, value):
     "command, path, value, line",
     [("nash", *case) for case in SHARED_REJECTS + NASH_REJECTS]
     + [("sweep", *case) for case in SHARED_REJECTS + SWEEP_REJECTS]
-    + [("nash", *case) for case in MORE_NASH_REJECTS],
+    + [("nash", *case) for case in MORE_NASH_REJECTS]
+    + [("classify", *case) for case in CLASSIFY_REJECTS],
 )
 def test_golden_validation_errors(tmp_path, capsys, command, path, value, line):
-    doc = edited(GAME if command == "nash" else SWEEP, path, value)
+    doc = edited(SWEEP if command == "sweep" else GAME, path, value)
     code, out, err = run([command, "--spec", write(tmp_path, json.dumps(doc))], capsys)
     assert (code, out, err) == (2, "", f"error: {line}\n")
 
@@ -893,8 +899,13 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, command, path, literal, lin
             {"matrices": {"proposer": [[1, 0], [0, 1]], "responder": {}}},
             "payoffs.matrices: expected matrices of numbers",
         ),
+        # entries that numpy once read as numbers, or rejected with its own text
+        *(
+            (("payoffs",), {"matrices": {"proposer": proposer, "responder": [[1, 0], [0, 1]]}}, MATRIX_ENTRIES)
+            for proposer in ([["3", 0], [0, 1]], [[True, 0], [0, 1]], [[1, 0], [0]], 3)
+        ),
     ],
-    ids=["move-string", "move-null", "move-fraction", "responder-object"],
+    ids=["move-string", "move-null", "move-fraction", "responder-object", "string", "true", "ragged", "scalar"],
 )
 def test_bad_move_entries_and_matrix_objects_exit_2(tmp_path, capsys, path, value, line):
     # these once raised a TypeError or ValueError with a traceback, or truncated

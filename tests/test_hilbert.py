@@ -82,6 +82,11 @@ def test_bell_like_rejects_out_of_range_indices():
         bell_like(np.pi / 4, (2, 0), (0, 0))
     with pytest.raises(IndexOutOfRangeError):
         bell_like(np.pi / 4, (1, 1), (0, -1))
+    # indices are whole numbers: 1.0 reads as 1, and 1.5 or True, once read as 1, is rejected
+    assert np.array_equal(bell_like(0.0, (1.0, 1), (0, 0)).amps, bell_like(0.0, (1, 1), (0, 0)).amps)
+    for index in (1.5, True):
+        with pytest.raises(IndexOutOfRangeError, match=f"basis indices must be integers, got {index!r}"):
+            bell_like(np.pi / 4, (index, 1), (0, 0))
 
 
 def test_probability_table_examples():

@@ -95,6 +95,11 @@ def test_move_set_validation():
         MoveSet(((0, 1), (0, 1)))
     with pytest.raises(InvalidMoveSetError):
         MoveSet(((0, 1), (1, 0, 2)))
+    # entries are whole numbers: 1.0 reads as 1, and 1.5 or True, once read as 1, is rejected
+    assert MoveSet(((1.0, 0), (0, 1))).perms == ((1, 0), (0, 1))
+    for entry in (1.5, True):
+        with pytest.raises(InvalidMoveSetError, match=f"permutation entries must be integers, got {entry!r}"):
+            MoveSet(((entry, 0), (0, 1)))
 
 
 def test_induced_game_fair_superposition():

@@ -150,15 +150,14 @@ def test_special_rows_in_several_chunks_match_the_row_by_row_sweep(monkeypatch, 
     assert sum(chunk[column] > 0 for chunk in chunks) >= 2
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_sweep_ends_fail_fast(tmp_path, capsys):
-    # a literal of 1e400 reads as infinity and is rejected with the document;
-    # finite ends whose step overflows give NaN and infinite thetas, which
-    # fail the state check like any other row
+    # a literal of 1e400 reads as infinity and is rejected with the document,
+    # and so are finite ends whose span overflows, which would give NaN and
+    # infinite thetas
     cases = [
         ("-1e400", 0, 2, "error: sweep.theta.start: expected a finite angle, got -inf\n"),
         (0, "1e400", 2, "error: sweep.theta.stop: expected a finite angle, got inf\n"),
-        ("-1e308", "1e308", 3, "error: squared amplitudes sum to nan, expected 1 within 1e-09\n"),
+        ("-1e308", "1e308", 2, "error: sweep.theta: stop 1e+308 minus start -1e+308 is beyond float range\n"),
     ]
     path = tmp_path / "spec.json"
     for start, stop, code, err in cases:
