@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from rqgames import ParseError, ValidationError, cli, nash
 from rqgames.cli import main, parse_angle, parse_spec, parse_sweep_spec
 
+from mutated_documents import GOLDEN, documents, outcome
+
 ENTANGLED_DOC = json.dumps(
     {
         "payoffs": {"ultimatum": {"a": 99, "b": 50, "c": 1}},
@@ -1200,11 +1202,10 @@ def test_the_fast_path_gives_argparses_namespace_or_declines(data):
 def test_mutated_documents_match_their_golden():
     # every outcome as recorded by tests/mutated_documents.py: an error's text
     # and its order among a document's errors, and the stdout of a success
-    from mutated_documents import GOLDEN, documents, outcome
-
     with open(GOLDEN, encoding="utf-8") as handle:
         golden = [json.loads(line) for line in handle]
-    outcomes = [outcome(argv, text) for argv, text in documents()]
+    docs = list(documents())
+    outcomes = [outcome(argv, text) for argv, text in docs]
     assert len(outcomes) == len(golden)
-    changed = [(i, text, want, got) for i, ((_, text), want, got) in enumerate(zip(documents(), golden, outcomes)) if want != got]
+    changed = [(i, text, want, got) for i, ((_, text), want, got) in enumerate(zip(docs, golden, outcomes)) if want != got]
     assert not changed, changed[:3]
