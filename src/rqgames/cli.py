@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GameError, ParseError, TooLargeError, ValidationError
-from .games import Bimatrix, PayoffTable, UltimatumParams, _finite, ultimatum_2x2, ultimatum_general
+from .games import _FLOAT_MAX, Bimatrix, PayoffTable, UltimatumParams, _finite, ultimatum_2x2, ultimatum_general
 from .hilbert import QuantumState, bell_like, bell_like_probs, probability_table, state_from_amplitudes
 from .induce import (
     ALIGNED,
@@ -241,7 +241,12 @@ def _amplitude_matrix(rows, field: str) -> np.ndarray:
         raise ValidationError(field, "ragged rows")
     # the whole matrix in one pass; the entry by entry check names the first bad entry
     parts = [p for row in rows for v in row for p in (v if type(v) is list and len(v) == 2 else (v, 0.0))]
-    if not {type(p) for p in parts} <= {int, float} or not all(map(_finite, parts)):
+    try:  # the types first, as numpy reads "3" and true as numbers
+        values = np.array(parts, dtype=float) if {type(p) for p in parts} <= {int, float} else None
+    except OverflowError:  # an int beyond float range
+        values = None
+    # an int just past the float maximum rounds to it, so the maximum gets the entry by entry check too
+    if values is None or not np.logical_and.reduce(np.abs(values) < _FLOAT_MAX):
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
                 for p in v if type(v) is list and len(v) == 2 else (v,):
@@ -249,7 +254,7 @@ def _amplitude_matrix(rows, field: str) -> np.ndarray:
                         raise ValidationError(f"{field}[{i}][{j}]", f"expected a number or [re, im] pair, got {v!r}")
                     if not _finite(p):
                         raise ValidationError(f"{field}[{i}][{j}]", f"expected a finite number, got {v!r}")
-    return np.array(parts, dtype=float).view(complex).reshape(len(rows), width)
+    return values.view(complex).reshape(len(rows), width)
 
 
 def _amplitudes(block, field: str) -> QuantumState:
@@ -302,21 +307,19 @@ def parse_spec(text: str) -> GameSpecDocument:
 
     rules = {
         "payoffs": lambda block, field: _source(block, field, _PAYOFFS),
-        # the state, then the default move sets, at the payoff table's dimensions
-        "state": lambda block, field: (
-            _source(block, field, {"bell": bell, "amplitudes": _amplitudes}),
-            *map(default_move_set, got["payoffs"].dims),
-        ),
+        "state": lambda block, field: _source(block, field, {"bell": bell, "amplitudes": _amplitudes}),
         "moves": lambda block, field: {} if block is None else _fields(block, field, _MOVES),  # null is no block
         "solver": _solver,
     }
     _fields(_load_json(text), "document", rules, ("payoffs", "state"), "top level must be an object", got)
-    payoffs, (state, *defaults), given = got["payoffs"], got["state"], got.get("moves", {})
-    moves_p, moves_r = given.get("proposer", defaults[0]), given.get("responder", defaults[1])
+    payoffs, state, given = got["payoffs"], got["state"], got.get("moves", {})
     if state.dims != payoffs.dims:
         raise ValidationError(
             "state", f"state dimensions {state.dims} do not match payoffs {payoffs.dims}"
         )
+    # a default move set only now: a table with a side of 1 has failed the check above
+    moves_p = given["proposer"] if "proposer" in given else default_move_set(payoffs.dims[0])
+    moves_r = given["responder"] if "responder" in given else default_move_set(payoffs.dims[1])
     if (moves_p.d, moves_r.d) != payoffs.dims:
         raise ValidationError(
             "moves",

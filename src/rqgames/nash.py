@@ -33,8 +33,8 @@ PURE_KIND_TOL = 1e-9
 # terms, within which the off-support prefilter defers to the off-support test.
 DOMINANCE_SLACK = 1e-12
 
-# Support pairs per chunk of ``support_enumeration``'s solves; it bounds the
-# memory one chunk takes.
+# Support pairs per chunk of ``support_enumeration``'s first phase and per
+# stack of its second; it bounds the memory one solve takes.
 STACK_PAIRS = 1024
 # A game (or stack of games) that keeps up to this many support pairs in all
 # solves both players' systems in one call instead of two phases.  Over the
@@ -302,9 +302,11 @@ def _enumerate(a, b, eps):
     the (P, 2) payoffs and regrets and the (P,) degenerate flags.
 
     The pairs ``_support_pairs`` keeps at every support size k >= 2 form
-    one list in enumeration order, which ``_candidates`` solves in chunks
-    that may span sizes.  ``_certify``, whose values do not depend on the
-    stack, then certifies the candidates of every chunk at once, and the
+    one list in enumeration order, which ``_candidates`` takes through
+    phase 1 in chunks that may span sizes; phase 2 takes the pairs every
+    chunk leaves, in enumeration order, in stacks of the chunk size as they
+    fill.  ``_certify``, whose values do not depend on the stack, then
+    certifies all the candidates at once, and the
     steps that depend on what a game has found so far (the duplicate test
     and the exact re-check) run in one ``_take`` pass over the pure
     profiles and the candidates.
@@ -329,11 +331,27 @@ def _enumerate(a, b, eps):
         # each game's matrices in C order, and the responder's transposed, a row per their move
         by_game = np.ascontiguousarray(both.transpose(0, 3, 1, 2))
         (ga, gb), gbt = by_game, np.ascontiguousarray(b.transpose(2, 1, 0))
-        size, tables = max(STACK_PAIRS, count), (by_game.reshape(-1), ga, gbt, slack, eps, len(kept) <= TWO_PHASE_MIN_PAIRS)
-        found = [_candidates(*tables, kept[s : s + size]) for s in range(0, len(kept), size)]
-        games, row_sets, col_sets, x, y, valid = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
-        if not len(games):
+        size, tables = max(STACK_PAIRS, count), (by_game.reshape(-1), ga, gbt, slack, eps)
+        found, left = [], None  # the candidates so far, and the pairs phase 1 left that phase 2 has yet to solve
+        for s in range(0, len(kept), size):
+            part = _candidates(*tables, len(kept) <= TWO_PHASE_MIN_PAIRS, kept[s : s + size])
+            done = len(part) == 7  # x solved too: one call, in a small game or a chunk of the largest k
+            if not done:
+                left = part if left is None else _joined([left, part])
+            # phase 2 as its stacks fill, and on the rest before the candidates of one call or after the last chunk
+            end = done or s + size >= len(kept)
+            while left is not None and len(left[0]) >= (1 if end else size):
+                found.append(_phase(*tables, (1,), [v[:size] for v in left]))
+                left = [v[size:] for v in left]
+            if done:
+                found.append(part)
+        fields = _joined(found)
+        if not fields or not len(fields[0]):
             return pure
+        games, row_sets, col_sets, _, passed, y, x = fields
+        # mixed_strategy's sum test; the weights are clamped to nonnegative already
+        summed = np.abs(np.array([np.add.reduce(x, -1), np.add.reduce(y, -1)]) - 1.0) <= SIMPLEX_SUM_TOL
+        valid = passed & np.logical_and.reduce(summed)
         payoffs, regrets, certified, degen = _certify(*by_game.take(games, axis=1), x, y, eps)
         candidates = games, x, y, payoffs.T, regrets.T, degen
         # a candidate that is no duplicate certifies or, in a finite game, gets re-checked exactly;
@@ -360,6 +378,11 @@ def _enumerate(a, b, eps):
         order = fields[0].argsort(kind="stable")
         fields = [v.take(order, axis=0) for v in fields]
     return tuple(fields)
+
+
+def _joined(parts) -> list:
+    """The fields of several parts, each concatenated over the parts."""
+    return parts[0] if len(parts) == 1 else [np.concatenate(v) for v in zip(*parts)]
 
 
 def _take(games, x, y, payoffs, regrets, degenerate, valid, good, retry, recheck) -> np.ndarray:
@@ -551,87 +574,76 @@ def _subsets(size: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _candidates(payoffs, ga, gbt, slack, eps, one_call, ids):
-    """The candidates of a chunk of support pairs, flat indices ``ids`` of
-    ``_support_pairs``: pair i is game games[i] (proposer ga[games[i]],
-    responder transposed gbt[games[i]]) on a row set and a column set of
-    ``_set_table``, with margin slack[games[i]]; ``payoffs`` is ``ga``, then
-    the responder's untransposed, flattened.  Phase 1 solves the proposer's
-    systems, which give the responder's mix y; phase 2 solves the
-    responder's systems, which give x, for the pairs phase 1 keeps.  Each
-    phase solves the systems of every size in one ``_indifference`` call.
-    With ``one_call``, or when no pair leaves a row out, where phase 1 could
-    drop only invalid weights, one call solves both, and the pairs are
-    dropped once after both tests.  A pair whose best off-support move beats
-    the support's value by more than eps + slack is dropped, as it could not
-    pass even exactly; one beaten by more than eps fails the off-support
-    test.  Those payoffs are ``a[off_rows] @ y`` and ``x @ b[:, off_cols]``:
-    each phase gathers every pair's off-support rows (columns) at once, then
-    makes one kernel call per size on the layout a single pair's indexing
-    gives (C, then Fortran order), so that each product rounds as it does
-    alone.  Returns, in order, the games, row sets, column sets and (x, y)
-    mixes of the pairs kept with valid weights, and which are valid float
-    profiles: mixes that pass the sum test of ``mixed_strategy`` and the
-    off-support test.
-    """
+    """Phase 1 of a chunk of support pairs, flat indices ``ids`` of
+    ``_support_pairs``: ``_phase`` on the proposer's systems.  With
+    ``one_call``, or when no pair leaves a row out, where phase 1 could drop
+    only invalid weights, it solves both players' systems in one call
+    instead, and the pairs are dropped once after both tests.  Returns the
+    games, row sets, column sets and sizes of the pairs kept, which pass so
+    far and their y, then, after one call, their x."""
     count, m, n = ga.shape
-    width = min(m, n)
     pair, games = np.divmod(ids, count)
     table = _pair_table(m, n)
     shift, widths, col_starts, sizes = table[3:].take(table[1].searchsorted(pair, side="right"), axis=1)
     row_sets, col_sets = np.divmod(pair + shift, widths)
-    col_sets += col_starts  # sizes nondecreasing
-    top, one_call = int(sizes[-1]), one_call or sizes[0] == m
+    players = (0, 1) if one_call or sizes[0] == m else (0,)
+    pairs = [games, row_sets, col_sets + col_starts, sizes, np.ones(len(ids), dtype=bool)]
+    return _phase(payoffs, ga, gbt, slack, eps, players, pairs)
+
+
+def _phase(payoffs, ga, gbt, slack, eps, players, pairs):
+    """One phase of the search for candidates: solve the systems of
+    ``players`` (0, the proposer, whose systems give the responder's mix y,
+    or 1, whose systems give x) for support pairs in one ``_indifference``
+    call, then test each solved mix off the support.
+
+    ``pairs`` lists the games, row sets and column sets (of ``_set_table``),
+    sizes, nondecreasing, and which pass so far of the pairs, and after
+    phase 1 their y: pair i is game games[i] (proposer ga[games[i]],
+    responder transposed gbt[games[i]]) with margin slack[games[i]];
+    ``payoffs`` is ``ga``, then the responder's untransposed, flattened.
+    A pair whose best off-support move beats the support's value by more
+    than eps + slack is dropped, as it could not pass even exactly; one
+    beaten by more than eps fails the off-support test.  Those payoffs are
+    ``a[off_rows] @ y`` and ``x @ b[:, off_cols]``: each player's test
+    gathers every pair's off-support rows (columns) at once, then makes one
+    kernel call per size on the layout a single pair's indexing gives (C,
+    then Fortran order), so that each product rounds as it does alone.
+    Returns ``pairs`` for the pairs kept, those with valid weights and no
+    move beyond the margin, with which pass updated and the mixes solved
+    appended in the order of ``players``.
+    """
+    _, m, n = ga.shape
+    games, row_sets, col_sets, sizes = pairs[:4]
+    width, top = min(m, n), int(sizes[-1])
     # each pair's row and column set, led up to the largest k by a move past the last
-    rows, cols = (_set_table(v, width)[1][width - top :].take(sets, axis=1) for v, sets in ((m, row_sets), (n, col_sets)))
-
-    def locate(pairs):  # the games of pairs, their margins, and where each size starts among them, then ends
-        on = games[pairs]
-        return on, slack[on], sizes[pairs].searchsorted(np.arange(2, top + 2)).tolist()
-
-    def off_support(pairs, at, value, size, sets, moves, product):  # the pairs that could pass, and those that do
-        low = int(sizes[pairs[0]]) if len(pairs) else size
+    sets = [_set_table(v, width)[1][width - top :].take(s, axis=1) for v, s in ((m, row_sets), (n, col_sets))]
+    weights, value, ok = _indifference(payoffs, ga.shape, games, *sets, sizes, players)
+    at = np.logical_and.reduce(ok).nonzero()[0]
+    pairs = [v.take(at, axis=0) for v in pairs] if len(at) < len(games) else [*pairs]
+    games, row_sets, col_sets, sizes, passed = pairs[:5]
+    kept, low = np.ones(len(at), dtype=bool), int(sizes[0]) if len(at) else top
+    if low < max(m, n):  # what the off-support tests read: where each size starts, then ends, margins and limits
+        edges, margin, limit = sizes.searchsorted(np.arange(2, top + 2)).tolist(), slack[games], value.take(at, axis=-1) + eps
+    for i, player in enumerate(players):
+        (size, moves, own), other = ((m, ga.reshape(-1, n), row_sets), n) if player == 0 else ((n, gbt.reshape(-1, m), col_sets), m)
+        mix = _spread(weights[:, i].take(at, axis=-1), sets[1 - player].take(at, axis=1), other)
+        pairs.append(mix)
         if low == size:  # no pair leaves a move out
-            return ~np.zeros((2, len(pairs)), dtype=bool)
-        on, margin, edges = at
-        off = _set_table(size, width)[5][:, : size - low].take(sets[pairs], axis=0) + (on * size)[:, None]
+            continue
+        off = _set_table(size, width)[5][:, : size - low].take(own, axis=0) + (games * size)[:, None]
         off = moves.take(off, axis=0)  # every pair's off-support moves at once
-        values = np.full((len(pairs), size - low), -np.inf)
+        values = np.full((len(at), size - low), -np.inf)
         for k, lo, hi in zip(range(low, size), edges[low - 2 :], edges[low - 1 :]):
-            if hi > lo:
-                product(off[lo:hi, : size - k], slice(lo, hi), values[lo:hi, : size - k])
-        best, limit = _across(np.maximum, values), value + eps
-        return ~(best > limit + margin), ~(best > limit)
-
-    weights, value, ok = _indifference(payoffs, ga.shape, games, rows, cols, sizes, (0, 1) if one_call else (0,))
-    pairs = np.logical_and.reduce(ok).nonzero()[0]
-    weights, value = weights.take(pairs, axis=-1), value.take(pairs, axis=-1)
-    at = locate(pairs) if sizes[0] < max(m, n) else None  # what the off-support tests read
-    y = _spread(weights[:, 0], cols.take(pairs, axis=1), n)
-    ga_off = lambda off, span, out: np.matmul(off, y[span, :, None], out=out[..., None])
-    kept, passed = off_support(pairs, at, value[0], m, row_sets, ga.reshape(-1, n), ga_off)
-    if one_call:  # both mixes are known: test both players, then drop once
-        weights, value = weights[:, 1], value[1]
-    else:  # drop, then solve the responder's systems of the pairs left
-        left = kept.nonzero()[0]
-        pairs, y, passed = pairs[left], y.take(left, axis=0), passed[left]
-        if len(pairs):
-            k = int(sizes[pairs[-1]])
-            sets = rows[top - k :].take(pairs, axis=1), cols[top - k :].take(pairs, axis=1)
-            solved = _indifference(payoffs, ga.shape, games[pairs], *sets, sizes[pairs], (1,))
-            weights, value, kept = (v[..., 0, :] for v in solved)
-        else:  # none: empty arrays
-            weights, value, kept = weights[:, 0, left], value[0, left], passed
-        at = locate(pairs)
-    x = _spread(weights, rows[top - len(weights) :].take(pairs, axis=1), m)
-    gb_off = lambda off, span, out: np.matmul(x[span, None], off.transpose(0, 2, 1), out=out[:, None])
-    could, beaten = off_support(pairs, at, value, n, col_sets, gbt.reshape(-1, m), gb_off)
-    passed, kept = passed & beaten, kept & could
-    if not np.logical_and.reduce(kept):
-        left = kept.nonzero()[0]
-        pairs, x, y, passed = pairs[left], x.take(left, axis=0), y.take(left, axis=0), passed[left]
-    # mixed_strategy's sum test; the weights are clamped to nonnegative already
-    summed = np.logical_and.reduce(np.abs(np.array([np.add.reduce(x, -1), np.add.reduce(y, -1)]) - 1.0) <= SIMPLEX_SUM_TOL)
-    return games[pairs], row_sets[pairs], col_sets[pairs], x, y, passed & summed
+            if hi > lo and player == 0:  # a[off_rows] @ y
+                np.matmul(off[lo:hi, : size - k], mix[lo:hi, :, None], out=values[lo:hi, : size - k, None])
+            elif hi > lo:  # x @ b[:, off_cols]
+                np.matmul(mix[lo:hi, None], off[lo:hi, : size - k].transpose(0, 2, 1), out=values[lo:hi, None, : size - k])
+        best = _across(np.maximum, values)
+        kept &= ~(best > limit[i] + margin)
+        pairs[4] = passed = passed & ~(best > limit[i])
+    at = kept.nonzero()[0]
+    return pairs if len(at) == len(kept) else [v.take(at, axis=0) for v in pairs]
 
 
 def _spread(weights, support, size) -> np.ndarray:

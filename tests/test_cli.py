@@ -558,13 +558,39 @@ def test_nash_prints_the_equilibrium_of_a_game_with_garbled_float_mixes(tmp_path
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-@pytest.mark.parametrize("flags, name", [([], "nash_8x8_integer.txt"), (["--eps", "1e-300"], "nash_8x8_integer_1e-300.txt")])
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        ([], "nash_8x8_integer.txt"),
+        (["--eps", "1e-300"], "nash_8x8_integer_1e-300.txt"),
+        (["--format", "csv"], "nash_8x8_integer.csv"),
+    ],
+)
 def test_nash_on_an_8x8_integer_game_prints_its_golden_output(capsys, flags, name):
     # a degenerate game whose pairs span several support sizes, with near
     # duplicates and, at eps 1e-300, exact re-checks
     spec = os.path.join(DATA, "nash_8x8_integer.json")
     with open(os.path.join(DATA, name), encoding="utf-8") as handle:
         assert run(["nash", "--spec", spec] + flags, capsys) == (0, handle.read(), "")
+
+
+@pytest.mark.parametrize("fmt, ext", [("table", "txt"), ("csv", "csv")])
+def test_nash_on_an_8x8_uniform_game_prints_its_golden_output(monkeypatch, capsys, fmt, ext):
+    # a nondegenerate game with seeded uniform payoffs and complex amplitudes,
+    # whose support pairs survive the proposer's systems in more than one chunk
+    survivors = []
+    candidates = nash._candidates
+
+    def recording(*args):
+        found = candidates(*args)
+        survivors.append(len(found[0]))
+        return found
+
+    monkeypatch.setattr(nash, "_candidates", recording)
+    spec = os.path.join(DATA, "nash_8x8_uniform.json")
+    with open(os.path.join(DATA, f"nash_8x8_uniform.{ext}"), encoding="utf-8") as handle:
+        assert run(["nash", "--spec", spec, "--format", fmt], capsys) == (0, handle.read(), "")
+    assert sum(map(bool, survivors)) >= 2
 
 
 @pytest.mark.parametrize("fmt, ext", [("table", "txt"), ("csv", "csv")])
@@ -748,6 +774,11 @@ CLASSIFY_REJECTS = [
     (("payoffs", "ultimatum"), {"total": 10, "offers": [2, 4, 6]}, "state: operation requires a 2x2 state, got (3, 2)"),
 ]
 
+SIDE_ONE = {
+    "payoffs": {"matrices": {"proposer": [[1, 0]], "responder": [[1, 0]]}},
+    "state": {"amplitudes": {"matrix": [[1, 0], [0, 1]]}},
+}
+
 
 def edited(doc, path, value):
     """A deep copy of doc with the key at path set to value, or removed for DROP."""
@@ -769,7 +800,9 @@ def edited(doc, path, value):
     [("nash", *case) for case in SHARED_REJECTS + NASH_REJECTS]
     + [("sweep", *case) for case in SHARED_REJECTS + SWEEP_REJECTS]
     + [("nash", *case) for case in MORE_NASH_REJECTS]
-    + [("classify", *case) for case in CLASSIFY_REJECTS],
+    + [("classify", *case) for case in CLASSIFY_REJECTS]
+    # a side-1 table: the dimension check runs before any default move set is built
+    + [("nash", (), SIDE_ONE, "state: state dimensions (2, 2) do not match payoffs (1, 2)")],
 )
 def test_golden_validation_errors(tmp_path, capsys, command, path, value, line):
     doc = edited(SWEEP if command == "sweep" else GAME, path, value)

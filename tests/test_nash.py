@@ -1,6 +1,8 @@
 """Best responses, certification, pure/support enumeration and the grid oracle."""
 
 import itertools
+import math
+import os
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from rqgames import (
     verify_equilibrium,
 )
 
+from rqgames.cli import parse_spec
 from rqgames.nash import (
     DOMINANCE_SLACK,
     EPS_DEFAULT,
@@ -826,14 +829,57 @@ def _coordination_game(rng, n):
 
 
 @pytest.mark.parametrize("eps", [1e-9, 0.0])
-def test_phase_two_keeps_the_survivors_of_every_stack(eps):
+def test_phase_two_keeps_the_survivors_of_every_stack(monkeypatch, eps):
     game = _coordination_game(np.random.default_rng(1), 8)
     expected = pairwise_support_enumeration(game, eps)
     found = {_two_phase_chunk(game, eps, p) for p in expected if p.kind == "mixed"}
     # equilibria in several two-phase chunks, of more than one support size in one chunk
     chunks = [chunk for chunk, _ in found]
     assert None not in found and len(set(chunks)) > 1 and len(chunks) > len(set(chunks))
-    _assert_same_profiles(support_enumeration(game, eps), expected)
+    default = support_enumeration(game, eps)
+    _assert_same_profiles(default, expected)
+    # survivors of many chunks in one phase-2 stack, or of one chunk in several
+    for size in (1, 7, 64):
+        monkeypatch.setattr(nash, "STACK_PAIRS", size)
+        assert [profile_fields(p) for p in support_enumeration(game, eps)] == [profile_fields(p) for p in default]
+
+
+def _golden_8x8_integer():
+    with open(os.path.join(os.path.dirname(__file__), "data", "nash_8x8_integer.json"), encoding="utf-8") as handle:
+        doc = parse_spec(handle.read())
+    return nash.game_matrices(induce_game(doc.state, doc.payoffs, doc.moves_proposer, doc.moves_responder))
+
+
+@pytest.mark.parametrize("kind, chunk", [("golden", STACK_PAIRS), ("seeded", STACK_PAIRS), ("seeded", 64)])
+def test_phase_two_solves_the_survivors_of_every_chunk_together(monkeypatch, kind, chunk):
+    # 0..3 integer 8x8 games whose pairs survive the proposer's systems in
+    # several chunks; phase 2 takes them all, in stacks of up to STACK_PAIRS
+    game = _golden_8x8_integer() if kind == "golden" else _random_game(np.random.default_rng(1), (8, 8), integer=True)
+    phase_two, survivors = [], []  # the widths of phase 2's solves, and each chunk's survivors
+    solve, candidates = nash._solve_stacked, nash._candidates
+
+    def solving(ab, sizes=None):
+        if not chunking.inside:
+            phase_two.append(ab.shape[-1])
+        return solve(ab, sizes)
+
+    def chunking(*args):
+        chunking.inside = True
+        found = candidates(*args)
+        chunking.inside = False
+        survivors.append(len(found[0]))
+        return found
+
+    chunking.inside = False
+    monkeypatch.setattr(nash, "STACK_PAIRS", chunk)
+    monkeypatch.setattr(nash, "_solve_stacked", solving)
+    monkeypatch.setattr(nash, "_candidates", chunking)
+    support_enumeration(game)
+    assert sum(map(bool, survivors)) >= (2 if kind == "golden" else 3)
+    assert sum(phase_two) == sum(survivors) and max(phase_two) <= chunk
+    assert len(phase_two) == math.ceil(sum(survivors) / chunk)
+    if kind == "golden":  # 3 chunks, two with survivors, which phase 2 solves in one call
+        assert len(survivors) == 3 and phase_two == [106]
 
 
 @pytest.mark.parametrize("eps", [1e-9, 0.0, 1e-300])
