@@ -25,6 +25,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -108,9 +109,14 @@ def _reject_constant(name: str):
     raise ParseError(f"{name} is not a finite number")
 
 
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)  # json.loads would build one per document
+
+
 def _load_json(text: str):
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        if text.startswith("\ufeff"):  # json.loads' own error, which the decoder leaves to it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, (exc.lineno, exc.colno)) from exc
     except ParseError:
@@ -124,9 +130,9 @@ def _load_json(text: str):
 def _fields(block, field: str, rules: dict, required=(), reason: str = "expected an object", got=None) -> dict:
     """Read a document block into ``got`` (a new dict by default): check an object with no key outside
     ``rules`` and every ``required`` key, then read each key it gives, in the order of ``rules``, by its
-    rule: a reader ``read(value, path)``, or a ``(test, reason)`` pair that takes a value passing ``test``.
-    A rule may look up the keys read before it in ``got``.  A top-level key's path has no ``document.``
-    prefix, except in an unknown-field error."""
+    rule: a reader ``read(value, path)``, a ``(read,)`` reader ``read(value, path, got)`` that looks up
+    the keys read before it, or a ``(test, reason)`` pair that takes a value passing ``test``.  A
+    top-level key's path has no ``document.`` prefix, except in an unknown-field error."""
     if not isinstance(block, dict):
         raise ValidationError(field, reason)
     if not block.keys() <= rules.keys():
@@ -142,6 +148,8 @@ def _fields(block, field: str, rules: dict, required=(), reason: str = "expected
             value = block[key]
             if type(rule) is not tuple:
                 value = rule(value, prefix + key)
+            elif len(rule) == 1:
+                value = rule[0](value, prefix + key, got)
             elif not rule[0](value):
                 raise ValidationError(prefix + key, rule[1])
             got[key] = value
@@ -192,11 +200,7 @@ def _number(value, field: str):
 
 
 def _index_pair(value, field: str) -> tuple[int, int]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or any(isinstance(v, bool) or not isinstance(v, int) for v in value)
-    ):
+    if type(value) not in (list, tuple) or len(value) != 2 or type(value[0]) is not int or type(value[1]) is not int:
         raise ValidationError(field, f"expected a pair of integer indices, got {value!r}")
     return (value[0], value[1])
 
@@ -216,6 +220,12 @@ def _ultimatum(block, field: str) -> PayoffTable:
     raise ValidationError(field, "give either keys a, b, c or keys total, offers")
 
 
+def _floats(values: list, numbers) -> np.ndarray | None:
+    """The JSON numbers ``values`` as a float array, or None if one of ``numbers``, the same values one by one,
+    is beyond float range: exactly, as numpy would round an int just past the float maximum to the maximum."""
+    return np.array(values, dtype=float) if max(map(abs, numbers), default=0) <= _FLOAT_MAX else None
+
+
 def _matrices(block, field: str) -> PayoffTable:
     if not isinstance(block, dict) or set(block) != {"proposer", "responder"}:
         raise ValidationError(field, "need matrices 'proposer' and 'responder'")
@@ -226,11 +236,13 @@ def _matrices(block, field: str) -> PayoffTable:
             or not {type(v) for row in rows for v in row} <= {int, float}
         ):
             raise ValidationError(field, "expected matrices of numbers")
+    proposer, responder = (
+        _floats(rows, chain.from_iterable(rows)) for rows in (block["proposer"], block["responder"])
+    )
+    if proposer is None or responder is None:
+        raise ValidationError(field, "payoff entries must be finite")
     with _reported_as(field):
-        try:
-            return PayoffTable(np.array(block["proposer"], dtype=float), np.array(block["responder"], dtype=float))
-        except OverflowError:  # an integer beyond float range
-            raise ValidationError(field, "payoff entries must be finite") from None
+        return PayoffTable(proposer, responder)
 
 
 def _amplitude_matrix(rows, field: str) -> np.ndarray:
@@ -241,12 +253,9 @@ def _amplitude_matrix(rows, field: str) -> np.ndarray:
         raise ValidationError(field, "ragged rows")
     # the whole matrix in one pass; the entry by entry check names the first bad entry
     parts = [p for row in rows for v in row for p in (v if type(v) is list and len(v) == 2 else (v, 0.0))]
-    try:  # the types first, as numpy reads "3" and true as numbers
-        values = np.array(parts, dtype=float) if {type(p) for p in parts} <= {int, float} else None
-    except OverflowError:  # an int beyond float range
-        values = None
-    # an int just past the float maximum rounds to it, so the maximum gets the entry by entry check too
-    if values is None or not np.logical_and.reduce(np.abs(values) < _FLOAT_MAX):
+    # the types first, as numpy reads "3" and true as numbers
+    values = _floats(parts, parts) if {type(p) for p in parts} <= {int, float} else None
+    if values is None:
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
                 for p in v if type(v) is list and len(v) == 2 else (v,):
@@ -261,6 +270,14 @@ def _amplitudes(block, field: str) -> QuantumState:
     with _reported_as(field):
         given = _fields(block, field, _AMPLITUDES, ("matrix",))
         return state_from_amplitudes(given["matrix"], normalize=given.get("normalize", True))
+
+
+def _state(block, field: str, got: dict) -> QuantumState:
+    state = _source(block, field, _STATES)
+    if type(state) is dict:  # the fields of a bell block, whose state takes the payoff table's shape
+        with _reported_as(f"{field}.bell"):
+            return bell_like(**state, dims=got["payoffs"].dims)
+    return state
 
 
 def _move_set(perms, field: str) -> MoveSet:
@@ -279,6 +296,7 @@ _PAYOFFS = {"ultimatum": _ultimatum, "matrices": _matrices}
 _ULTIMATUM_ABC = {"a": _number, "b": _number, "c": _number}
 _ULTIMATUM_OFFERS = {"total": lambda total, field: total, "offers": (lambda v: isinstance(v, list), "expected a list")}
 _BELL = {"theta": parse_angle, "basis_a": _index_pair, "basis_b": _index_pair}
+_STATES = {"bell": lambda block, field: _fields(block, field, _BELL, _BELL), "amplitudes": _amplitudes}
 _AMPLITUDES = {"matrix": _amplitude_matrix, "normalize": (lambda v: isinstance(v, bool), "expected true or false")}
 _MOVES = {"proposer": _move_set, "responder": _move_set}
 _SOLVER = {
@@ -295,36 +313,25 @@ _OUTPUTS = (
     lambda v: isinstance(v, list) and v and all(o in SWEEP_OUTPUTS for o in v) and len(set(v)) == len(v),
     f"expected a subset of {list(SWEEP_OUTPUTS)}",
 )
+_GAME = {
+    "payoffs": lambda block, field: _source(block, field, _PAYOFFS),
+    "state": (_state,),
+    "moves": lambda block, field: {} if block is None else _fields(block, field, _MOVES),  # null is no block
+    "solver": _solver,
+}
 
 
 def parse_spec(text: str) -> GameSpecDocument:
     """Parse and validate a game document."""
-    got = {}
-
-    def bell(block, field):
-        with _reported_as(field):
-            return bell_like(**_fields(block, field, _BELL, _BELL), dims=got["payoffs"].dims)
-
-    rules = {
-        "payoffs": lambda block, field: _source(block, field, _PAYOFFS),
-        "state": lambda block, field: _source(block, field, {"bell": bell, "amplitudes": _amplitudes}),
-        "moves": lambda block, field: {} if block is None else _fields(block, field, _MOVES),  # null is no block
-        "solver": _solver,
-    }
-    _fields(_load_json(text), "document", rules, ("payoffs", "state"), "top level must be an object", got)
-    payoffs, state, given = got["payoffs"], got["state"], got.get("moves", {})
-    if state.dims != payoffs.dims:
-        raise ValidationError(
-            "state", f"state dimensions {state.dims} do not match payoffs {payoffs.dims}"
-        )
+    got = _fields(_load_json(text), "document", _GAME, ("payoffs", "state"), "top level must be an object")
+    payoffs, state, given, dims = got["payoffs"], got["state"], got.get("moves", {}), got["payoffs"].dims
+    if state.dims != dims:
+        raise ValidationError("state", f"state dimensions {state.dims} do not match payoffs {dims}")
     # a default move set only now: a table with a side of 1 has failed the check above
-    moves_p = given["proposer"] if "proposer" in given else default_move_set(payoffs.dims[0])
-    moves_r = given["responder"] if "responder" in given else default_move_set(payoffs.dims[1])
-    if (moves_p.d, moves_r.d) != payoffs.dims:
-        raise ValidationError(
-            "moves",
-            f"move sets act on ({moves_p.d}, {moves_r.d}) but payoffs are {payoffs.dims}",
-        )
+    moves_p = given["proposer"] if "proposer" in given else default_move_set(dims[0])
+    moves_r = given["responder"] if "responder" in given else default_move_set(dims[1])
+    if (moves_p.d, moves_r.d) != dims:
+        raise ValidationError("moves", f"move sets act on ({moves_p.d}, {moves_r.d}) but payoffs are {dims}")
     return GameSpecDocument(
         payoffs=payoffs,
         state=state,

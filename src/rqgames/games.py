@@ -43,14 +43,14 @@ class Bimatrix:
                 f"payoff matrices must share one 2-D shape, got "
                 f"{proposer.shape} and {responder.shape}"
             )
-        if not (np.isfinite(proposer).all() and np.isfinite(responder).all()):
+        if np.count_nonzero(np.isfinite(proposer) & np.isfinite(responder)) != proposer.size:
             raise InvalidPayoffsError("payoff entries must be finite")
         object.__setattr__(self, "proposer", _freeze(proposer))
         object.__setattr__(self, "responder", _freeze(responder))
 
     @property
     def dims(self) -> tuple[int, int]:
-        return (self.proposer.shape[0], self.proposer.shape[1])
+        return self.proposer.shape
 
 
 PayoffTable = Bimatrix

@@ -53,33 +53,33 @@ def _unit_sum(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The one normalization rule of ``QuantumState``, ``ProbabilityTable``
     and ``bell_like_probs``.  A NaN or infinite sum misses too.
     """
-    total = weights.sum(axis=(-2, -1))
-    return total, ~(np.abs(total - 1.0) <= NORM_TOL)
+    total = np.add.reduce(weights, axis=(-2, -1))
+    return total, ~(abs(total - 1.0) <= NORM_TOL)
 
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Normalized pure state over a dP x dR joint outcome basis."""
+    """Normalized pure state over a dP x dR joint outcome basis; its norm check builds its ``ProbabilityTable``."""
 
     amps: np.ndarray
 
     def __post_init__(self):
         amps = np.asarray(self.amps, dtype=complex)
         if amps.ndim != 2 or amps.shape[0] < 2 or amps.shape[1] < 2:
-            raise DimensionMismatchError(
-                f"amplitude matrix must be at least 2x2, got shape {amps.shape}"
-            )
+            raise DimensionMismatchError(f"amplitude matrix must be at least 2x2, got shape {amps.shape}")
         with np.errstate(over="ignore"):  # an overflow makes the sum infinite, which misses 1
-            total, off = _unit_sum(np.abs(amps) ** 2)
-        if off:
-            raise NotNormalizedError(
-                f"squared amplitudes sum to {float(total)}, expected 1 within {NORM_TOL}"
-            )
+            probs = np.abs(amps) ** 2
+            try:
+                table = ProbabilityTable(probs)
+            except InvalidProbabilityError:  # squared moduli are never negative, so the sum missed
+                total = float(_unit_sum(probs)[0])
+                raise NotNormalizedError(f"squared amplitudes sum to {total}, expected 1 within {NORM_TOL}") from None
         object.__setattr__(self, "amps", _freeze(amps))
+        object.__setattr__(self, "_table", table)
 
     @property
     def dims(self) -> tuple[int, int]:
-        return (self.amps.shape[0], self.amps.shape[1])
+        return self.amps.shape
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,18 +92,16 @@ class ProbabilityTable:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2:
             raise DimensionMismatchError("probability table must be a matrix")
-        if np.any(probs < 0.0):
+        if np.fmin.reduce(probs, axis=None, initial=0.0) < 0.0:  # fmin passes over NaN, as a comparison does
             raise InvalidProbabilityError("negative probability entry")
         total, off = _unit_sum(probs)
         if off:
-            raise InvalidProbabilityError(
-                f"probabilities sum to {float(total)}, expected 1 within {NORM_TOL}"
-            )
+            raise InvalidProbabilityError(f"probabilities sum to {float(total)}, expected 1 within {NORM_TOL}")
         object.__setattr__(self, "probs", _freeze(probs))
 
     @property
     def dims(self) -> tuple[int, int]:
-        return (self.probs.shape[0], self.probs.shape[1])
+        return self.probs.shape
 
 
 def state_from_amplitudes(raw, normalize: bool = False) -> QuantumState:
@@ -115,14 +113,13 @@ def state_from_amplitudes(raw, normalize: bool = False) -> QuantumState:
     """
     amps = np.array(raw, dtype=complex)
     if amps.ndim != 2 or amps.shape[0] < 2 or amps.shape[1] < 2:
-        raise DimensionMismatchError(
-            f"amplitude matrix must be at least 2x2, got shape {amps.shape}"
-        )
-    if not np.any(amps):
+        raise DimensionMismatchError(f"amplitude matrix must be at least 2x2, got shape {amps.shape}")
+    if not np.count_nonzero(amps):
         raise ZeroStateError("amplitude matrix is identically zero")
     if normalize:
+        flat = amps.ravel()  # np.linalg.norm's own arithmetic, without its dispatch
         with np.errstate(over="ignore"):
-            norm = np.linalg.norm(amps)
+            norm = math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
         if not 2.0**-500 < norm < 2.0**500:  # the squares may have underflowed or overflowed
             # a power of two scales the real and imaginary parts exactly into (-1, 1)
             exponent = math.frexp(max(np.abs(amps.real).max(), np.abs(amps.imag).max()))[1]
@@ -184,8 +181,8 @@ def bell_like_probs(
 
 
 def probability_table(state: QuantumState) -> ProbabilityTable:
-    """Squared moduli of the amplitudes; phases drop out here."""
-    return ProbabilityTable(np.abs(state.amps) ** 2)
+    """Squared moduli of the amplitudes; phases drop out here.  The state built the table in its norm check."""
+    return state._table
 
 
 def schmidt_rank(state: QuantumState) -> int:

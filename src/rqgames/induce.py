@@ -54,7 +54,7 @@ class MoveSet:
         bad = [v for p in self.perms for v in p if not _whole(v)]
         if bad:
             raise InvalidMoveSetError(f"permutation entries must be integers, got {bad[0]!r}")
-        perms = tuple(tuple(int(v) for v in p) for p in self.perms)
+        perms = tuple(tuple(map(int, p)) for p in self.perms)
         if not perms:
             raise InvalidMoveSetError("move set must contain at least one permutation")
         d = len(perms[0])
@@ -132,20 +132,20 @@ def induce_stack(
     # its columns, gathered by one take of flat outcome indices.  The take
     # lays it out C-contiguous, which keeps each block's summation order.
     dims = probs.shape[1:]
-    moved = probs.reshape(len(probs), -1).take(_outcome_index(moves_p, moves_r, dims), axis=1)
+    moved = probs.reshape(len(probs), -1).take(_outcome_index(moves_p.perms, moves_r.perms, dims), axis=1)
     with np.errstate(over="ignore"):  # an overflowing sum gives inf, which fails the game's finite check
-        proposer = (moved * payoffs.proposer).sum(axis=(-2, -1))
-        responder = (moved * payoffs.responder).sum(axis=(-2, -1))
+        proposer = np.add.reduce(moved * payoffs.proposer, axis=(-2, -1))
+        responder = np.add.reduce(moved * payoffs.responder, axis=(-2, -1))
     return proposer, responder
 
 
 @functools.lru_cache(maxsize=16)
-def _outcome_index(moves_p: MoveSet, moves_r: MoveSet, dims: tuple[int, int]) -> np.ndarray:
+def _outcome_index(perms_p: tuple, perms_r: tuple, dims: tuple[int, int]) -> np.ndarray:
     """The (m, n, dP, dR) flat index into a dP x dR table of the outcome that
-    move pair (i, j) sends to each cell (k, l).  Move sets are frozen, so a
-    pair's index is built once and shared."""
-    inv_p = np.argsort(moves_p.perms, axis=1)
-    inv_r = np.argsort(moves_r.perms, axis=1)
+    move pair (i, j) sends to each cell (k, l).  Keyed by the move sets'
+    permutations, which hash faster than a ``MoveSet``, so it is built once."""
+    inv_p = np.argsort(perms_p, axis=1)
+    inv_r = np.argsort(perms_r, axis=1)
     index = inv_p[:, None, :, None] * dims[1] + inv_r[:, None, :]
     index.flags.writeable = False
     return index
@@ -225,10 +225,10 @@ class StateClass:
 
 def classify_state(state: QuantumState) -> StateClass:
     """Label a 2x2 state aligned or opposed from its probability differences."""
-    t = _probs_2x2(state)
-    d1 = float(t[1, 1] - t[0, 1])
-    d2 = float(t[1, 0] - t[0, 0])
-    return StateClass(label=str(class_labels(d1, d2)), diffs=(d1, d2))
+    t = _probs_2x2(state).tolist()  # floats: numpy's calls on scalars cost more than the arithmetic
+    d1 = t[1][1] - t[0][1]
+    d2 = t[1][0] - t[0][0]
+    return StateClass(label=OPPOSED if opposed(d1, d2) else ALIGNED, diffs=(d1, d2))
 
 
 def class_labels(diff1, diff2) -> np.ndarray:
@@ -244,9 +244,10 @@ def opposed(diff1, diff2) -> np.ndarray:
 def _sign(diff):
     """The sign of a probability difference, 0 within SIGN_TOL of zero.
 
-    The one sign rule of ``opposed`` and ``aligned_equilibrium``.
+    The one sign rule of ``opposed`` and ``aligned_equilibrium``, for a
+    float or an array; a NaN difference counts as 0.
     """
-    return np.sign(diff) * (np.abs(diff) > SIGN_TOL)
+    return 1 * (diff > SIGN_TOL) - (diff < -SIGN_TOL)
 
 
 def aligned_equilibrium(

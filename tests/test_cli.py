@@ -895,6 +895,13 @@ def test_golden_validation_errors(tmp_path, capsys, command, path, value, line):
             f'{{"matrices": {{"proposer": [[{10**400}, 0], [0, 1]], "responder": [[1, 0], [0, 1]]}}}}',
             "payoffs.matrices: payoff entries must be finite",
         ),
+        # an int just past the float maximum, which numpy would round to the maximum
+        (
+            "nash",
+            ("payoffs",),
+            f'{{"matrices": {{"proposer": [[{int(sys.float_info.max) + 2**969}, 0], [0, 1]], "responder": [[1, 0], [0, 1]]}}}}',
+            "payoffs.matrices: payoff entries must be finite",
+        ),
     ],
     ids=[
         "theta-1e400",
@@ -914,6 +921,7 @@ def test_golden_validation_errors(tmp_path, capsys, command, path, value, line):
         "amplitude-1e309",
         "amplitude-imaginary-1e309",
         "payoff-10**400",
+        "payoff-float-max-plus-2**969",
     ],
 )
 def test_non_finite_numbers_exit_2(tmp_path, capsys, command, path, literal, line):
@@ -1079,6 +1087,17 @@ def test_a_spec_that_is_not_utf8_exits_2(tmp_path, monkeypatch, stdin):
     code, out, err = run_caught(["nash", "--spec", "-" if stdin else str(path)])
     source = "stdin" if stdin else str(path)
     assert (code, out, err) == (2, "", f"error: {source}: not UTF-8 text (invalid start byte at byte 0)\n")
+
+
+@pytest.mark.parametrize("stdin", [False, True])
+def test_a_spec_that_starts_with_a_byte_order_mark_exits_2(tmp_path, monkeypatch, stdin):
+    data = b"\xef\xbb\xbf" + ENTANGLED_DOC.encode()
+    path = tmp_path / "bom.json"
+    path.write_bytes(data)
+    if stdin:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    code, out, err = run_caught(["nash", "--spec", "-" if stdin else str(path)])
+    assert (code, out, err) == (2, "", "error: line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n")
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["nash", "-h"]])

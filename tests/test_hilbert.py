@@ -16,6 +16,8 @@ from rqgames import (
     probability_table,
     schmidt_rank,
     state_from_amplitudes,
+    swap_proposer_coeffs,
+    swap_responder_coeffs,
 )
 from rqgames import hilbert
 from rqgames.hilbert import bell_like_probs
@@ -211,3 +213,37 @@ def test_normalizing_states_at_extreme_scales():
 def test_an_overflowing_unnormalized_state_is_rejected_without_a_warning():
     with pytest.raises(NotNormalizedError, match="sum to inf"):
         state_from_amplitudes([[1e300, 0], [0, 0]])
+
+
+COMPLEX = np.array([[0.3 + 0.4j, -0.1], [0.2j, 0.5 - 0.6j]])
+KEPT_TABLES = {
+    "bell_like": lambda: bell_like(np.pi / 4, (1, 1), (0, 0)),
+    "bell_like-3x2": lambda: bell_like(0.3, (2, 1), (0, 0), dims=(3, 2)),
+    "amplitudes": lambda: state_from_amplitudes([[0, 1], [0, 0]]),
+    "amplitudes-normalized-given": lambda: state_from_amplitudes(COMPLEX / np.linalg.norm(COMPLEX)),
+    "amplitudes-normalize": lambda: state_from_amplitudes(COMPLEX, normalize=True),
+    "amplitudes-normalize-3e-170": lambda: state_from_amplitudes([[3e-170, 0], [0, 4e-170]], normalize=True),
+    "amplitudes-normalize-1e300": lambda: state_from_amplitudes([[1e300, 0], [0, 1e300]], normalize=True),
+    "swap_proposer_coeffs": lambda: swap_proposer_coeffs(state_from_amplitudes(COMPLEX, normalize=True)),
+    "swap_responder_coeffs": lambda: swap_responder_coeffs(state_from_amplitudes(COMPLEX, normalize=True)),
+}
+
+
+@pytest.mark.parametrize("make", KEPT_TABLES.values(), ids=KEPT_TABLES.keys())
+def test_a_state_keeps_the_probability_table_its_norm_check_built(make):
+    state = make()
+    table = probability_table(state)
+    assert probability_table(state) is table
+    assert table.probs.tobytes() == (np.abs(state.amps) ** 2).tobytes()
+    assert not table.probs.flags.writeable
+    with pytest.raises(ValueError):
+        table.probs[0, 0] = 0.5
+
+
+def test_an_unnormalized_state_still_raises_its_own_error():
+    with pytest.raises(NotNormalizedError) as caught:
+        state_from_amplitudes([[0, 1], [0, 1]])
+    assert str(caught.value) == "squared amplitudes sum to 2.0, expected 1 within 1e-09"
+    with pytest.raises(NotNormalizedError) as caught:
+        QuantumState(np.array([[0.5, 0], [0, 0.5]]))
+    assert str(caught.value) == "squared amplitudes sum to 0.5, expected 1 within 1e-09"
