@@ -56,7 +56,7 @@ SWEEP_OUTPUTS = ("probs", "label", "equilibria")
 # one pass takes.
 SWEEP_CHUNK = 2048
 # The most thetas one sweep may have; a larger count exits 3 before any row
-# is computed.  A million ultimatum rows take about 4.7 s and 195 MB peak
+# is computed.  A million ultimatum rows take about 2.4 s and 149 MB peak
 # traced memory in process in table format (2-vCPU Xeon, numpy 2.4).
 SWEEP_MAX_ROWS = 1_000_000
 
@@ -291,6 +291,33 @@ def _solver(block, field: str) -> float | None:  # null is no block
     return None if block is None else _fields(block, field, _SOLVER).get("eps")
 
 
+def _sweep_payoffs(block, field: str) -> PayoffTable:
+    table = _source(block, field, _PAYOFFS)
+    if table.dims != (2, 2):
+        raise ValidationError(field, f"sweep requires a 2x2 payoff table, got {table.dims}")
+    return table
+
+
+def _theta(block, field: str) -> dict:
+    given = _fields(block, field, _THETA, _THETA, "expected an object with start, stop, count")
+    if not given["start"] < given["stop"]:
+        raise ValidationError(field, f"start {given['start']} must be below stop {given['stop']}")
+    if not _finite(given["stop"] - given["start"]):  # the thetas between would not be finite
+        raise ValidationError(field, f"stop {given['stop']} minus start {given['start']} is beyond float range")
+    return given
+
+
+def _basis_b(value, path: str, got: dict) -> tuple[int, int]:
+    # checked with basis_a, read before it, and both at the 2x2 table, before the outputs are read
+    basis_a, basis_b = got["basis_a"], _index_pair(value, path)
+    if basis_b == basis_a:
+        raise ValidationError(path, "basis pairs must differ")
+    for name, (k, l) in (("basis_a", basis_a), ("basis_b", basis_b)):
+        if not (0 <= k < 2 and 0 <= l < 2):
+            raise ValidationError(f"{path.rpartition('.')[0]}.{name}", f"outcome ({k}, {l}) outside (2, 2)")
+    return basis_b
+
+
 # The rules of the document's fields.  JSON gives a whole number as an int, never as a bool.
 _PAYOFFS = {"ultimatum": _ultimatum, "matrices": _matrices}
 _ULTIMATUM_ABC = {"a": _number, "b": _number, "c": _number}
@@ -319,6 +346,12 @@ _GAME = {
     "moves": lambda block, field: {} if block is None else _fields(block, field, _MOVES),  # null is no block
     "solver": _solver,
 }
+_SWEEP = {"theta": _theta, "basis_a": _index_pair, "basis_b": (_basis_b,), "outputs": _OUTPUTS}
+_SWEEP_DOCUMENT = {
+    "payoffs": _sweep_payoffs,
+    "sweep": lambda block, field: _fields(block, field, _SWEEP, ("theta", "basis_a", "basis_b")),
+    "solver": _solver,
+}
 
 
 def parse_spec(text: str) -> GameSpecDocument:
@@ -343,36 +376,7 @@ def parse_spec(text: str) -> GameSpecDocument:
 
 def parse_sweep_spec(text: str) -> SweepSpec:
     """Parse and validate a sweep document."""
-    def payoffs(block, field):
-        table = _source(block, field, _PAYOFFS)
-        if table.dims != (2, 2):
-            raise ValidationError(field, f"sweep requires a 2x2 payoff table, got {table.dims}")
-        return table
-
-    def theta(block, field):
-        given = _fields(block, field, _THETA, _THETA, "expected an object with start, stop, count")
-        if not given["start"] < given["stop"]:
-            raise ValidationError(field, f"start {given['start']} must be below stop {given['stop']}")
-        if not _finite(given["stop"] - given["start"]):  # the thetas between would not be finite
-            raise ValidationError(field, f"stop {given['stop']} minus start {given['start']} is beyond float range")
-        return given
-
-    def sweep(block, field):
-        def basis_b(value, path):
-            # checked with basis_a, read before it, and both at the 2x2 table, before the outputs are read
-            basis_a, basis_b = tuple(block["basis_a"]), _index_pair(value, path)
-            if basis_b == basis_a:
-                raise ValidationError(path, "basis pairs must differ")
-            for name, (k, l) in (("basis_a", basis_a), ("basis_b", basis_b)):
-                if not (0 <= k < 2 and 0 <= l < 2):
-                    raise ValidationError(f"{field}.{name}", f"outcome ({k}, {l}) outside (2, 2)")
-            return basis_b
-
-        rules = {"theta": theta, "basis_a": _index_pair, "basis_b": basis_b, "outputs": _OUTPUTS}
-        return _fields(block, field, rules, ("theta", "basis_a", "basis_b"))
-
-    rules = {"payoffs": payoffs, "sweep": sweep, "solver": _solver}
-    doc = _fields(_load_json(text), "document", rules, ("payoffs", "sweep"), "top level must be an object")
+    doc = _fields(_load_json(text), "document", _SWEEP_DOCUMENT, ("payoffs", "sweep"), "top level must be an object")
     block, outputs = doc["sweep"], doc["sweep"].get("outputs", SWEEP_OUTPUTS)
     return SweepSpec(
         payoffs=doc["payoffs"],
@@ -520,27 +524,35 @@ def run_sweep(sweep: SweepSpec, eps: float, out_format: str) -> list[str]:
 
 
 # What a printed value puts in its line's template, by its code: a value of
-# exactly 0 (either sign) or 1 is the literal ``fmt`` prints for it, and
-# "%.9g" prints any other value as ``fmt`` does.  _ABSENT marks the unused
-# profile slots of a row with fewer equilibria than the chunk's most.
-_CELLS = ("%.9g", "0", "1")
-_ABSENT = len(_CELLS)
+# exactly 0 (either sign) or 1 is the literal ``fmt`` prints for it, and any
+# other value is a slot of the chunk's ``%`` pass, "%.9g" for the value or
+# "%s" for its "%.9g" text.  _ABSENT marks the unused profile slots of a row
+# with fewer equilibria than the chunk's most.
+_ABSENT = 3
+# The fewest values a chunk prints for ``_fixed_9g`` to decide their texts.
+# Below about 700 to 1 100 values the kernel's fixed cost of about 100 us
+# outweighs what it saves over "%.9g" (real sweep chunks, 2-vCPU Xeon); at
+# twice that, the chunk renders about 20% faster.  The benchmark's 201-row
+# documents print at most about 1 300 values, its larger chunks at least 7 800.
+_FIXED_9G_MIN = 2048
 
 
-def _line_template(columns: list[str], out_format: str, key: bytes) -> str:
+def _line_template(columns: list[str], out_format: str, key: bytes, slot: str) -> str:
     """The %-template of a sweep line keyed by its label (0 aligned, 1
-    opposed), then the code of each value the line prints."""
+    opposed), then the code of each value the line prints; ``slot`` is the
+    template of a value the ``%`` pass prints."""
+    cells_of = (slot, "0", "1")
     codes = iter(key[1:])
     cells = []
     for name in columns:
         if name == "label":
             cells.append((ALIGNED, OPPOSED)[key[0]])
         elif name == "equilibria":
-            values = [_CELLS[code] for code in codes if code != _ABSENT]
+            values = [cells_of[code] for code in codes if code != _ABSENT]
             profiles = (tuple(values[i : i + 4]) for i in range(0, len(values), 4))
             cells.append(";".join("mu=%s nu=%s pp=%s pr=%s" % profile for profile in profiles))
         else:
-            cells.append(_CELLS[next(codes)])
+            cells.append(cells_of[next(codes)])
     return ",".join(cells) if out_format == "csv" else "; ".join(f"{n}={c}" for n, c in zip(columns, cells))
 
 
@@ -580,8 +592,10 @@ def _render_rows(
     marks opposed rows and ``games`` gives each profile's row, in row order.
 
     The rows are rendered by one ``%`` over the values that are not exactly
-    0 or 1, with each row's template keyed by its label and the code of each
-    value it prints.
+    0 or 1, with each row's bytes template keyed by its label and the code
+    of each value it prints.  A chunk that prints at least ``_FIXED_9G_MIN``
+    such values passes their "%.9g" texts: those ``_fixed_9g`` decides,
+    and each other one printed by "%.9g" on its own.
     """
     count, width = head.shape
     groups = np.bincount(games, minlength=count)
@@ -595,9 +609,82 @@ def _render_rows(
     keys[:, 1:] = (cells == 0.0) + 2 * (cells == 1.0)
     keys[:, 1 + width :][slots >= 4 * groups[:, None]] = _ABSENT
     printed = cells[keys[:, 1:] == 0]
+    if len(printed) < _FIXED_9G_MIN:
+        slot, values = "%.9g", printed.tolist()
+    else:
+        at, decided = _fixed_9g(printed)
+        texts = np.empty(len(printed), dtype="S16")  # "%.9g" prints at most 16 characters
+        texts[at] = decided
+        rest = np.ones(len(printed), dtype=bool)
+        rest[at] = False
+        texts[rest] = [b"%.9g" % value for value in printed[rest].tolist()]
+        slot, values = "%s", texts.tolist()
     keys = keys.view(f"V{keys.shape[1]}").ravel().tolist()
-    templates = {key: _line_template(columns, out_format, key) for key in set(keys)}
-    return "\n".join(map(templates.__getitem__, keys)) % tuple(printed.tolist())
+    templates = {key: _line_template(columns, out_format, key, slot).encode() for key in set(keys)}
+    return (b"\n".join(map(templates.__getitem__, keys)) % tuple(values)).decode("ascii")
+
+
+# The tables of ``_fixed_9g``: exact powers of ten; the four ASCII digits of
+# each number below 10 000 as one word, the first digit in the lowest byte,
+# and its count of trailing zeros; the masks of the lowest 0 to 8 bytes of a
+# word and a point in each of those bytes; and, by the code e + 4 + 13 * (v < 0)
+# of a value's decimal exponent e and sign, the text before its first digit
+# and how many of its other eight digits come before the point (8 for all).
+_POW10 = np.array([float(10**k) for k in range(13)])
+_ASCII4 = sum((48 + np.arange(10_000) // 10 ** (3 - i) % 10).astype("<u8") << np.uint64(8 * i) for i in range(4))
+_ZEROS4 = sum(np.arange(10_000) % 10**m == 0 for m in range(1, 5)).astype(np.uint8)
+_LOW = np.array([(1 << 8 * m) - 1 for m in range(9)], dtype="<u8")
+_POINT = np.array([ord(".") << 8 * m for m in range(8)] + [0], dtype="<u8")
+_HEADS = [b"-"[:neg] + (b"0." + b"0" * (-1 - e) if e < 0 else b"") for neg in (0, 1) for e in range(-4, 9)]
+_HEAD = np.array([int.from_bytes(head, "little") for head in _HEADS], dtype="<u8")
+_HEAD_BITS = np.array([8 * len(head) for head in _HEADS], dtype="<u8")
+_SPLIT = np.array([e if e >= 0 else 8 for e in range(-4, 9)] * 2)
+
+
+def _shifted(words: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high words of ``words`` shifted left by ``bits`` < 128 in 128 bits; numpy shifts a
+    uint64 by 64 or more, such as a negative count wrapped around, to 0."""
+    return words << bits, (words << (bits - np.uint64(64))) | (words >> (np.uint64(64) - bits))
+
+
+def _fixed_9g(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the ``values`` whose "%.9g" text is decided here, and those texts as "S16" bytes.
+
+    A value is decided when "%.9g" prints it in fixed notation, with a decimal
+    exponent e from -4 to 8, and its rounding to 9 digits is not in doubt.
+    With e = floor(log10|v|), q = |v| * 10**(8 - e) carries one rounding, an
+    error below 6e-8, as the power of ten is exact.  So a q in [1e8, 1e9)
+    nearer than 0.5 - 1e-6 to its nearest integer D rounds to D, the 9 digits
+    "%.9g" prints, with exponent e.  Ties, exponent form, an e that log10 puts
+    one off, and values that are not finite are left undecided.
+    """
+    magnitude = np.abs(values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # an exponent outside -4..8, and NaN, are clamped into it, where q then misses [1e8, 1e9)
+        e = np.fmin(np.fmax(np.floor(np.log10(magnitude)), -4.0), 8.0).astype(np.intp)
+        q = magnitude * _POW10[8 - e]
+        nearest = np.rint(q)
+        at = np.flatnonzero((q >= 1e8) & (nearest < 1e9) & (np.abs(q - nearest) < 0.5 - 1e-6))
+    e, digits = e[at], nearest[at].astype(np.intp)
+    lead = digits // 10**8
+    rest = digits - lead * 10**8
+    high = rest // 10**4
+    low = rest - high * 10**4
+    zeros = np.where(low != 0, _ZEROS4[low], 4 + _ZEROS4[high])  # of the other eight digits
+    # the other eight digits, without the trailing zeros after the point
+    tail = (_ASCII4[high] | _ASCII4[low] << np.uint64(32)) & _LOW[np.maximum(8 - zeros, e)]
+    code = e + 4 + 13 * (values[at] < 0)
+    split = _SPLIT[code]
+    after = tail >> (8 * split).astype("<u8")
+    before = tail & _LOW[split] | (after != 0) * _POINT[split]  # with the point, if digits follow it
+    bits = _HEAD_BITS[code]
+    texts = np.zeros((len(at), 2), dtype="<u8")  # the low and high word of each text
+    texts[:, 0] = _HEAD[code] | (lead + 48).astype("<u8") << bits
+    for words, shift in ((before, bits + np.uint64(8)), (after, bits + (8 * split + 16).astype("<u8"))):
+        low_word, high_word = _shifted(words, shift)
+        texts[:, 0] |= low_word
+        texts[:, 1] |= high_word
+    return at, texts.view("S16").ravel()
 
 
 def _read_spec_text(path: str) -> str:

@@ -1,5 +1,6 @@
 """The chunked ``rqgames sweep`` against a row-by-row reference and golden files."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import rowwise_run_sweep
 from rqgames import GameError, cli, hilbert, nash
@@ -32,6 +35,13 @@ def sweep_doc(basis_a, basis_b, count, start=0, stop="2*pi", outputs=None, tripl
     return json.dumps({"payoffs": {"ultimatum": {"a": a, "b": b, "c": c}}, "sweep": block})
 
 
+def kernel_on_and_off(monkeypatch):
+    """Render every chunk through _fixed_9g's texts, then every chunk through "%.9g" alone."""
+    for minimum in (0, 1 << 62):
+        monkeypatch.setattr(cli, "_FIXED_9G_MIN", minimum)
+        yield minimum
+
+
 def assert_same_lines(text, eps, out_format="csv"):
     sweep = parse_sweep_spec(text)
     assert "\n".join(run_sweep(sweep, eps, out_format)) == "\n".join(rowwise_run_sweep(sweep, eps, out_format))
@@ -48,17 +58,20 @@ def test_every_basis_pair_and_output_subset_matches_the_row_by_row_sweep(eps):
 
 
 @pytest.mark.parametrize("count", (2, SWEEP_CHUNK, SWEEP_CHUNK + 1, 2 * SWEEP_CHUNK + 3))
-def test_chunk_boundaries_match_the_row_by_row_sweep(count):
+def test_chunk_boundaries_match_the_row_by_row_sweep(monkeypatch, count):
     # at eps 1e-300 a fair share of the rows goes to support_enumeration
-    assert_same_lines(sweep_doc([1, 1], [0, 0], count, start="-pi", stop="pi", outputs=["equilibria"]), 1e-300)
+    for _ in kernel_on_and_off(monkeypatch):
+        assert_same_lines(sweep_doc([1, 1], [0, 0], count, start="-pi", stop="pi", outputs=["equilibria"]), 1e-300)
 
 
-def test_full_turn_with_two_equilibria_matches_the_row_by_row_sweep():
+def test_full_turn_with_two_equilibria_matches_the_row_by_row_sweep(monkeypatch):
     text = sweep_doc([0, 1], [1, 1], 2001)
     sweep = parse_sweep_spec(text)
-    lines = "\n".join(run_sweep(sweep, 1e-9, "table")).split("\n")
-    assert lines == rowwise_run_sweep(sweep, 1e-9, "table")
-    assert sum(";mu=" in line for line in lines) == 4
+    expected = rowwise_run_sweep(sweep, 1e-9, "table")
+    for _ in kernel_on_and_off(monkeypatch):
+        lines = "\n".join(run_sweep(sweep, 1e-9, "table")).split("\n")
+        assert lines == expected
+        assert sum(";mu=" in line for line in lines) == 4
 
 
 def test_percent_9g_prints_as_fmt():
@@ -71,11 +84,60 @@ def test_percent_9g_prints_as_fmt():
     awkward += (rng.standard_normal(2000) * 10.0 ** rng.integers(-320, 300, 2000)).tolist()
     awkward += rng.integers(0, 2**63, 500).astype(float).tolist()
     values = np.array(awkward) + 0.0
-    assert "\n".join(["%.9g"] * len(values)) % tuple(values.tolist()) == "\n".join(cli.fmt(v) for v in awkward)
+    expected = "\n".join(cli.fmt(v) for v in awkward)
+    assert "\n".join(["%.9g"] * len(values)) % tuple(values.tolist()) == expected
+    # and through a bytes template, as the chunk renderer's pass runs
+    assert (b"\n".join([b"%.9g"] * len(values)) % tuple(values.tolist())).decode("ascii") == expected
+
+
+def assert_decided_as_percent_9g(values):
+    """The texts ``_fixed_9g`` decides for ``values`` are those "%.9g" prints; the positions it decides."""
+    values = np.asarray(values, dtype=float)
+    at, texts = cli._fixed_9g(values)
+    assert texts.dtype == np.dtype("S16") and len(texts) == len(at)
+    assert [b"%.9g" % v for v in values[at].tolist()] == texts.tolist()
+    return set(at.tolist())
+
+
+def test_fixed_9g_prints_as_percent_9g_at_every_exponent():
+    rng = np.random.default_rng(24)
+    for exponent in range(-6, 11):
+        mantissas = np.concatenate([rng.uniform(1.0, 10.0, 3000), np.round(rng.uniform(1.0, 10.0, 3000), rng.integers(0, 9))])
+        values = mantissas * 10.0**exponent * rng.choice([-1.0, 1.0], len(mantissas))
+        decided = assert_decided_as_percent_9g(values)
+        if -4 <= exponent <= 8:  # fixed notation: all but the rare value within 1e-6 of a tie
+            assert len(decided) >= 0.99 * len(values)
+        elif exponent >= 9:  # exponent form
+            assert not decided
+    # whole numbers and short decimals, whose trailing zeros "%.9g" drops
+    whole = rng.integers(1, 10**9, 5000).astype(float)
+    assert_decided_as_percent_9g(np.concatenate([whole, whole / 10.0 ** rng.integers(0, 13, 5000), -whole / 1e4]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+def test_fixed_9g_decides_only_what_percent_9g_prints(values):
+    assert_decided_as_percent_9g(values)
+
+
+def test_fixed_9g_leaves_ties_carries_and_other_forms_undecided():
+    ties = [123456789.5, 12345678.25, 1234567.125]  # exact binary halves at the ninth digit
+    carries = [9.9999999995, 99999999.95, 999999999.5]  # round up into the next decade
+    outside = [1e9, 1e10, 1.5e9, 9.99999999e-5, 5e-5, 1e-300, np.finfo(float).max]
+    subnormal = [np.nextafter(0.0, 1.0), 2.5e-310, np.finfo(float).tiny / 2]
+    odd = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+    undecided = ties + carries + outside + subnormal + odd
+    undecided += [-v for v in undecided]
+    assert not assert_decided_as_percent_9g(undecided)
+    # either side of the ends of fixed notation, which "%.9g" may print either way
+    edges = [np.nextafter(v, toward) for v in (1e-4, 1e9) for toward in (0.0, math.inf)]
+    edges += [1e-4, 1.00000001e-4, 999999999.0, 999999999.4, 999999999.6, 9.999999995e-5]
+    assert assert_decided_as_percent_9g(edges + [-v for v in edges]) >= {1, 4, 5, 6, 7}
+    assert not assert_decided_as_percent_9g(np.zeros(0))
 
 
 @pytest.mark.parametrize("out_format", ("csv", "table"))
-def test_rows_of_many_values_print_as_fmt(out_format):
+def test_rows_of_many_values_print_as_fmt(monkeypatch, out_format):
     # row 3 prints 5 + 4 * 20 = 85 values, others fewer or none; the exact 0s
     # and 1s come from the templates, the values next to them through "%.9g"
     rng = np.random.default_rng(11)
@@ -85,13 +147,13 @@ def test_rows_of_many_values_print_as_fmt(out_format):
     head, labels = rng.choice(pool, (count, 5)), rng.random(count) < 0.5
     profiles = rng.choice(pool, (len(games), 4))
     columns = ["theta", "p00", "p01", "p10", "p11", "label", "equilibria"]
-    text = cli._render_rows(columns, out_format, head, labels, games, profiles)
     expected = []
     for r in range(count):
         row = [cli.fmt(v) for v in head[r]] + [("aligned", "opposed")[int(labels[r])]]
         row.append(";".join("mu=%s nu=%s pp=%s pr=%s" % tuple(map(cli.fmt, p)) for p in profiles[games == r]))
         expected.append(",".join(row) if out_format == "csv" else "; ".join(f"{n}={v}" for n, v in zip(columns, row)))
-    assert text == "\n".join(expected)
+    for _ in kernel_on_and_off(monkeypatch):
+        assert cli._render_rows(columns, out_format, head, labels, games, profiles) == "\n".join(expected)
     assert 5 + 4 * np.count_nonzero(games == 3) > 70
 
 
@@ -145,9 +207,11 @@ def test_special_rows_in_several_chunks_match_the_row_by_row_sweep(monkeypatch, 
 
     monkeypatch.setattr(cli, "_sweep_rows", counting_rows)
     monkeypatch.setattr(nash, "_exact_profile", counting_exact_profile)
-    assert_same_lines(text, eps, out_format=out_format)
     column = 0 if special == "two equilibria" else 1
-    assert sum(chunk[column] > 0 for chunk in chunks) >= 2
+    for _ in kernel_on_and_off(monkeypatch):
+        chunks.clear()
+        assert_same_lines(text, eps, out_format=out_format)
+        assert sum(chunk[column] > 0 for chunk in chunks) >= 2
 
 
 def test_non_finite_sweep_ends_fail_fast(tmp_path, capsys):
@@ -212,6 +276,21 @@ def test_default_eps_sweeps_print_their_golden_output(capsys, name, out_format, 
     spec = str(DATA / f"{name}.json")
     assert main(["sweep", "--spec", spec, "--format", out_format]) == 0
     assert capsys.readouterr().out == (DATA / f"{name}.{ext}").read_text()
+
+
+def test_a_benchmark_sized_sweep_prints_its_pinned_output(monkeypatch, capsys):
+    # A 20 001-row sweep shaped like the benchmark's largest, whose chunks print
+    # enough values for _fixed_9g at the default _FIXED_9G_MIN.  The sha256 of
+    # each output was taken before _fixed_9g existed.
+    calls = []
+    kernel = cli._fixed_9g
+    monkeypatch.setattr(cli, "_fixed_9g", lambda values: calls.append(len(values)) or kernel(values))
+    for line in (DATA / "sweep_entangled_20001.sha256").read_text().splitlines():
+        digest, name = line.split()
+        out_format = {".csv": "csv", ".txt": "table"}[Path(name).suffix]
+        assert main(["sweep", "--spec", str(DATA / "sweep_entangled_20001.json"), "--format", out_format]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert len(calls) == 2 * 10 and min(calls) >= cli._FIXED_9G_MIN
 
 
 @pytest.mark.parametrize("module, name", [(hilbert, "NORM_TOL"), (nash, "SIMPLEX_SUM_TOL")])
