@@ -231,11 +231,6 @@ def classify_state(state: QuantumState) -> StateClass:
     return StateClass(label=OPPOSED if opposed(d1, d2) else ALIGNED, diffs=(d1, d2))
 
 
-def class_labels(diff1, diff2) -> np.ndarray:
-    """The label of each state from its differences p11 - p01 and p10 - p00."""
-    return np.where(opposed(diff1, diff2), OPPOSED, ALIGNED)
-
-
 def opposed(diff1, diff2) -> np.ndarray:
     """Whether each state is opposed, from its differences p11 - p01 and p10 - p00."""
     return _sign(diff1) * _sign(diff2) < 0

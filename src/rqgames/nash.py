@@ -14,7 +14,6 @@ below ``eps`` certifies an eps-equilibrium.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -229,9 +228,9 @@ def _solve_stacked(ab: np.ndarray, sizes=None) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(x.T), singular
 
 
-def _same_profile(found_x, found_y, x, y) -> np.ndarray:
-    """Which found profiles (strategies stacked on axis -2) lie within 1e-9 of (x, y)."""
-    return (_across(np.maximum, np.abs(found_x - x)) <= 1e-9) & (_across(np.maximum, np.abs(found_y - y)) <= 1e-9)
+def _same_profile(xs, ys, x, y) -> np.ndarray:
+    """Which profiles (strategies stacked on axis -2) lie within 1e-9 of (x, y)."""
+    return (_across(np.maximum, np.abs(xs - x)) <= 1e-9) & (_across(np.maximum, np.abs(ys - y)) <= 1e-9)
 
 
 def _pure_cells(both, finite, eps):
@@ -306,10 +305,12 @@ def _enumerate(a, b, eps):
     phase 1 in chunks that may span sizes; phase 2 takes the pairs every
     chunk leaves, in enumeration order, in stacks of the chunk size as they
     fill.  ``_certify``, whose values do not depend on the stack, then
-    certifies all the candidates at once, and the
-    steps that depend on what a game has found so far (the duplicate test
-    and the exact re-check) run in one ``_take`` pass over the pure
-    profiles and the candidates.
+    certifies all the candidates at once.  A valid candidate within 1e-9 of
+    a pure profile is its duplicate.  Every other candidate that does not
+    certify is, in a finite game, re-checked exactly on its own, and an
+    exact find overwrites its row unless it lies within 1e-9 of a pure
+    profile.  Then ``_take`` drops each candidate within 1e-9 of one its
+    game took before it.  Pure profiles are always taken.
     """
     m, n, count = *a.shape[:2], a[0, 0].size
     with np.errstate(all="ignore"):  # a non-finite game gives NaNs, which never certify
@@ -325,21 +326,21 @@ def _enumerate(a, b, eps):
         gathered = both.reshape(2, -1).take(at, axis=1).T, regret.reshape(2, -1).take(at, axis=1).T
         pure = cell[0], units[:, :m], units[:, m:], *gathered, degenerate.take(at)
         slack = DOMINANCE_SLACK * (1.0 + scale[0] + scale[1])  # the prefilters' rounding margin
-        kept = _support_pairs(a, b, eps, slack)
-        if not len(kept):
+        pairs = _support_pairs(a, b, eps, slack)
+        if not len(pairs):
             return pure
         # each game's matrices in C order, and the responder's transposed, a row per their move
         by_game = np.ascontiguousarray(both.transpose(0, 3, 1, 2))
         (ga, gb), gbt = by_game, np.ascontiguousarray(b.transpose(2, 1, 0))
         size, tables = max(STACK_PAIRS, count), (by_game.reshape(-1), ga, gbt, slack, eps)
         found, left = [], None  # the candidates so far, and the pairs phase 1 left that phase 2 has yet to solve
-        for s in range(0, len(kept), size):
-            part = _candidates(*tables, len(kept) <= TWO_PHASE_MIN_PAIRS, kept[s : s + size])
+        for s in range(0, len(pairs), size):
+            part = _candidates(*tables, len(pairs) <= TWO_PHASE_MIN_PAIRS, pairs[s : s + size])
             done = len(part) == 7  # x solved too: one call, in a small game or a chunk of the largest k
             if not done:
                 left = part if left is None else _joined([left, part])
             # phase 2 as its stacks fill, and on the rest before the candidates of one call or after the last chunk
-            end = done or s + size >= len(kept)
+            end = done or s + size >= len(pairs)
             while left is not None and len(left[0]) >= (1 if end else size):
                 found.append(_phase(*tables, (1,), [v[:size] for v in left]))
                 left = [v[size:] for v in left]
@@ -354,21 +355,21 @@ def _enumerate(a, b, eps):
         valid = passed & np.logical_and.reduce(summed)
         payoffs, regrets, certified, degen = _certify(*by_game.take(games, axis=1), x, y, eps)
         candidates = games, x, y, payoffs.T, regrets.T, degen
-        # a candidate that is no duplicate certifies or, in a finite game, gets re-checked exactly;
-        # a valid float profile is a duplicate by its float strategies, any other candidate by
-        # its exact ones, which _exact_profile tests
-        fresh = ~(valid & _near_cell(cells, games, x, y)) if len(at) else True
-        good = valid & certified
-
-        def recheck(s, found_x, found_y):
+        fresh = ~(valid & _near_cell(cells, games, x, y)) if len(at) else True  # not a pure profile's duplicate
+        kept = valid & certified & fresh
+        retry = (~kept & fresh & finite[games]).nonzero()[0]
+        for s in retry.tolist():
             g = games[s]
-            own = pure[0] == g  # the pure profiles come first
             rows, cols = _set_table(m, min(m, n))[1][:, row_sets[s]], _set_table(n, min(m, n))[1][:, col_sets[s]]
             rows, cols = rows[rows < m].tolist(), cols[cols < n].tolist()  # without the moves that lead them
-            found_x, found_y = np.concatenate([pure[1][own], found_x]), np.concatenate([pure[2][own], found_y])
-            return _exact_profile(ga[g], gb[g], rows, cols, eps, found_x, found_y)
-
-        picked = _take(*candidates, valid, good & fresh, ~good & fresh & finite[games], recheck).nonzero()[0]
+            profile = _exact_profile(ga[g], gb[g], rows, cols, eps)
+            if profile is not None:
+                x[s], y[s], payoffs[:, s], regrets[:, s], degen[s] = profile
+                kept[s] = True
+        if len(retry):  # an exact find may repeat a pure profile
+            exact = retry[kept[retry]]
+            kept[exact] = ~_near_cell(cells, games[exact], x[exact], y[exact])
+        picked = _take(games, x, y, kept).nonzero()[0]
         fields = candidates if len(picked) == len(games) else [v.take(picked, axis=0) for v in candidates]
         if len(pure[0]):
             fields = [np.concatenate([u, v]) for u, v in zip(pure, fields)]
@@ -385,53 +386,14 @@ def _joined(parts) -> list:
     return parts[0] if len(parts) == 1 else [np.concatenate(v) for v in zip(*parts)]
 
 
-def _take(games, x, y, payoffs, regrets, degenerate, valid, good, retry, recheck) -> np.ndarray:
-    """Which candidates a pass that takes each game's in order keeps.
-
-    A valid candidate (a valid float profile) within 1e-9 of one its game
-    took before it is a duplicate.  Any other candidate is taken when it is
-    good, and when it is a retry and ``recheck(s, found_x, found_y)``, given
-    the strategies taken before it in its game, returns its exact (x, y,
-    payoffs, regrets, degenerate flag), which then overwrite row s of the
-    arrays; ``recheck`` tests duplicates itself.  Only the candidates whose
-    verdict depends on an earlier one of their game are decided one by one,
-    in order: good ones within 1e-9 of an earlier good one, retries, and
-    good ones after an exact find.  Until its game has an exact find, a
-    good candidate is a duplicate when one of the earlier good ones
-    ``_near_earlier`` pairs it with was taken; after, and for retries, its
-    strategies are compared with those taken before it.
-    """
-    earlier, later = map(np.ndarray.tolist, _near_earlier(games, x, y, good))
-    queue = sorted({*later, *retry.nonzero()[0].tolist()})  # sorted: a heap
-    if not queue:
-        return good
-    near = {}  # each later good candidate's earlier good ones
-    for s, t in zip(later, earlier):
-        near.setdefault(s, []).append(t)
-    take, found = good.copy(), set()  # the games with an exact find so far
-    take[queue] = False
-    while queue:
-        s = heapq.heappop(queue)
-        g = games[s]
-        if good[s] and g not in found:  # every profile its game took so far is a good float one
-            take[s] = not any(take[t] for t in near.get(s, ()))
-            continue
-        before = (take[:s] & (games[:s] == g)).nonzero()[0]
-        if valid[s] and _same_profile(x[before], y[before], x[s], y[s]).any():
-            continue
-        if good[s]:
-            take[s] = True
-            continue
-        profile = recheck(s, x[before], y[before])
-        if profile is None:
-            continue
-        x[s], y[s], payoffs[s], regrets[s], degenerate[s] = profile
-        take[s] = True
-        found.add(g)
-        later = s + 1 + (take[s + 1 :] & (games[s + 1 :] == g)).nonzero()[0]  # may duplicate the exact find
-        take[later] = False
-        for t in later.tolist():
-            heapq.heappush(queue, t)
+def _take(games, x, y, kept) -> np.ndarray:
+    """Which kept candidates a pass over each game's in order takes: each
+    one unless it lies within 1e-9 of one its game took before it."""
+    earlier, later = _near_earlier(games, x, y, kept)
+    take = kept.copy()
+    for s, t in sorted(zip(later.tolist(), earlier.tolist())):  # by the later one, so take[t] is final
+        if take[t]:
+            take[s] = False
     return take
 
 
@@ -694,12 +656,12 @@ def _indifference(payoffs, shape, games, rows, cols, sizes, players):
     return weights, solution[-1].reshape(-1, len(players)).T, ok.reshape(-1, len(players)).T
 
 
-def _exact_profile(a, b, rows, cols, eps, found_x, found_y):
+def _exact_profile(a, b, rows, cols, eps):
     """A support pair re-solved and re-certified in exact rationals, from the
     float payoffs, which are exact rationals.  Returns the floats of its exact
     strategies, payoffs and regrets, with the degenerate flag of those
-    strategies, or None when a system is singular, a weight negative, a
-    regret above eps or the profile already found."""
+    strategies, or None when a system is singular, a weight negative or a
+    regret above eps."""
     from fractions import Fraction  # imported here: few runs ever re-check
 
     a_cols = [[Fraction(v) for v in row] for row in a[:, cols].tolist()]  # m x k
@@ -710,10 +672,10 @@ def _exact_profile(a, b, rows, cols, eps, found_x, found_y):
         return None
     # on an exact solution every support move earns the value, the last entry
     regret = [max(sum(map(Fraction.__mul__, row, w)) for row in p) - w[-1] for p, w in ((a_cols, y), (b_rows, x))]
+    if max(regret) > eps:
+        return None
     # bincount scatters the weights, each rounded to its nearest float
     xs, ys = np.bincount(rows, x[:-1], a.shape[0]), np.bincount(cols, y[:-1], a.shape[1])
-    if max(regret) > eps or _same_profile(found_x, found_y, xs, ys).any():
-        return None
     return xs, ys, (float(y[-1]), float(x[-1])), tuple(map(float, regret)), bool(_certify(a, b, xs, ys, eps)[3])
 
 

@@ -1,6 +1,5 @@
 """Shared test utilities: random generators and slow independent oracles."""
 
-import heapq
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -149,21 +148,25 @@ def pairwise_support_enumeration(game, eps=EPS_DEFAULT):
     same profiles in the same order from both.  In a finite game, a pair
     with valid float weights whose candidate misses the weights' sum test,
     the off-support test or verification is re-solved by Cramer's rule in
-    exact rationals (``exact_pairwise_profile``).
+    exact rationals (``exact_pairwise_profile``).  A valid float candidate
+    within 1e-9 of a pure profile is its duplicate and is not re-solved.
+    Any other profile within 1e-9 of one found before it is dropped.
     """
     a, b = game_matrices(game)
     m, n = a.shape
     finite = np.isfinite(a).all() and np.isfinite(b).all()
-    found = []
+    found, pure = [], []
 
-    def seen(x, y):
+    def seen(x, y, profiles):
         return any(
             float(np.max(np.abs(p.proposer_strategy - x))) <= 1e-9
             and float(np.max(np.abs(p.responder_strategy - y))) <= 1e-9
-            for p in found
+            for p in profiles
         )
 
     for k in range(1, min(m, n) + 1):
+        if k == 2:
+            pure = list(found)
         for rows in itertools.combinations(range(m), k):
             for cols in itertools.combinations(range(n), k):
                 mixes = _pairwise_mixes(a, b, rows, cols, eps)
@@ -172,51 +175,30 @@ def pairwise_support_enumeration(game, eps=EPS_DEFAULT):
                 x, y = mixes[:2]
                 profile = None
                 if _pairwise_off_support_ok(a, b, rows, cols, *mixes, eps) and _sums_to_one(x, y):
-                    if seen(x, y):
+                    if seen(x, y, pure):
                         continue
                     profile = verify_equilibrium(game, (x, y), eps)
+                    if profile.certified and seen(x, y, found):
+                        continue
                 if finite and (profile is None or not profile.certified):
                     profile = exact_pairwise_profile(a, b, rows, cols, eps)
-                    if profile is not None and seen(profile.proposer_strategy, profile.responder_strategy):
+                    if profile is not None and seen(profile.proposer_strategy, profile.responder_strategy, found):
                         continue
                 if profile is not None and profile.certified:
                     found.append(profile)
     return found
 
 
-def reference_take(games, x, y, payoffs, regrets, degenerate, valid, good, retry, recheck):
-    """Reference: the duplicate pass of ``rqgames.nash._take`` as a heap loop
-    that compares each queued candidate's strategies with those its game
-    took before it, the good ones as well.
-
-    Same arguments and result, and the same writes of exact profiles into
-    the arrays.  The good candidates within 1e-9 of an earlier good one of
-    their game are found by comparing every pair.
-    """
-    close = (np.abs(x[:, None] - x[None]).max(axis=2) <= 1e-9) & (np.abs(y[:, None] - y[None]).max(axis=2) <= 1e-9)
-    close &= (games[:, None] == games[None]) & good[:, None] & good[None]
-    queue = (retry | (good & np.tril(close, k=-1).any(axis=1))).nonzero()[0].tolist()
-    take = good.copy()
-    take[queue] = False
-    while queue:
-        s = heapq.heappop(queue)
-        before = (take[:s] & (games[:s] == games[s])).nonzero()[0]
-        if valid[s] and any(
-            np.abs(x[t] - x[s]).max() <= 1e-9 and np.abs(y[t] - y[s]).max() <= 1e-9 for t in before.tolist()
-        ):
-            continue
-        if good[s]:
-            take[s] = True
-            continue
-        profile = recheck(s, x[before], y[before])
-        if profile is None:
-            continue
-        x[s], y[s], payoffs[s], regrets[s], degenerate[s] = profile
-        take[s] = True
-        later = s + 1 + (take[s + 1 :] & (games[s + 1 :] == games[s])).nonzero()[0]  # may duplicate the exact find
-        take[later] = False
-        for t in later.tolist():
-            heapq.heappush(queue, t)
+def reference_take(games, x, y, kept):
+    """Reference: the duplicate rule of ``rqgames.nash._take`` as a pairwise
+    loop.  Each kept candidate, in order, is taken unless it lies within
+    1e-9 of one its game took before it."""
+    take = np.zeros(len(games), dtype=bool)
+    for s in np.flatnonzero(kept).tolist():
+        take[s] = not any(
+            games[t] == games[s] and np.abs(x[t] - x[s]).max() <= 1e-9 and np.abs(y[t] - y[s]).max() <= 1e-9
+            for t in np.flatnonzero(take[:s]).tolist()
+        )
     return take
 
 

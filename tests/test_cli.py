@@ -603,10 +603,19 @@ def test_nash_on_mid_size_games_prints_their_golden_output(capsys, name, fmt, ex
         assert run(["nash", "--spec", spec, "--format", fmt], capsys) == (0, handle.read(), "")
 
 
-@pytest.mark.parametrize("fmt, ext", [("table", "txt"), ("csv", "csv")])
-def test_nash_on_a_7x7_game_with_many_near_duplicates_prints_its_golden_output(monkeypatch, capsys, fmt, ext):
+@pytest.mark.parametrize(
+    "flags, golden",
+    [
+        pytest.param([], "nash_7x7_integer.txt", id="table-txt"),
+        pytest.param(["--format", "csv"], "nash_7x7_integer.csv", id="csv-csv"),
+        pytest.param(["--eps", "1e-300"], "nash_7x7_integer_1e-300.txt", id="table-txt-1e-300"),
+    ],
+)
+def test_nash_on_a_7x7_game_with_many_near_duplicates_prints_its_golden_output(monkeypatch, capsys, flags, golden):
     # a degenerate 0..3 integer game with 35 profiles, whose duplicate pass
-    # decides more than 50 candidates by the earlier ones near them
+    # decides more than 50 candidates by the earlier ones near them; at eps
+    # 1e-300 it also decides the exact re-checks' finds, which print some
+    # profiles from the 10th on with zero regrets
     queued = []
     near_earlier = nash._near_earlier
 
@@ -617,8 +626,8 @@ def test_nash_on_a_7x7_game_with_many_near_duplicates_prints_its_golden_output(m
 
     monkeypatch.setattr(nash, "_near_earlier", recording)
     spec = os.path.join(DATA, "nash_7x7_integer.json")
-    with open(os.path.join(DATA, f"nash_7x7_integer.{ext}"), encoding="utf-8") as handle:
-        assert run(["nash", "--spec", spec, "--format", fmt], capsys) == (0, handle.read(), "")
+    with open(os.path.join(DATA, golden), encoding="utf-8") as handle:
+        assert run(["nash", "--spec", spec] + flags, capsys) == (0, handle.read(), "")
     assert queued[0] >= 50
 
 

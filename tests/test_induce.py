@@ -31,7 +31,7 @@ from rqgames import (
     ultimatum_2x2,
     ultimatum_general,
 )
-from rqgames.induce import class_labels, induce_stack
+from rqgames.induce import induce_stack, opposed
 
 from helpers import (
     balanced_triple,
@@ -329,7 +329,7 @@ def test_opposite_tiny_differences_are_opposed():
     got = classify_state(state)
     assert got.diffs == pytest.approx((1e-7, -1e-7), rel=1e-6)
     assert got.label == OPPOSED
-    assert class_labels(np.array([got.diffs[0]]), np.array([got.diffs[1]])).tolist() == [OPPOSED]
+    assert opposed(np.array([got.diffs[0]]), np.array([got.diffs[1]])).tolist() == [True]
     for image in (state, swap_proposer_coeffs(state)):
         with pytest.raises(WrongClassError, match="opposed"):
             aligned_equilibrium(image, *STANDARD)
@@ -443,8 +443,10 @@ def test_stacked_induce_matches_the_cell_loop_bit_for_bit():
 
 
 def test_class_labels_follow_classify_state():
+    # the sweep's label column reads opposed on the stacked differences
     rng = np.random.default_rng(8)
     states = [random_state(rng) for _ in range(200)] + [bell_like(np.pi / 4, (0, 1), (1, 1))]
     probs = np.stack([probability_table(s).probs for s in states])
-    labels = class_labels(probs[:, 1, 1] - probs[:, 0, 1], probs[:, 1, 0] - probs[:, 0, 0])
-    assert labels.tolist() == [classify_state(s).label for s in states]
+    flags = opposed(probs[:, 1, 1] - probs[:, 0, 1], probs[:, 1, 0] - probs[:, 0, 0])
+    assert [(OPPOSED if flag else ALIGNED) for flag in flags.tolist()] == [classify_state(s).label for s in states]
+    assert 0 < flags.sum() < len(states)

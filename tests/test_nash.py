@@ -42,6 +42,7 @@ from rqgames.nash import (
     _support_pairs,
 )
 
+import helpers
 from helpers import (
     loop_solve_pivoting,
     masked_solve_stacked,
@@ -597,71 +598,118 @@ def test_near_earlier_finds_what_comparing_all_pairs_finds(monkeypatch, chunk):
     assert sorted(zip(later.tolist(), earlier.tolist())) == sorted(zip(*(v.tolist() for v in expected.nonzero())))
 
 
-def _duplicate_pass_inputs(x, y, games, valid, certified, cells, exact):
-    """The arguments of ``nash._take`` for synthetic candidates: what
-    ``_enumerate`` derives from the mixes, the flags and the pure ``cells``,
-    and a ``recheck`` that gives candidate s the exact profile exact[s]
-    unless it lies within 1e-9 of one its game found before, as
-    ``_exact_profile`` does.  Returns the arguments and the list of the
-    recheck calls, (s, how many profiles its game found before)."""
-    x, y, games, valid, certified = (np.array(v) for v in (x, y, games, valid, certified))
-    fresh = ~(valid & nash._near_cell(cells, games, x, y))
-    good, retry = valid & certified & fresh, ~(valid & certified) & fresh
-    count = len(games)
-    payoffs, regrets, degenerate = np.arange(2.0 * count).reshape(count, 2), np.zeros((count, 2)), np.zeros(count, bool)
+def _duplicate_pass(x, y, games, flags, cells):
+    """``nash._take`` on synthetic candidates as ``_enumerate`` hands them
+    over: those flagged, less those within 1e-9 of a pure profile that the
+    (m, n, games) ``cells`` mark.  Checks ``_near_cell`` against comparing
+    with every marked cell, and the pass against ``reference_take``.
+    Returns the take mask as a list."""
+    x, y, games, flags = (np.array(v) for v in (x, y, games, flags))
+    m, n = x.shape[1], y.shape[1]
+    units = [(g, np.eye(m)[i], np.eye(n)[j]) for i, j, g in np.argwhere(cells).tolist()]
+    near = [any(g == games[s] and _same_profile(p, q, x[s], y[s]) for g, p, q in units) for s in range(len(games))]
+    assert nash._near_cell(cells, games, x, y).tolist() == near
+    kept = flags & ~np.array(near, dtype=bool)
+    take = nash._take(games, x, y, kept)
+    assert take.tolist() == reference_take(games, x, y, kept).tolist()
+    return take.tolist()
+
+
+def _exact_finds(monkeypatch, choose):
+    """Patch ``nash._exact_profile`` and the pairwise reference's exact
+    re-check alike: a support pair whose exact profile certifies finds
+    ``choose(a, b, rows, cols, (x, y))`` instead, given its exact
+    strategies, with payoffs (-1, -2), zero regrets and the degenerate
+    flag; None finds nothing.  Returns the list of the support pairs
+    ``nash`` re-checks, in order."""
     calls = []
+    exact_profile = nash._exact_profile
 
-    def recheck(s, found_x, found_y):
-        calls.append((s, len(found_x)))
-        if s not in exact or _same_profile(found_x, found_y, *exact[s]).any():
+    def chosen(a, b, rows, cols, eps):
+        real = exact_profile(a, b, list(rows), list(cols), eps)
+        return None if real is None else choose(a, b, tuple(rows), tuple(cols), real[:2])
+
+    def patched(a, b, rows, cols, eps):
+        calls.append((tuple(rows), tuple(cols)))
+        mix = chosen(a, b, rows, cols, eps)
+        return None if mix is None else (*mix, (-1.0, -2.0), (0.0, 0.0), True)
+
+    def patched_pairwise(a, b, rows, cols, eps):
+        mix = chosen(a, b, rows, cols, eps)
+        if mix is None:
             return None
-        return *exact[s], (-1.0, -2.0), (0.0, 0.0), True
+        kind = "pure" if nash._is_pure(*mix) else "mixed"
+        return nash.EquilibriumProfile(*(np.array(v) for v in mix), (-1.0, -2.0), (0.0, 0.0), kind, True, True)
 
-    return [games, x, y, payoffs, regrets, degenerate, valid, good, retry, recheck], calls
-
-
-def _both_passes(*inputs):
-    """``nash._take`` and ``reference_take`` on copies of the same inputs:
-    each one's take mask, written arrays and recheck calls."""
-    results = []
-    for take in (nash._take, reference_take):
-        args, calls = _duplicate_pass_inputs(*inputs)
-        mask = take(*args)
-        results.append((mask.tolist(), [v.tolist() for v in args[1:6]], calls))
-    return results
+    monkeypatch.setattr(nash, "_exact_profile", patched)
+    monkeypatch.setattr(helpers, "exact_pairwise_profile", patched_pairwise)
+    return calls
 
 
-def test_duplicate_pass_on_a_chain_a_pure_cell_and_an_exact_find():
+# A 4x4 game whose re-checks at eps 1e-300 are, in candidate order, the
+# pairs (0 1 | 0 2), (1 3 | 0 2), (2 3 | 0 2), (0 1 3 | 0 1 2) and
+# (1 2 3 | 0 1 2).  Its pure equilibria are cells (1, 0) and (1, 1).  Its
+# float candidates that certify are, in order, R = (e1, (0, .5, .5, 0))
+# after the first re-check, Q' near the first re-check's exact find Q =
+# (e1, (.5, 0, .5, 0)) after the third, and F = ((.3, 0, .5, .2), (.5, 0,
+# .5, 0)) after the fourth.
+EXACT_FIND_GAME = (
+    np.array([[0, 0, 3, 0], [3, 3, 0, 0], [3, 0, 0, 3], [2, 1, 1, 2]], dtype=float),
+    np.array([[1, 3, 0, 2], [3, 3, 3, 1], [2, 2, 3, 0], [3, 0, 2, 1]], dtype=float),
+)
+
+
+def test_duplicate_pass_on_a_chain_a_pure_cell_and_an_exact_find(monkeypatch):
     # 3x3 games.  Game 0: a duplicate of its pure cell (0, 1), then a chain
     # a ~ b ~ c with a not near c, and d near c: a and c are taken.  Game 1:
-    # p, an exact find q in the middle, a good candidate within 1e-9 of q
-    # and one that is not, one near p, a valid candidate that misses the
-    # certificate near r, and a re-check that finds q again.  Game 2: two
+    # p, one near p, one that is not, and one not kept.  Game 2: two
     # candidates far apart.
     e = np.eye(3)
     a, third, p = np.array([0.5, 0.5, 0.0]), np.full(3, 1 / 3), np.array([0.0, 0.5, 0.5])
-    step, r = np.array([0.7e-9, -0.7e-9, 0.0]), np.array([0.2, 0.3, 0.5])
-    x = [e[0] + step / 2, a, a + step, a + 2 * step, a + 2.7 * step, p, a, third + 0.5e-9, r, p + 0.5e-9, r, a, a, e[2]]
-    y = [e[1], a, a, a, a, p, a, third, r, p, r + 0.3e-9, a, e[2]]
-    y.append(p)
-    games = [0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 2, 2]
-    valid = [True] * 6 + [False] + [True] * 4 + [False, True, True]
-    certified = [True] * 10 + [False, False, True, True]
+    step = np.array([0.7e-9, -0.7e-9, 0.0])
+    x = [e[0] + step / 2, a, a + step, a + 2 * step, a + 2.7 * step, p, p + 0.5e-9, third, third, a, e[2]]
+    y = [e[1], a, a, a, a, p, p, third, a, a, p]
+    games = [0] * 5 + [1] * 4 + [2] * 2
     cells = np.zeros((3, 3, 3), bool)
     cells[0, 1, 0] = True
-    exact = {6: (third, third), 11: (third, third)}
-    (mask, arrays, calls), expected = _both_passes(x, y, games, valid, certified, cells, exact)
-    assert (mask, arrays, calls) == expected
-    assert mask == [False, True, False, True, False, True, True, False, True, False, False, False, True, True]
-    assert calls == [(6, 1), (11, 3)]
-    assert arrays[0][6] == third.tolist() and arrays[2][6] == [-1.0, -2.0]
+    flags = [True] * 8 + [False, True, True]
+    assert _duplicate_pass(x, y, games, flags, cells) == [False, True, False, True, False, True, False, True, False, True, True]
+
+    # Exact finds, through _enumerate: Q itself; the pure cell (1, 0) moved
+    # by 0.5e-9, dropped; F moved by 0.5e-9, taken, so that the later F is
+    # dropped; the earlier R, dropped; and a new profile N, taken.  Every
+    # fresh candidate that misses the certificate is re-checked, whatever
+    # its game took before it.
+    a, b = EXACT_FIND_GAME
+    e, mid, half = np.eye(4), np.array([0.0, 0.5, 0.5, 0.0]), np.array([0.5, 0.5, 0.0, 0.0])
+    found = support_enumeration((a, b), 1e-300)
+    r, f, near = found[3], found[-1], np.array([0.5e-9, -0.5e-9, 0.0, 0.0])
+    assert (r.proposer_strategy.tolist(), r.responder_strategy.tolist()) == (e[1].tolist(), mid.tolist())
+    finds = {
+        ((1, 3), (0, 2)): (e[1], e[0] + near),
+        ((2, 3), (0, 2)): (f.proposer_strategy + near, f.responder_strategy + near),
+        ((0, 1, 3), (0, 1, 2)): (r.proposer_strategy, r.responder_strategy),
+        ((1, 2, 3), (0, 1, 2)): (mid, half),
+    }
+    calls = _exact_finds(monkeypatch, lambda a, b, rows, cols, real: finds.get((rows, cols), real))
+    patched = support_enumeration((a, b), 1e-300)
+    assert calls == [((0, 1), (0, 2)), ((1, 3), (0, 2)), ((2, 3), (0, 2)), ((0, 1, 3), (0, 1, 2)), ((1, 2, 3), (0, 1, 2))]
+    assert [(p.proposer_strategy.tolist(), p.responder_strategy.tolist(), p.payoffs) for p in patched] == [
+        (e[1].tolist(), e[0].tolist(), (3.0, 3.0)),
+        (e[1].tolist(), e[1].tolist(), (3.0, 3.0)),
+        (e[1].tolist(), [0.5, 0.0, 0.5, 0.0], (-1.0, -2.0)),  # Q, which drops Q'
+        (e[1].tolist(), mid.tolist(), r.payoffs),  # R
+        ((f.proposer_strategy + near).tolist(), (f.responder_strategy + near).tolist(), (-1.0, -2.0)),
+        (mid.tolist(), half.tolist(), (-1.0, -2.0)),  # N
+    ]
+    _assert_same_profiles(patched, pairwise_support_enumeration((a, b), 1e-300))
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_duplicate_pass_matches_the_reference_loop(seed):
-    # Candidates of three 4x4 games drawn from a few mixes, moved by 0, 0.6e-9
-    # or 1.2e-9 per weight: chains of near duplicates; some re-checks find
-    # exact profiles near later float candidates, some near pure cells.
+def test_duplicate_pass_matches_the_reference_loop(monkeypatch, seed):
+    # Candidates of three synthetic 4x4 games drawn from a few mixes, moved
+    # by 0, 0.6e-9 or 1.2e-9 per weight: chains of near duplicates, some near
+    # pure cells.
     rng = np.random.default_rng([seed, 61])
     mixes = np.array([[0, 0, 0.5, 0.5], [0, 0.25, 0, 0.75], [1, 0, 0, 0], [0.25, 0.25, 0.25, 0.25]])
     count = 60
@@ -669,13 +717,38 @@ def test_duplicate_pass_matches_the_reference_loop(seed):
     x = mixes[pick[:, 0]] + rng.integers(0, 3, (count, 4)) * 0.6e-9
     y = mixes[pick[:, 1]] + rng.integers(0, 3, (count, 4)) * 0.6e-9
     games = rng.integers(0, 3, count)  # interleaved, as a stack's candidates come by support pair
-    valid, certified = rng.random(count) < 0.85, rng.random(count) < 0.8
-    cells = rng.random((4, 4, 3)) < 0.3
-    exact = {s: (mixes[rng.integers(len(mixes))], mixes[rng.integers(len(mixes))]) for s in range(count) if rng.random() < 0.5}
-    (mask, arrays, calls), expected = _both_passes(x, y, games, valid, certified, cells, exact)
-    assert (mask, arrays, calls) == expected
+    _duplicate_pass(x, y, games, rng.random(count) < 0.7, rng.random((4, 4, 3)) < 0.3)
 
+    # Exact finds, through _enumerate on a stack of three 5x5 0..3 games at
+    # eps 1e-300 and a zero sum tolerance, where every seed re-checks: each
+    # re-check finds nothing, its exact profile, or a profile its game
+    # prints (pure or mixed, before or after it), moved by 0, 0.6e-9 or
+    # 1.2e-9 per weight.
+    monkeypatch.setattr(nash, "SIMPLEX_SUM_TOL", 0.0)
+    stack = rng.integers(0, 4, (2, 5, 5, 3)).astype(float)
+    printed = {}
+    for g in range(3):
+        game = stack[..., g]
+        printed[game.tobytes()] = [(p.proposer_strategy, p.responder_strategy) for p in support_enumeration(game, 1e-300)]
 
+    def choose(a, b, rows, cols, real):
+        pick = np.random.default_rng([seed, *rows, 9, *cols])
+        pool = printed[np.array([a, b]).tobytes()]
+        which = int(pick.integers(len(pool) + 2))
+        if which >= len(pool):
+            return None if which == len(pool) else real
+        return tuple(v + pick.integers(0, 3, len(v)) * 0.6e-9 for v in pool[which])
+
+    calls = _exact_finds(monkeypatch, choose)
+    found = _enumerate(*stack, 1e-300)
+    assert calls
+    for g in range(3):
+        mine = found[0] == g
+        fields = zip(*(v[mine].tolist() for v in found[1:]))
+        expected = pairwise_support_enumeration(stack[..., g], 1e-300)
+        assert [(p, q, tuple(pay), tuple(reg), d) for p, q, pay, reg, d in fields] == [
+            profile_fields(p)[:4] + (p.degenerate,) for p in expected
+        ]
 def test_stacked_copies_of_a_degenerate_game_each_get_its_profiles(monkeypatch):
     # five copies put duplicate candidates of several games in each stack
     rng = np.random.default_rng(48)
@@ -692,25 +765,23 @@ def test_stacked_copies_of_a_degenerate_game_each_get_its_profiles(monkeypatch):
 
 
 def test_float_duplicates_and_exact_finds_in_one_stack_match_the_pairwise_loop(monkeypatch):
-    # At a zero sum tolerance this 0/1 game sends candidates to the exact
-    # re-check, which finds two profiles, among float candidates that
-    # duplicate earlier ones of the same stack.
+    # At a zero sum tolerance this 0/1 game sends six candidates to the exact
+    # re-check, which finds six profiles among float candidates that
+    # duplicate earlier ones of the same stack.  The duplicate pass drops
+    # four of the finds.
     rng = np.random.default_rng([2, 8])
     a, b = rng.integers(0, 2, (2, 8, 8)).astype(float)
     monkeypatch.setattr(nash, "SIMPLEX_SUM_TOL", 0.0)
-    exact = []  # whether each exact re-check found a profile
-    exact_profile = nash._exact_profile
-
-    def recording(*args):
-        profile = exact_profile(*args)
-        exact.append(profile is not None)
-        return profile
-
-    monkeypatch.setattr(nash, "_exact_profile", recording)
     near = _near_duplicates(monkeypatch)
     found = support_enumeration((a, b))
-    assert sum(near) > 0 and sum(exact) == 2 and len(exact) > 2
+    assert sum(near) > 0
     _assert_same_profiles(found, pairwise_support_enumeration((a, b)))
+    # the duplicate rule reads only strategies, so marking the payoffs of the
+    # exact finds shows which of them print
+    calls = _exact_finds(monkeypatch, lambda a, b, rows, cols, real: real)
+    marked = support_enumeration((a, b))
+    assert len(calls) == 6 and len(marked) == len(found)
+    assert sum(p.payoffs == (-1.0, -2.0) for p in marked) == 6 - 4
 
 
 @pytest.mark.parametrize("seed", [0, 29, 30])
@@ -1132,7 +1203,7 @@ def test_a_pure_cell_above_eps_in_floats_is_above_it_exactly():
         regret = np.maximum(*_pure_cells(np.array([a, b]), True, 0.0)[0])
         for i, j in np.argwhere(regret > 0.0).tolist():
             for eps in (np.nextafter(regret[i, j], 0.0), regret[i, j] / 2, 1e-300):
-                assert _exact_profile(a, b, [i], [j], eps, np.empty((0, m)), np.empty((0, n))) is None
+                assert _exact_profile(a, b, [i], [j], eps) is None
 
 
 @pytest.mark.parametrize("eps", (0.0, 1e-300, 1e-9))

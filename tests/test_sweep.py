@@ -42,9 +42,23 @@ def kernel_on_and_off(monkeypatch):
         yield minimum
 
 
+def assert_equal_lines(got, expected):
+    """``assert got == expected`` on two lists of lines.  A failure names the
+    first line that differs, by number, with both versions of it, instead of
+    the whole lists, whose diff takes pytest minutes on a sweep."""
+    if got != expected:
+        at = next((i for i, (u, v) in enumerate(zip(got, expected)) if u != v), min(len(got), len(expected)))
+        got_line, expected_line = (lines[at] if at < len(lines) else "(no line)" for lines in (got, expected))
+        raise AssertionError(
+            f"line {at + 1} differs ({len(got)} lines, {len(expected)} expected):\n"
+            f"  got      {got_line!r}\n  expected {expected_line!r}"
+        )
+
+
 def assert_same_lines(text, eps, out_format="csv"):
     sweep = parse_sweep_spec(text)
-    assert "\n".join(run_sweep(sweep, eps, out_format)) == "\n".join(rowwise_run_sweep(sweep, eps, out_format))
+    got, expected = ("\n".join(run(sweep, eps, out_format)) for run in (run_sweep, rowwise_run_sweep))
+    assert_equal_lines(got.split("\n"), expected.split("\n"))
 
 
 @pytest.mark.parametrize("eps", (1e-300, 1e-9, 5.0))
@@ -70,7 +84,7 @@ def test_full_turn_with_two_equilibria_matches_the_row_by_row_sweep(monkeypatch)
     expected = rowwise_run_sweep(sweep, 1e-9, "table")
     for _ in kernel_on_and_off(monkeypatch):
         lines = "\n".join(run_sweep(sweep, 1e-9, "table")).split("\n")
-        assert lines == expected
+        assert_equal_lines(lines, expected)
         assert sum(";mu=" in line for line in lines) == 4
 
 
@@ -153,7 +167,7 @@ def test_rows_of_many_values_print_as_fmt(monkeypatch, out_format):
         row.append(";".join("mu=%s nu=%s pp=%s pr=%s" % tuple(map(cli.fmt, p)) for p in profiles[games == r]))
         expected.append(",".join(row) if out_format == "csv" else "; ".join(f"{n}={v}" for n, v in zip(columns, row)))
     for _ in kernel_on_and_off(monkeypatch):
-        assert cli._render_rows(columns, out_format, head, labels, games, profiles) == "\n".join(expected)
+        assert_equal_lines(cli._render_rows(columns, out_format, head, labels, games, profiles).split("\n"), expected)
     assert 5 + 4 * np.count_nonzero(games == 3) > 70
 
 
@@ -265,7 +279,7 @@ def test_golden_csv_byte_for_byte(tmp_path, capsys, name, text, flags):
     path = tmp_path / "spec.json"
     path.write_text(text)
     assert main(["sweep", "--spec", str(path), "--format", "csv"] + flags) == 0
-    assert capsys.readouterr().out == (DATA / name).read_text()
+    assert_equal_lines(capsys.readouterr().out.split("\n"), (DATA / name).read_text().split("\n"))
 
 
 @pytest.mark.parametrize("out_format, ext", [("table", "txt"), ("csv", "csv")])
@@ -275,7 +289,7 @@ def test_default_eps_sweeps_print_their_golden_output(capsys, name, out_format, 
     # opposed rows beside 5 aligned ones
     spec = str(DATA / f"{name}.json")
     assert main(["sweep", "--spec", spec, "--format", out_format]) == 0
-    assert capsys.readouterr().out == (DATA / f"{name}.{ext}").read_text()
+    assert_equal_lines(capsys.readouterr().out.split("\n"), (DATA / f"{name}.{ext}").read_text().split("\n"))
 
 
 def test_a_benchmark_sized_sweep_prints_its_pinned_output(monkeypatch, capsys):
@@ -307,7 +321,7 @@ def test_rows_failing_a_check_raise_the_row_by_row_error(monkeypatch, module, na
         monkeypatch.setattr(nash, "_exact_profile", lambda *args: exact.append(args) or exact_profile(*args))
         text = "\n".join(run_sweep(sweep, 1e-9, "csv"))
         assert exact  # at the default sum tolerance no row of this sweep is re-checked
-        assert text == "\n".join(rowwise_run_sweep(sweep, 1e-9, "csv"))
+        assert_equal_lines(text.split("\n"), rowwise_run_sweep(sweep, 1e-9, "csv"))
         return
     with pytest.raises(GameError) as expected:
         rowwise_run_sweep(sweep, 1e-9, "csv")
