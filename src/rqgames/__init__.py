@@ -20,7 +20,6 @@ from .errors import (
     ParseError,
     TooLargeError,
     ValidationError,
-    WrongClassError,
     ZeroStateError,
 )
 from .games import (
@@ -36,7 +35,6 @@ from .hilbert import (
     QuantumState,
     bell_like,
     probability_table,
-    schmidt_rank,
     state_from_amplitudes,
 )
 from .induce import (
@@ -45,14 +43,9 @@ from .induce import (
     InducedGame,
     MoveSet,
     StateClass,
-    aligned_equilibrium,
     classify_state,
     default_move_set,
     induce_game,
-    proposer_payoff,
-    responder_payoff,
-    swap_proposer_coeffs,
-    swap_responder_coeffs,
 )
 from .nash import (
     EPS_DEFAULT,
@@ -64,7 +57,7 @@ from .nash import (
     verify_equilibrium,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ALIGNED",
@@ -92,9 +85,7 @@ __all__ = [
     "TooLargeError",
     "UltimatumParams",
     "ValidationError",
-    "WrongClassError",
     "ZeroStateError",
-    "aligned_equilibrium",
     "bell_like",
     "classify_state",
     "default_move_set",
@@ -102,14 +93,9 @@ __all__ = [
     "induce_game",
     "mixed_strategy",
     "probability_table",
-    "proposer_payoff",
     "pure_equilibria",
-    "responder_payoff",
-    "schmidt_rank",
     "state_from_amplitudes",
     "support_enumeration",
-    "swap_proposer_coeffs",
-    "swap_responder_coeffs",
     "ultimatum_2x2",
     "ultimatum_general",
     "verify_equilibrium",

@@ -41,10 +41,6 @@ class InvalidProbabilityError(GameError):
     """Probability or mixed-strategy vector outside the simplex."""
 
 
-class WrongClassError(GameError):
-    """State does not belong to the sign class the operation requires."""
-
-
 class TooLargeError(GameError):
     """Game exceeds the size limit of the combinatorial solver."""
 

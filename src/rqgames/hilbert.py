@@ -25,7 +25,6 @@ from .errors import (
 )
 
 NORM_TOL = 1e-9
-RANK_TOL = 1e-9
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -184,12 +183,3 @@ def probability_table(state: QuantumState) -> ProbabilityTable:
     """Squared moduli of the amplitudes; phases drop out here.  The state built the table in its norm check."""
     return state._table
 
-
-def schmidt_rank(state: QuantumState) -> int:
-    """Number of singular values of the amplitude matrix above RANK_TOL.
-
-    A rank of one means the state factorizes into independent per-player
-    states; anything higher marks entanglement.
-    """
-    singular = np.linalg.svd(state.amps, compute_uv=False)
-    return int(np.sum(singular > RANK_TOL))

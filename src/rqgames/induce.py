@@ -18,7 +18,9 @@ game has entries
     proposer: [[a*p11 + b*p01, a*p10 + b*p00], [b*p11 + a*p01, b*p10 + a*p00]]
     responder: [[c*p11 + b*p01, c*p10 + b*p00], [b*p11 + c*p01, b*p10 + c*p00]]
 
-which the test suite pins by exhaustive outcome enumeration.
+which the test suite pins by exhaustive outcome enumeration.  The 2x2
+aligned/opposed classifier serves ``classify`` and the sweep's labels; the
+paper's closed forms for this game are test oracles in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -28,15 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidMoveSetError,
-    InvalidProbabilityError,
-    WrongClassError,
-)
-from .games import Bimatrix, PayoffTable, ultimatum_2x2
+from .errors import DimensionMismatchError, InvalidMoveSetError
+from .games import Bimatrix, PayoffTable
 from .hilbert import QuantumState, _whole, probability_table
-from .nash import EPS_DEFAULT, EquilibriumProfile, verify_equilibrium
 
 SIGN_TOL = 1e-12
 
@@ -71,10 +67,6 @@ class MoveSet:
 
     def __len__(self) -> int:
         return len(self.perms)
-
-    def apply(self, move: int, basis_index: int) -> int:
-        """Image of a basis index under the given move."""
-        return self.perms[move][basis_index]
 
 
 @functools.lru_cache(maxsize=16)
@@ -157,57 +149,6 @@ def _probs_2x2(state: QuantumState) -> np.ndarray:
     return probability_table(state).probs
 
 
-def _check_probability(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise InvalidProbabilityError(f"{name} must lie in [0, 1], got {value}")
-    return float(value)
-
-
-def proposer_payoff(
-    state: QuantumState, a: float, b: float, c: float, mu: float, nu: float
-) -> float:
-    """Closed-form expected proposer payoff in the induced 2x2 ultimatum game.
-
-    mu and nu are the probabilities that proposer and responder play
-    move 0.  Equals the bilinear contraction of the induced game with
-    (mu, 1 - mu) and (nu, 1 - nu).
-    """
-    mu = _check_probability("mu", mu)
-    nu = _check_probability("nu", nu)
-    t = _probs_2x2(state)
-    base = nu * b * (t[1, 1] - t[1, 0]) + nu * a * (t[0, 1] - t[0, 0]) + b * t[1, 0] + a * t[0, 0]
-    slope = (a - b) * (nu * (t[1, 1] - t[0, 1]) + (1.0 - nu) * (t[1, 0] - t[0, 0]))
-    return float(mu * slope + base)
-
-
-def responder_payoff(
-    state: QuantumState, a: float, b: float, c: float, mu: float, nu: float
-) -> float:
-    """Closed-form expected responder payoff, companion to proposer_payoff."""
-    mu = _check_probability("mu", mu)
-    nu = _check_probability("nu", nu)
-    t = _probs_2x2(state)
-    base = mu * (c - b) * (t[1, 0] - t[0, 0]) + b * t[1, 0] + c * t[0, 0]
-    slope = (t[1, 1] - t[1, 0]) * (mu * c + (1.0 - mu) * b) + (t[0, 1] - t[0, 0]) * (
-        mu * b + (1.0 - mu) * c
-    )
-    return float(nu * slope + base)
-
-
-def swap_proposer_coeffs(state: QuantumState) -> QuantumState:
-    """Exchange the two proposer rows of the amplitude matrix."""
-    if state.dims != (2, 2):
-        raise DimensionMismatchError(f"swap requires a 2x2 state, got {state.dims}")
-    return QuantumState(state.amps[::-1, :].copy())
-
-
-def swap_responder_coeffs(state: QuantumState) -> QuantumState:
-    """Exchange the two responder columns of the amplitude matrix."""
-    if state.dims != (2, 2):
-        raise DimensionMismatchError(f"swap requires a 2x2 state, got {state.dims}")
-    return QuantumState(state.amps[:, ::-1].copy())
-
-
 @dataclass(frozen=True)
 class StateClass:
     """Sign classification of a 2x2 state's probability differences.
@@ -239,46 +180,7 @@ def opposed(diff1, diff2) -> np.ndarray:
 def _sign(diff):
     """The sign of a probability difference, 0 within SIGN_TOL of zero.
 
-    The one sign rule of ``opposed`` and ``aligned_equilibrium``, for a
-    float or an array; a NaN difference counts as 0.
+    The one sign rule of ``opposed``, and so of ``classify_state`` and the
+    sweep's labels, for a float or an array; a NaN difference counts as 0.
     """
     return 1 * (diff > SIGN_TOL) - (diff < -SIGN_TOL)
-
-
-def aligned_equilibrium(
-    state: QuantumState, a: float, b: float, c: float, eps: float = EPS_DEFAULT
-) -> list[EquilibriumProfile]:
-    """Pure equilibria of the induced ultimatum game for an oriented aligned state.
-
-    Requires p11 >= p01 and p10 >= p00; apply swap_proposer_coeffs first
-    when the differences point the other way.  The proposer plays move 0
-    with certainty, and the responder's pure move follows the sign of
-    c*(p11 - p10) + b*(p01 - p00).  On exact indifference both responder
-    moves are returned.  Each profile carries a verified regret
-    certificate against the induced game.
-    """
-    classification = classify_state(state)
-    if classification.label == OPPOSED:
-        raise WrongClassError(
-            f"state is opposed (diffs {classification.diffs}); no dominant proposer move"
-        )
-    d1, d2 = classification.diffs
-    if _sign(d1) < 0 or _sign(d2) < 0:
-        raise WrongClassError(
-            f"aligned state has diffs {classification.diffs}; "
-            "apply swap_proposer_coeffs to orient it first"
-        )
-    t = _probs_2x2(state)
-    table = ultimatum_2x2(a, b, c)
-    moves = default_move_set(2)
-    game = induce_game(state, table, moves, moves)
-    responder_gap = c * (t[1, 1] - t[1, 0]) + b * (t[0, 1] - t[0, 0])
-    if responder_gap > SIGN_TOL:
-        nus = [1.0]
-    elif responder_gap < -SIGN_TOL:
-        nus = [0.0]
-    else:
-        nus = [1.0, 0.0]
-    return [
-        verify_equilibrium(game, ((1.0, 0.0), (nu, 1.0 - nu)), eps) for nu in nus
-    ]

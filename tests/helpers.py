@@ -1,4 +1,4 @@
-"""Shared test utilities: random generators and slow independent oracles."""
+"""Shared test utilities: random generators, the paper's 2x2 closed forms and slow independent oracles."""
 
 import itertools
 from fractions import Fraction
@@ -10,17 +10,21 @@ from rqgames import (
     EPS_DEFAULT,
     DimensionMismatchError,
     InducedGame,
+    QuantumState,
     bell_like,
     classify_state,
     default_move_set,
+    induce_game,
     probability_table,
     state_from_amplitudes,
     support_enumeration,
+    ultimatum_2x2,
     verify_equilibrium,
 )
 from rqgames import nash
 from rqgames.cli import fmt
 from rqgames.hilbert import _freeze
+from rqgames.induce import SIGN_TOL, _sign
 from rqgames.nash import PIVOT_TOL, WEIGHT_CLAMP_TOL, EquilibriumProfile, game_matrices
 
 
@@ -59,8 +63,8 @@ def enumerate_induced(state, payoffs, moves_p, moves_r):
         for j in range(n):
             for k in range(dp):
                 for l in range(dr):
-                    kk = moves_p.apply(i, k)
-                    ll = moves_r.apply(j, l)
+                    kk = moves_p.perms[i][k]
+                    ll = moves_r.perms[j][l]
                     proposer[i, j] += probs[k][l] * payoffs.proposer[kk, ll]
                     responder[i, j] += probs[k][l] * payoffs.responder[kk, ll]
     return proposer, responder
@@ -82,6 +86,74 @@ def ultimatum_entries_2x2(probs, a, b, c):
         ]
     )
     return proposer, responder
+
+
+def proposer_payoff(state, a, b, c, mu, nu):
+    """Paper: the closed-form expected proposer payoff in the induced 2x2 ultimatum game.
+
+    mu and nu are the probabilities that proposer and responder play
+    move 0.  Equals the bilinear contraction of the induced game with
+    (mu, 1 - mu) and (nu, 1 - nu).
+    """
+    t = probability_table(state).probs
+    base = nu * b * (t[1, 1] - t[1, 0]) + nu * a * (t[0, 1] - t[0, 0]) + b * t[1, 0] + a * t[0, 0]
+    slope = (a - b) * (nu * (t[1, 1] - t[0, 1]) + (1.0 - nu) * (t[1, 0] - t[0, 0]))
+    return float(mu * slope + base)
+
+
+def responder_payoff(state, a, b, c, mu, nu):
+    """Paper: the closed-form expected responder payoff, companion to proposer_payoff."""
+    t = probability_table(state).probs
+    base = mu * (c - b) * (t[1, 0] - t[0, 0]) + b * t[1, 0] + c * t[0, 0]
+    slope = (t[1, 1] - t[1, 0]) * (mu * c + (1.0 - mu) * b) + (t[0, 1] - t[0, 0]) * (
+        mu * b + (1.0 - mu) * c
+    )
+    return float(nu * slope + base)
+
+
+def swap_proposer_coeffs(state):
+    """Paper: exchange the two proposer rows of a 2x2 amplitude matrix."""
+    return QuantumState(state.amps[::-1, :].copy())
+
+
+def swap_responder_coeffs(state):
+    """Paper: exchange the two responder columns of a 2x2 amplitude matrix."""
+    return QuantumState(state.amps[:, ::-1].copy())
+
+
+def aligned_equilibrium(state, a, b, c):
+    """Paper: the pure equilibria of the induced ultimatum game on an oriented
+    aligned state, or None on any other state.
+
+    Oriented aligned means p11 >= p01 and p10 >= p00 under the classifier's
+    sign rule, so an opposed state, with one difference below zero, is
+    refused too.  The proposer plays move 0, and the responder's pure move
+    follows the sign of c*(p11 - p10) + b*(p01 - p00), with both moves on
+    exact indifference.  Each profile carries its regret certificate.
+    """
+    d1, d2 = classify_state(state).diffs
+    if _sign(d1) < 0 or _sign(d2) < 0:
+        return None
+    t = probability_table(state).probs
+    moves = default_move_set(2)
+    game = induce_game(state, ultimatum_2x2(a, b, c), moves, moves)
+    responder_gap = c * (t[1, 1] - t[1, 0]) + b * (t[0, 1] - t[0, 0])
+    if responder_gap > SIGN_TOL:
+        nus = [1.0]
+    elif responder_gap < -SIGN_TOL:
+        nus = [0.0]
+    else:
+        nus = [1.0, 0.0]
+    return [verify_equilibrium(game, ((1.0, 0.0), (nu, 1.0 - nu))) for nu in nus]
+
+
+def schmidt_rank(state):
+    """Paper: the number of singular values of the amplitude matrix above 1e-9.
+
+    A rank of one means the state factorizes into independent per-player
+    states; anything higher marks entanglement.
+    """
+    return int(np.sum(np.linalg.svd(state.amps, compute_uv=False) > 1e-9))
 
 
 def loop_solve_pivoting(a, rhs, pivot_tol=PIVOT_TOL):

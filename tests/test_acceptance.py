@@ -11,25 +11,29 @@ import numpy as np
 
 from rqgames import (
     ALIGNED,
-    aligned_equilibrium,
     bell_like,
     classify_state,
     default_move_set,
     grid_oracle,
     induce_game,
     probability_table,
-    proposer_payoff,
     pure_equilibria,
-    responder_payoff,
     state_from_amplitudes,
     support_enumeration,
-    swap_proposer_coeffs,
-    swap_responder_coeffs,
     ultimatum_2x2,
     verify_equilibrium,
 )
 
-from helpers import balanced_triple, random_bimatrix, random_state
+from helpers import (
+    aligned_equilibrium,
+    balanced_triple,
+    proposer_payoff,
+    random_bimatrix,
+    random_state,
+    responder_payoff,
+    swap_proposer_coeffs,
+    swap_responder_coeffs,
+)
 
 STANDARD = (99.0, 50.0, 1.0)
 MOVES2 = default_move_set(2)
@@ -95,8 +99,8 @@ def test_criterion_3_classical_reduction():
                 amps = np.zeros((2, 2), dtype=complex)
                 amps[k0, l0] = 1.0
                 basis_game = standard_game(state_from_amplitudes(amps))
-                rows = [MOVES2.apply(i, k0) for i in range(2)]
-                cols = [MOVES2.apply(j, l0) for j in range(2)]
+                rows = [MOVES2.perms[i][k0] for i in range(2)]
+                cols = [MOVES2.perms[j][l0] for j in range(2)]
                 assert np.array_equal(basis_game.proposer, TABLE.proposer[np.ix_(rows, cols)])
                 assert np.array_equal(basis_game.responder, TABLE.responder[np.ix_(rows, cols)])
 

@@ -14,15 +14,12 @@ from rqgames import (
     ZeroStateError,
     bell_like,
     probability_table,
-    schmidt_rank,
     state_from_amplitudes,
-    swap_proposer_coeffs,
-    swap_responder_coeffs,
 )
 from rqgames import hilbert
 from rqgames.hilbert import bell_like_probs
 
-from helpers import random_product_state, random_state
+from helpers import random_product_state, random_state, schmidt_rank, swap_proposer_coeffs, swap_responder_coeffs
 
 
 def test_basis_state_passes_through():
