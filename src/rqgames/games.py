@@ -36,13 +36,7 @@ class Bimatrix:
     responder: np.ndarray
 
     def __post_init__(self):
-        proposer = np.asarray(self.proposer, dtype=float)
-        responder = np.asarray(self.responder, dtype=float)
-        if proposer.ndim != 2 or proposer.shape != responder.shape:
-            raise DimensionMismatchError(
-                f"payoff matrices must share one 2-D shape, got "
-                f"{proposer.shape} and {responder.shape}"
-            )
+        proposer, responder = _matrix_pair((self.proposer, self.responder))
         if np.count_nonzero(np.isfinite(proposer) & np.isfinite(responder)) != proposer.size:
             raise InvalidPayoffsError("payoff entries must be finite")
         object.__setattr__(self, "proposer", _freeze(proposer))
@@ -54,6 +48,16 @@ class Bimatrix:
 
 
 PayoffTable = Bimatrix
+
+
+def _matrix_pair(pair) -> tuple[np.ndarray, np.ndarray]:
+    """A (proposer, responder) pair of payoff matrices as float arrays, checked to share one 2-D shape."""
+    a, b = (np.asarray(v, dtype=float) for v in pair)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise DimensionMismatchError(
+            f"payoff matrices must share one 2-D shape, got {a.shape} and {b.shape}"
+        )
+    return a, b
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidProbabilityError, TooLargeError
-from .games import Bimatrix
+from .games import Bimatrix, _matrix_pair
 from .hilbert import _freeze
 
 EPS_DEFAULT = 1e-9
@@ -32,15 +32,9 @@ PURE_KIND_TOL = 1e-9
 # terms, within which the off-support prefilter defers to the off-support test.
 DOMINANCE_SLACK = 1e-12
 
-# Support pairs per chunk of ``support_enumeration``'s first phase and per
-# stack of its second; it bounds the memory one solve takes.
+# Support pairs per chunk and per phase-2 stack of ``support_enumeration``,
+# which bounds the memory one solve takes; a game keeping no more takes one call.
 STACK_PAIRS = 1024
-# A game (or stack of games) that keeps up to this many support pairs in all
-# solves both players' systems in one call instead of two phases.  Over the
-# games of two nash_large cycles (seeds 3 and 5; 2-vCPU Xeon, numpy 2.4.6;
-# per game the best of 15 alternating runs), enumeration took 70 and 72 ms
-# at a limit of 0, 66 and 69 at 64, 64 and 64 at 256, and 64 and 66 at 1024.
-TWO_PHASE_MIN_PAIRS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,14 +60,7 @@ def game_matrices(game) -> tuple[np.ndarray, np.ndarray]:
     """The (proposer, responder) payoff matrices of a ``Bimatrix`` or a raw
     pair, in C order, which gives a profile the products it gets in a stack.
     A raw pair gets the shape check only."""
-    if isinstance(game, Bimatrix):
-        a, b = game.proposer, game.responder
-    else:
-        a, b = (np.asarray(v, dtype=float) for v in game)
-        if a.ndim != 2 or a.shape != b.shape:
-            raise DimensionMismatchError(
-                f"payoff matrices must share one 2-D shape, got {a.shape} and {b.shape}"
-            )
+    a, b = (game.proposer, game.responder) if isinstance(game, Bimatrix) else _matrix_pair(game)
     return np.ascontiguousarray(a), np.ascontiguousarray(b)
 
 
@@ -154,17 +141,9 @@ def pure_equilibria(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfile]:
     finds, with the certificates it reads off the payoff entries.  The list
     may be empty (matching-pennies structure has no pure equilibrium).
     """
-    both = np.array(game_matrices(game))
-    _, m, n = both.shape
+    both = np.array(game_matrices(game))[..., None]  # one game, on a trailing axis
     with np.errstate(all="ignore"):  # inf - inf is NaN, which never certifies
-        regret, found, degenerate = _pure_cells(both, np.isfinite(both).all(), eps)
-    return [
-        EquilibriumProfile(
-            _freeze(np.eye(m)[i]), _freeze(np.eye(n)[j]), tuple(both[:, i, j].tolist()),
-            tuple(regret[:, i, j].tolist()), "pure", True, bool(degenerate[i, j]),
-        )
-        for i, j in np.argwhere(found).tolist()
-    ]
+        return _profiles(_pure_profiles(both, np.isfinite(both).all(), eps)[1])
 
 
 def _solve_stacked(ab: np.ndarray, sizes=None) -> tuple[np.ndarray, np.ndarray]:
@@ -260,6 +239,19 @@ def _pure_cells(both, finite, eps):
     return regret, np.logical_and.reduce(held) & finite, degenerate
 
 
+def _pure_profiles(both, finite, eps):
+    """The (m, n, B) mask of the cells ``_pure_cells`` finds, given the same
+    arguments, and their profiles as ``_enumerate``'s fields, by game, then cell."""
+    _, m, n, count = both.shape
+    regret, cells, degenerate = _pure_cells(both, finite, eps)
+    cell = cells.transpose(2, 0, 1).nonzero()  # (game, row, column), by game
+    at = np.ravel_multi_index(cell[1:] + cell[:1], (m, n, count))  # each field gathered at the cells
+    units = np.zeros((len(at), m + n))  # both players' strategies side by side
+    units[np.arange(len(at)), np.array([cell[1], m + cell[2]])] = 1.0
+    gathered = both.reshape(2, -1).take(at, axis=1).T, regret.reshape(2, -1).take(at, axis=1).T
+    return cells, (cell[0], units[:, :m], units[:, m:], *gathered, degenerate.take(at))
+
+
 def support_enumeration(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfile]:
     """Equilibria via enumeration of equal-size support pairs.
 
@@ -284,12 +276,17 @@ def support_enumeration(game, eps: float = EPS_DEFAULT) -> list[EquilibriumProfi
     m, n = a.shape
     if max(m, n) > 12:
         raise TooLargeError(f"support enumeration limited to 12 moves per side, got {m}x{n}")
-    _, x, y, payoffs, regrets, degenerate = _enumerate(a, b, eps)
+    return _profiles(_enumerate(a, b, eps))
+
+
+def _profiles(fields) -> list[EquilibriumProfile]:
+    """The certified profiles of one game's fields, as ``_enumerate`` returns them."""
+    _, x, y, payoffs, regrets, degenerate = fields
     # the rows of a read-only array are read-only views
-    fields = zip(_freeze(x), _freeze(y), payoffs.tolist(), regrets.tolist(), _is_pure(x, y).tolist(), degenerate.tolist())
+    rows = zip(_freeze(x), _freeze(y), payoffs.tolist(), regrets.tolist(), _is_pure(x, y).tolist(), degenerate.tolist())
     return [
         EquilibriumProfile(p, q, tuple(pay), tuple(reg), "pure" if pure else "mixed", True, flag)
-        for p, q, pay, reg, pure, flag in fields
+        for p, q, pay, reg, pure, flag in rows
     ]
 
 
@@ -301,10 +298,11 @@ def _enumerate(a, b, eps):
     the (P, 2) payoffs and regrets and the (P,) degenerate flags.
 
     The pairs ``_support_pairs`` keeps at every support size k >= 2 form
-    one list in enumeration order, which ``_candidates`` takes through
-    phase 1 in chunks that may span sizes; phase 2 takes the pairs every
-    chunk leaves, in enumeration order, in stacks of the chunk size as they
-    fill.  ``_certify``, whose values do not depend on the stack, then
+    one list in enumeration order.  ``_candidates`` solves both players'
+    systems for a list that fits in one chunk in one call; a longer list
+    goes through phase 1 in chunks that may span sizes, and phase 2 takes
+    the pairs all chunks leave, in enumeration order, in stacks of the chunk
+    size.  ``_certify``, whose values do not depend on the stack, then
     certifies all the candidates at once.  A valid candidate within 1e-9 of
     a pure profile is its duplicate.  Every other candidate that does not
     certify is, in a finite game, re-checked exactly on its own, and an
@@ -318,13 +316,7 @@ def _enumerate(a, b, eps):
         a, b = both[0], both[1]
         scale = np.maximum.reduce(np.abs(both), axis=(1, 2))  # NaN or inf for a player with a non-finite payoff
         finite = np.maximum(scale[0], scale[1]) < np.inf
-        regret, cells, degenerate = _pure_cells(both, finite, eps)
-        cell = cells.transpose(2, 0, 1).nonzero()  # (game, row, column), by game
-        at = np.ravel_multi_index(cell[1:] + cell[:1], (m, n, count))  # each field gathered at the cells
-        units = np.zeros((len(at), m + n))  # both players' strategies side by side
-        units[np.arange(len(at)), np.array([cell[1], m + cell[2]])] = 1.0
-        gathered = both.reshape(2, -1).take(at, axis=1).T, regret.reshape(2, -1).take(at, axis=1).T
-        pure = cell[0], units[:, :m], units[:, m:], *gathered, degenerate.take(at)
+        cells, pure = _pure_profiles(both, finite, eps)
         slack = DOMINANCE_SLACK * (1.0 + scale[0] + scale[1])  # the prefilters' rounding margin
         pairs = _support_pairs(a, b, eps, slack)
         if not len(pairs):
@@ -333,21 +325,13 @@ def _enumerate(a, b, eps):
         by_game = np.ascontiguousarray(both.transpose(0, 3, 1, 2))
         (ga, gb), gbt = by_game, np.ascontiguousarray(b.transpose(2, 1, 0))
         size, tables = max(STACK_PAIRS, count), (by_game.reshape(-1), ga, gbt, slack, eps)
-        found, left = [], None  # the candidates so far, and the pairs phase 1 left that phase 2 has yet to solve
-        for s in range(0, len(pairs), size):
-            part = _candidates(*tables, len(pairs) <= TWO_PHASE_MIN_PAIRS, pairs[s : s + size])
-            done = len(part) == 7  # x solved too: one call, in a small game or a chunk of the largest k
-            if not done:
-                left = part if left is None else _joined([left, part])
-            # phase 2 as its stacks fill, and on the rest before the candidates of one call or after the last chunk
-            end = done or s + size >= len(pairs)
-            while left is not None and len(left[0]) >= (1 if end else size):
-                found.append(_phase(*tables, (1,), [v[:size] for v in left]))
-                left = [v[size:] for v in left]
-            if done:
-                found.append(part)
-        fields = _joined(found)
-        if not fields or not len(fields[0]):
+        if len(pairs) <= size:
+            fields = _candidates(*tables, (0, 1), pairs)
+        else:
+            left = _joined([_candidates(*tables, (0,), pairs[s : s + size]) for s in range(0, len(pairs), size)])
+            stacks = [_phase(*tables, (1,), [v[s : s + size] for v in left]) for s in range(0, len(left[0]), size)]
+            fields = _joined(stacks) if stacks else left
+        if not len(fields[0]):
             return pure
         games, row_sets, col_sets, _, passed, y, x = fields
         # mixed_strategy's sum test; the weights are clamped to nonnegative already
@@ -355,7 +339,7 @@ def _enumerate(a, b, eps):
         valid = passed & np.logical_and.reduce(summed)
         payoffs, regrets, certified, degen = _certify(*by_game.take(games, axis=1), x, y, eps)
         candidates = games, x, y, payoffs.T, regrets.T, degen
-        fresh = ~(valid & _near_cell(cells, games, x, y)) if len(at) else True  # not a pure profile's duplicate
+        fresh = ~(valid & _near_cell(cells, games, x, y)) if len(pure[0]) else True  # not a pure profile's duplicate
         kept = valid & certified & fresh
         retry = (~kept & fresh & finite[games]).nonzero()[0]
         for s in retry.tolist():
@@ -535,20 +519,17 @@ def _subsets(size: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_freeze(np.array(v, dtype=int).reshape(len(v), t)) for v, t in ((sets, k), (rest[::-1], size - k)))
 
 
-def _candidates(payoffs, ga, gbt, slack, eps, one_call, ids):
-    """Phase 1 of a chunk of support pairs, flat indices ``ids`` of
-    ``_support_pairs``: ``_phase`` on the proposer's systems.  With
-    ``one_call``, or when no pair leaves a row out, where phase 1 could drop
-    only invalid weights, it solves both players' systems in one call
-    instead, and the pairs are dropped once after both tests.  Returns the
-    games, row sets, column sets and sizes of the pairs kept, which pass so
-    far and their y, then, after one call, their x."""
+def _candidates(payoffs, ga, gbt, slack, eps, players, ids):
+    """``_phase`` on the systems of ``players`` for support pairs, the flat
+    indices ``ids`` of ``_support_pairs``: the proposer's, (0,), in phase 1,
+    or both players', (0, 1), in one call, which drops a pair after both tests.
+    Returns the games, row sets, column sets and sizes of the pairs kept,
+    which pass so far and their y, then, after both players', their x."""
     count, m, n = ga.shape
     pair, games = np.divmod(ids, count)
     table = _pair_table(m, n)
     shift, widths, col_starts, sizes = table[3:].take(table[1].searchsorted(pair, side="right"), axis=1)
     row_sets, col_sets = np.divmod(pair + shift, widths)
-    players = (0, 1) if one_call or sizes[0] == m else (0,)
     pairs = [games, row_sets, col_sets + col_starts, sizes, np.ones(len(ids), dtype=bool)]
     return _phase(payoffs, ga, gbt, slack, eps, players, pairs)
 
@@ -557,7 +538,8 @@ def _phase(payoffs, ga, gbt, slack, eps, players, pairs):
     """One phase of the search for candidates: solve the systems of
     ``players`` (0, the proposer, whose systems give the responder's mix y,
     or 1, whose systems give x) for support pairs in one ``_indifference``
-    call, then test each solved mix off the support.
+    call, then test each solved mix off the support: phase 1 of a chunk,
+    phase 2 of a stack of its survivors, or both of a game at once.
 
     ``pairs`` lists the games, row sets and column sets (of ``_set_table``),
     sizes, nondecreasing, and which pass so far of the pairs, and after
@@ -712,8 +694,7 @@ def grid_oracle(game, resolution: int = 64, eps: float = EPS_DEFAULT) -> list[tu
     if resolution < 1:
         raise ValueError(f"resolution must be a positive integer, got {resolution}")
     grid = np.arange(resolution + 1) / resolution
-    x = np.stack([grid, 1.0 - grid], axis=1)
-    y = np.stack([grid, 1.0 - grid], axis=1)
+    x = y = np.stack([grid, 1.0 - grid], axis=1)
     xa = x @ a
     xb = x @ b
     realized_p = xa @ y.T

@@ -594,10 +594,13 @@ def test_nash_on_an_8x8_uniform_game_prints_its_golden_output(monkeypatch, capsy
 
 
 @pytest.mark.parametrize("fmt, ext", [("table", "txt"), ("csv", "csv")])
-@pytest.mark.parametrize("name", ["nash_6x6_uniform", "nash_6x6_integer", "nash_5x8_integer", "nash_12x4_uniform"])
+@pytest.mark.parametrize(
+    "name", ["nash_6x6_uniform", "nash_6x6_integer", "nash_5x8_integer", "nash_12x4_uniform", "nash_4x12_integer"]
+)
 def test_nash_on_mid_size_games_prints_their_golden_output(capsys, name, fmt, ext):
     # benchmark-style games, nondegenerate with uniform payoffs and degenerate
-    # with 0..3 integers, whose pairs go through one call or two phases
+    # with 0..3 integers, whose pairs go through one call or two phases; the
+    # 4x12 game keeps 576 pairs, one chunk's worth, on a short proposer side
     spec = os.path.join(DATA, f"{name}.json")
     with open(os.path.join(DATA, f"{name}.{ext}"), encoding="utf-8") as handle:
         assert run(["nash", "--spec", spec, "--format", fmt], capsys) == (0, handle.read(), "")

@@ -31,7 +31,6 @@ from rqgames.nash import (
     DOMINANCE_SLACK,
     EPS_DEFAULT,
     STACK_PAIRS,
-    TWO_PHASE_MIN_PAIRS,
     _enumerate,
     _exact_profile,
     _indifference,
@@ -852,17 +851,18 @@ def _kept_total(game, eps):
     return len(_support_pairs(*game, eps, _slack(*game)))
 
 
-# The 0..3-integer 6x6, 5x8, 7x7 and 12x4 games keep more than 256 support
-# pairs in all and take the two phases; the others keep fewer and take one call.
+# With chunks of 256 pairs, the 0..3-integer 6x6, 5x8, 7x7 and 12x4 games keep
+# more support pairs in all and take the two phases; the others take one call.
 TWO_PHASE_GAMES = {((6, 6), True), ((5, 8), True), ((7, 7), True), ((12, 4), True)}
 
 
 @pytest.mark.parametrize("shape", [(6, 6), (5, 8), (7, 7), (12, 4), (4, 12)], ids="{0[0]}x{0[1]}".format)
 @pytest.mark.parametrize("integer", [False, True])
 @pytest.mark.parametrize("eps", [1e-9, 0.0])
-def test_two_phase_levels_match_the_pairwise_loop(shape, integer, eps):
+def test_two_phase_levels_match_the_pairwise_loop(monkeypatch, shape, integer, eps):
+    monkeypatch.setattr(nash, "STACK_PAIRS", 256)
     game = _random_game(np.random.default_rng([*shape, integer]), shape, integer)
-    two_phase = _kept_total(game, eps) > TWO_PHASE_MIN_PAIRS
+    two_phase = _kept_total(game, eps) > nash.STACK_PAIRS
     assert two_phase == ((shape, integer) in TWO_PHASE_GAMES)
     _assert_same_profiles(support_enumeration(game, eps), pairwise_support_enumeration(game, eps))
 
@@ -881,7 +881,7 @@ def test_support_enumeration_splits_large_levels_into_stacks():
 def _two_phase_chunk(game, eps, profile):
     """(chunk, k) of the chunk that solves a mixed profile's support pair, in
     the game's one list of kept pairs, or None when the game takes one call."""
-    if _kept_total(game, eps) <= TWO_PHASE_MIN_PAIRS:
+    if _kept_total(game, eps) <= STACK_PAIRS:
         return None
     rows = tuple(np.flatnonzero(profile.proposer_strategy))
     cols = tuple(np.flatnonzero(profile.responder_strategy))
@@ -951,6 +951,59 @@ def test_phase_two_solves_the_survivors_of_every_chunk_together(monkeypatch, kin
     assert len(phase_two) == math.ceil(sum(survivors) / chunk)
     if kind == "golden":  # 3 chunks, two with survivors, which phase 2 solves in one call
         assert len(survivors) == 3 and phase_two == [106]
+
+
+def _phase_players(monkeypatch):
+    """A list that records the ``players`` of every ``_phase`` call."""
+    seen = []
+    phase = nash._phase
+
+    def recording(*args):
+        seen.append(args[5])
+        return phase(*args)
+
+    monkeypatch.setattr(nash, "_phase", recording)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "seed, shape, total, survivors", [([3, 4, 1], (4, 12), 576, True), (38, (3, 3), 5, False)], ids=["4x12", "3x3"]
+)
+def test_a_game_takes_one_call_while_its_pairs_fit_in_one_chunk(monkeypatch, seed, shape, total, survivors):
+    # 0..3-integer games: a 4x12 one with mixed equilibria, and a 3x3 one whose pairs all fail phase 1
+    game = _random_game(np.random.default_rng(seed), shape, integer=True)
+    expected = [profile_fields(p) for p in pairwise_support_enumeration(game)]
+    assert _kept_total(game, EPS_DEFAULT) == total
+    seen = _phase_players(monkeypatch)
+    for size in (total, total - 1):
+        monkeypatch.setattr(nash, "STACK_PAIRS", size)
+        seen.clear()
+        assert [profile_fields(p) for p in support_enumeration(game)] == expected
+        # two phase-1 chunks, then phase 2 in as many stacks as the survivors fill
+        assert seen == ([(0, 1)] if size == total else [(0,), (0,), *[(1,)] * (len(seen) - 2)])
+    assert (len(seen) > 2) == survivors
+
+
+def test_a_stack_takes_one_call_while_its_joint_pairs_fit_in_one_chunk(monkeypatch):
+    # three 0..3-integer 5x5 games, each of which keeps fewer pairs than the three together
+    rng = np.random.default_rng(27)
+    games = [_random_game(rng, (5, 5), integer=True) for _ in range(3)]
+    totals = [_kept_total(game, EPS_DEFAULT) for game in games]
+    assert min(totals) > 0
+    a, b = (np.stack(v, axis=-1) for v in zip(*games))
+    seen = _phase_players(monkeypatch)
+    for size in (sum(totals), sum(totals) - 1):
+        monkeypatch.setattr(nash, "STACK_PAIRS", size)
+        seen.clear()
+        found = _enumerate(a, b, EPS_DEFAULT)
+        assert seen == ([(0, 1)] if size == sum(totals) else [(0,), (0,), *[(1,)] * (len(seen) - 2)])
+        for g, game in enumerate(games):
+            mine = found[0] == g
+            fields = zip(*(v[mine].tolist() for v in found[1:]))
+            assert [(p, q, tuple(pay), tuple(reg), d) for p, q, pay, reg, d in fields] == [
+                profile_fields(p)[:4] + (p.degenerate,) for p in pairwise_support_enumeration(game)
+            ]
+    assert len(seen) > 2
 
 
 @pytest.mark.parametrize("eps", [1e-9, 0.0, 1e-300])
